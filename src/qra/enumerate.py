@@ -5,6 +5,13 @@ upsets, and only self-dual posets carry frames at all (an order reversing
 tilde must exist).  Counting algebras of size n therefore sums the frame
 counts over the self-dual posets with exactly n upsets; the empty poset
 contributes the one-element algebra.
+
+Those posets are grown one maximal element at a time, and a candidate
+with more than n upsets is dropped with everything that would grow from
+it (``posets_with_at_most_upsets``), so the census never builds the full
+list of posets on n - 1 points.  ``census_table`` grows them once for its
+largest size, searches each poset once for both signatures, and sums the
+per-poset counts by upset count.
 """
 
 from __future__ import annotations
@@ -13,8 +20,15 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .frame import complex_algebra
-from .order import CENSUS_ORDER, NAMED_POSETS, Poset, all_posets, poset_display_name
-from .search import Budget, enumerate_frames
+from .order import (
+    CENSUS_ORDER,
+    NAMED_POSETS,
+    Poset,
+    all_posets,
+    poset_display_name,
+    posets_with_at_most_upsets,
+)
+from .search import Budget, enumerate_frames, search_frames
 
 MAX_POSET_SIZE = 7
 
@@ -46,21 +60,46 @@ def enumerate_posets(max_size: int) -> list[PosetShape]:
     return out
 
 
+def _self_dual_by_upset_count(max_n: int) -> dict[int, list[Poset]]:
+    """Self-dual posets with n upsets, for every n in 1..max_n, grown once."""
+    if max_n > MAX_POSET_SIZE + 1:
+        # a poset of size k has at least k+1 upsets, so cardinality n
+        # needs posets up to size n-1 and the census stops there
+        raise PreconditionError(
+            f"cardinality {max_n} needs posets beyond the supported census"
+        )
+    buckets = {n: [] for n in range(1, max_n + 1)}
+    if max_n >= 1:
+        buckets[1].append(Poset(()))
+    for poset in posets_with_at_most_upsets(max_n):
+        if poset.is_self_dual:
+            buckets[len(poset.upsets)].append(poset)
+    return buckets
+
+
 def posets_with_upset_count(n: int) -> list[Poset]:
     """Self-dual posets whose upset lattice has exactly n elements."""
-    if n == 1:
-        return [Poset(())]
-    out = []
-    for shape in enumerate_posets(min(n - 1, MAX_POSET_SIZE)):
-        if shape.upset_count == n and shape.self_dual:
-            out.append(shape.poset)
-    return out
+    return _self_dual_by_upset_count(n).get(n, [])
 
 
 def count_frames(poset: Poset, budget: Budget | None = None,
                  jobs: int = 1) -> tuple[int, int]:
-    di = enumerate_frames(poset, "dinfl", budget=budget, jobs=jobs).count
-    dq = enumerate_frames(poset, "dqra", budget=budget, jobs=jobs).count
+    """(DInFL frames, DqRA frames) over the poset, from one search."""
+    results = search_frames(poset, ("dinfl", "dqra"), budget=budget, jobs=jobs)
+    return results["dinfl"].count, results["dqra"].count
+
+
+def _sum_counts(posets, counts: dict, budget, jobs) -> tuple[int, int]:
+    """Total frame counts over the posets, searching only those whose
+    canonical key ``counts`` does not hold yet."""
+    di = dq = 0
+    for poset in posets:
+        key = poset.canonical_key
+        if key not in counts:
+            counts[key] = count_frames(poset, budget=budget, jobs=jobs)
+        a, b = counts[key]
+        di += a
+        dq += b
     return di, dq
 
 
@@ -69,18 +108,7 @@ def count_algebras(n: int, budget: Budget | None = None,
     """(number of DInFL-algebras, number of DqRAs) of cardinality n."""
     if n < 1:
         raise PreconditionError("cardinality must be at least 1")
-    if n > MAX_POSET_SIZE + 1:
-        # a poset of size k has at least k+1 upsets, so cardinality n
-        # needs posets up to size n-1 and the census stops there
-        raise PreconditionError(
-            f"cardinality {n} needs posets beyond the supported census"
-        )
-    di = dq = 0
-    for poset in posets_with_upset_count(n):
-        a, b = count_frames(poset, budget=budget, jobs=jobs)
-        di += a
-        dq += b
-    return di, dq
+    return _sum_counts(posets_with_upset_count(n), {}, budget, jobs)
 
 
 def enumerate_algebras(n: int, signature: str = "dqra", budget: Budget | None = None,
@@ -97,14 +125,20 @@ def enumerate_algebras(n: int, signature: str = "dqra", budget: Budget | None = 
 
 def census_table(max_size: int, budget: Budget | None = None,
                  jobs: int = 1) -> dict:
-    """Frame counts for the named census posets plus algebra counts by size."""
+    """Frame counts for the named census posets plus algebra counts by size.
+
+    Each poset is searched once: the algebra counts reuse the per-poset
+    counts, and any poset with at most ``max_size`` upsets that is not a
+    named census poset is searched when it is met.
+    """
+    buckets = _self_dual_by_upset_count(max_size)
+    counts: dict = {}
     per_poset = {}
     for name in CENSUS_ORDER:
         poset = NAMED_POSETS[name]
         if poset.n > max_size:
             continue
-        per_poset[name] = count_frames(poset, budget=budget, jobs=jobs)
-    by_size = {}
-    for n in range(1, max_size + 1):
-        by_size[n] = count_algebras(n, budget=budget, jobs=jobs)
+        per_poset[name] = _sum_counts([poset], counts, budget, jobs)
+    by_size = {n: _sum_counts(buckets[n], counts, budget, jobs)
+               for n in range(1, max_size + 1)}
     return {"per_poset": per_poset, "by_size": by_size}

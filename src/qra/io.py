@@ -20,8 +20,16 @@ from .order import Poset, bits, mask_of
 from .represent import RepBase
 
 
+def _field(obj, key):
+    try:
+        return obj[key]
+    except KeyError:
+        raise StructuralError(f"missing key {key!r}") from None
+
+
 def _matrix(rows, size, what, upper=None):
-    if len(rows) != size or any(len(r) != size for r in rows):
+    if (not isinstance(rows, list) or len(rows) != size
+            or any(not isinstance(r, list) or len(r) != size for r in rows)):
         raise StructuralError(f"{what} must be a {size}x{size} matrix")
     if upper is not None:
         for row in rows:
@@ -37,6 +45,12 @@ def _index_array(values, size, what):
     ):
         raise StructuralError(f"{what} must list indices below {size}")
     return values
+
+
+def _index(value, size, what):
+    if not isinstance(value, int) or not 0 <= value < size:
+        raise StructuralError(f"{what} must be an index below {size}")
+    return value
 
 
 def algebra_to_obj(alg: FinAlgebra) -> dict:
@@ -56,15 +70,16 @@ def algebra_from_obj(obj: dict) -> FinAlgebra:
     size = obj.get("size")
     if not isinstance(size, int) or size < 1:
         raise StructuralError("size must be a positive integer")
-    leq = _matrix(obj["leq"], size, "leq")
-    product = _matrix(obj["product"], size, "product", upper=size)
-    tilde = _index_array(obj["tilde"], size, "tilde")
-    minus = _index_array(obj["minus"], size, "minus")
+    leq = _matrix(_field(obj, "leq"), size, "leq")
+    product = _matrix(_field(obj, "product"), size, "product", upper=size)
+    one = _index(_field(obj, "one"), size, "one")
+    tilde = _index_array(_field(obj, "tilde"), size, "tilde")
+    minus = _index_array(_field(obj, "minus"), size, "minus")
     neg = obj.get("neg")
     if neg is not None:
         neg = _index_array(neg, size, "neg")
     return FinAlgebra(
-        np.array(leq, dtype=bool), product, obj["one"], tilde, minus,
+        np.array(leq, dtype=bool), product, one, tilde, minus,
         neg=neg, name=obj.get("name"),
     )
 
@@ -90,18 +105,16 @@ def frame_from_obj(obj: dict) -> Frame:
     if size == 0:
         frame = empty_frame(name=obj.get("name"))
         return frame.with_neg(()) if obj.get("neg") is not None else frame
-    leq = _matrix(obj["leq"], size, "leq")
+    leq = _matrix(_field(obj, "leq"), size, "leq")
     poset = Poset.from_matrix(leq)
-    identity = mask_of(_index_array(obj["identity"], size, "identity"))
-    comp_rows = obj["comp"]
-    if len(comp_rows) != size or any(len(r) != size for r in comp_rows):
-        raise StructuralError("comp must be a size x size table of index arrays")
+    identity = mask_of(_index_array(_field(obj, "identity"), size, "identity"))
+    comp_rows = _matrix(_field(obj, "comp"), size, "comp")
     comp = [
         [mask_of(_index_array(cell, size, "comp entry")) for cell in row]
         for row in comp_rows
     ]
-    tilde = _index_array(obj["tilde"], size, "tilde")
-    minus = _index_array(obj["minus"], size, "minus")
+    tilde = _index_array(_field(obj, "tilde"), size, "tilde")
+    minus = _index_array(_field(obj, "minus"), size, "minus")
     neg = obj.get("neg")
     if neg is not None:
         neg = _index_array(neg, size, "neg")
@@ -117,7 +130,9 @@ def pointed_frame_to_obj(pf: PointedFrame) -> dict:
 
 def pointed_frame_from_obj(obj: dict) -> PointedFrame:
     frame = frame_from_obj(obj)
-    return PointedFrame(frame=frame, bottom=obj["bottom"], top=obj["top"])
+    bottom = _index(_field(obj, "bottom"), frame.size, "bottom")
+    top = _index(_field(obj, "top"), frame.size, "top")
+    return PointedFrame(frame=frame, bottom=bottom, top=top)
 
 
 def base_to_obj(base: RepBase) -> dict:
@@ -135,10 +150,10 @@ def base_from_obj(obj: dict) -> RepBase:
     n = obj.get("points")
     if not isinstance(n, int) or n < 1:
         raise StructuralError("points must be a positive integer")
-    leq = _matrix(obj["leq"], n, "leq")
-    emat = _matrix(obj["E"], n, "E")
+    leq = _matrix(_field(obj, "leq"), n, "leq")
+    emat = _matrix(_field(obj, "E"), n, "E")
     equiv = tuple(mask_of(j for j in range(n) if emat[i][j]) for i in range(n))
-    alpha = _index_array(obj["alpha"], n, "alpha")
+    alpha = _index_array(_field(obj, "alpha"), n, "alpha")
     beta = obj.get("beta")
     if beta is not None:
         beta = _index_array(beta, n, "beta")
@@ -163,17 +178,21 @@ def _resolve_endpoint(value):
     if isinstance(value, str):
         from .bundled import bundled_lookup
 
-        obj = bundled_lookup(value)
-        return obj
+        try:
+            return bundled_lookup(value)
+        except KeyError:
+            raise StructuralError(f"no bundled object named {value!r}") from None
     if isinstance(value, dict):
         return detect_object(value)
     raise StructuralError("morphism endpoints must be names or inline objects")
 
 
 def morphism_from_obj(obj: dict):
-    source = _resolve_endpoint(obj["source"])
-    target = _resolve_endpoint(obj["target"])
-    mapping = obj["map"]
+    source = _resolve_endpoint(_field(obj, "source"))
+    target = _resolve_endpoint(_field(obj, "target"))
+    mapping = _field(obj, "map")
+    if not isinstance(mapping, list) or any(not isinstance(v, int) for v in mapping):
+        raise StructuralError("map must be an array of indices")
     if isinstance(source, Frame) and isinstance(target, Frame):
         return FrameMap(source=source, target=target, map=tuple(mapping))
     if isinstance(source, FinAlgebra) and isinstance(target, FinAlgebra):

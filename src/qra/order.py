@@ -376,6 +376,22 @@ def all_posets(max_size: int) -> list[Poset]:
     picked among existing downsets the labels follow a linear extension, so
     every isomorphism class is reached; duplicates fall to canonical keys.
     """
+    return _grow_posets(max_size)
+
+
+def posets_with_at_most_upsets(cap: int) -> list[Poset]:
+    """All nonisomorphic posets with at most ``cap`` upsets.
+
+    The same labelled representatives, names and order as ``all_posets``
+    restricted to those posets.  Each element is added as a maximal one,
+    which never lowers the upset count, so a candidate over the cap is
+    dropped together with everything that would grow from it.  A poset on
+    k points has at least k + 1 upsets, which bounds the growth.
+    """
+    return _grow_posets(cap - 1, cap)
+
+
+def _grow_posets(max_size: int, cap: int | None = None) -> list[Poset]:
     by_size: dict[int, list[Poset]] = {1: [Poset.chain(1)]}
     for n in range(2, max_size + 1):
         seen = {}
@@ -389,7 +405,8 @@ def all_posets(max_size: int) -> list[Poset]:
                       for i in range(n - 1)]
                 up.append(1 << (n - 1))
                 cand = Poset(tuple(up))
-                seen.setdefault(cand.canonical_key, cand)
+                if cap is None or cand.count_upsets(cap) <= cap:
+                    seen.setdefault(cand.canonical_key, cand)
         by_size[n] = [seen[k] for k in sorted(seen)]
     out = []
     for n in range(1, max_size + 1):

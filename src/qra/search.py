@@ -17,6 +17,13 @@ becomes the exact check once it is complete.  Only poset automorphisms
 can witness an isomorphism between two frames on the same poset, so a
 candidate is kept exactly when its encoding is minimal in its
 automorphism orbit.
+
+The relation search does not depend on the signature: a DqRA-frame is a
+DInFL-frame with a compatible negation.  ``search_frames`` therefore runs
+one search per branch for every requested signature; each solved table
+goes through the ``dinfl`` orbit check and, for ``dqra``, through the
+negation filter and the orbit check of each extended encoding.
+``enumerate_frames`` asks for one signature, ``count_frames`` for both.
 """
 
 from __future__ import annotations
@@ -73,6 +80,8 @@ class _BranchSearch:
         self.down = poset.down
         self.up_list = [list(bits(poset.up[x])) for x in range(n)]
         self.down_list = [list(bits(poset.down[x])) for x in range(n)]
+        # members[mask] lists the bit positions of mask, for the hot loops
+        self.members = tuple(tuple(bits(mask)) for mask in range(1 << n))
         self.t = [[0] * n for _ in range(n)]
         self.f = [[0] * n for _ in range(n)]
         self.solutions: list[tuple[tuple[int, ...], ...]] = []
@@ -142,25 +151,28 @@ class _BranchSearch:
     def _associativity_cut(self) -> bool:
         """Interval check of (x o y) o z = x o (y o z); exact when complete."""
         t, f, carrier, n = self.t, self.f, self.carrier, self.n
+        members = self.members
+        # poss[u][z]: the values z' not yet ruled out of u o z
+        poss = [[carrier & ~cell for cell in row] for row in f]
         for x in range(n):
-            tx, fx = t[x], f[x]
+            tx, px = t[x], poss[x]
             for y in range(n):
-                ty, fy = t[y], f[y]
-                poss_xy = carrier & ~fx[y]
-                true_xy = tx[y]
+                ty, py = t[y], poss[y]
+                true_xy = members[tx[y]]
+                poss_xy = members[px[y]]
                 for z in range(n):
                     lo_l = 0
-                    for u in bits(true_xy):
+                    for u in true_xy:
                         lo_l |= t[u][z]
                     hi_l = 0
-                    for u in bits(poss_xy):
-                        hi_l |= carrier & ~f[u][z]
+                    for u in poss_xy:
+                        hi_l |= poss[u][z]
                     lo_r = 0
-                    for v in bits(ty[z]):
+                    for v in members[ty[z]]:
                         lo_r |= tx[v]
                     hi_r = 0
-                    for v in bits(carrier & ~fy[z]):
-                        hi_r |= carrier & ~fx[v]
+                    for v in members[py[z]]:
+                        hi_r |= px[v]
                     if lo_l & ~hi_r or lo_r & ~hi_l:
                         return False
         return True
@@ -284,6 +296,9 @@ class EnumerationResult:
         return len(self.frames)
 
 
+SIGNATURES = ("dinfl", "dqra")
+
+
 def search_branches(poset: Poset):
     """All (identity upset, tilde) pairs, in deterministic order."""
     if poset.n == 0:
@@ -296,39 +311,56 @@ def search_branches(poset: Poset):
     ]
 
 
-def run_branch(poset: Poset, signature: str, identity: int, tilde,
+def run_branch(poset: Poset, signatures, identity: int, tilde,
                stats: SearchStats | None = None, budget: Budget | None = None):
-    """All frames for one branch as encodings; used by the parallel driver."""
+    """Frame encodings of one branch, one list per signature.
+
+    The relation search is shared: every solved table is kept for
+    ``dinfl`` when it is orbit-minimal, and for ``dqra`` once per
+    compatible negation whose encoding is orbit-minimal.
+    """
     stats = stats if stats is not None else SearchStats()
     searcher = _BranchSearch(poset, identity, tilde, stats, budget)
     minus = searcher.minus
-    out = []
+    negs = _neg_candidates(poset) if "dqra" in signatures else []
+    out = {signature: [] for signature in signatures}
     for comp in searcher.run():
-        if signature == "dinfl":
-            if _is_orbit_minimal(poset, identity, tilde, comp, None):
-                out.append((identity, tilde, comp, None))
-        else:
-            for neg in _neg_candidates(poset):
-                if _neg_compatible(comp, tilde, minus, neg, poset.n):
-                    if _is_orbit_minimal(poset, identity, tilde, comp, tuple(neg)):
-                        out.append((identity, tilde, comp, tuple(neg)))
-    return out
+        if "dinfl" in out and _is_orbit_minimal(poset, identity, tilde, comp, None):
+            out["dinfl"].append((identity, tilde, comp, None))
+        if "dqra" in out:
+            for neg in negs:
+                if (_neg_compatible(comp, tilde, minus, neg, poset.n)
+                        and _is_orbit_minimal(poset, identity, tilde, comp, neg)):
+                    out["dqra"].append((identity, tilde, comp, neg))
+    return tuple(out[signature] for signature in signatures)
+
+
+def _branch_outcome(poset, signatures, branch, stats, budget):
+    """``run_branch`` on one branch, or None when the budget ran out."""
+    identity, tilde = branch
+    try:
+        return run_branch(poset, signatures, identity, tilde, stats, budget)
+    except BudgetExhausted:
+        return None
 
 
 def _branch_worker(args):
-    """Run one branch in a separate process; returns picklable encodings."""
-    up, name, signature, identity, tilde, max_nodes, max_ms = args
-    poset = Poset(up, name=name)
+    """Run one branch in a separate process with its own budget."""
+    up, name, signatures, branch, max_nodes, max_ms = args
     budget = None
     if max_nodes is not None or max_ms is not None:
         budget = Budget(max_nodes=max_nodes, max_ms=max_ms)
         budget.start()
     stats = SearchStats()
-    try:
-        encs = run_branch(poset, signature, identity, tilde, stats, budget)
-        return ("ok", encs, stats.nodes)
-    except BudgetExhausted:
-        return ("budget", [], stats.nodes)
+    found = _branch_outcome(Poset(up, name=name), signatures, branch, stats, budget)
+    return found, stats
+
+
+def _encoding_from_json(enc):
+    """A checkpointed encoding with its lists turned back into tuples."""
+    identity, tilde, comp, neg = enc
+    return (identity, tuple(tilde), tuple(tuple(row) for row in comp),
+            None if neg is None else tuple(neg))
 
 
 def _frame_from_encoding(poset, signature, enc, index) -> Frame:
@@ -339,6 +371,94 @@ def _frame_from_encoding(poset, signature, enc, index) -> Frame:
     return Frame(poset, identity, comp_rows, tilde, minus,
                  neg=list(neg) if neg is not None else None,
                  name=f"{poset.name or 'poset'}#{signature}{index}")
+
+
+def search_frames(poset: Poset, signatures=SIGNATURES,
+                  budget: Budget | None = None,
+                  resume: dict | None = None,
+                  jobs: int = 1) -> dict[str, EnumerationResult]:
+    """All frames over the poset up to isomorphism, for each signature.
+
+    One depth-first search per (identity, tilde) branch serves every
+    requested signature; the results share one ``SearchStats``.  With
+    ``jobs > 1`` the branches run in worker processes, each with its own
+    copy of the budget, and merge in branch order, so the outcome matches
+    the sequential run.  When the budget runs out a ``BudgetExhausted`` is
+    raised whose checkpoint carries the completed branches; it survives a
+    JSON round trip, and ``resume`` accepts it for any subset of its
+    signatures.
+    """
+    signatures = tuple(signatures)
+    for signature in signatures:
+        if signature not in SIGNATURES:
+            raise ValueError(f"unknown signature {signature!r}")
+    stats = SearchStats()
+    start = time.monotonic()
+    if budget is not None:
+        budget.start()
+    if poset.n == 0:
+        results = {}
+        for signature in signatures:
+            frame = empty_frame(name=f"empty#{signature}")
+            if signature == "dqra":
+                frame = frame.with_neg(())
+            results[signature] = EnumerationResult(poset, signature, [frame], stats)
+        return results
+
+    branches = search_branches(poset)
+    encodings = {signature: [] for signature in signatures}
+    first_branch = 0
+    if resume is not None:
+        done = resume.get("encodings", {})
+        if (tuple(resume.get("poset_key", ())) != poset.canonical_key
+                or any(signature not in done for signature in signatures)):
+            raise ValueError("resume checkpoint does not match this search")
+        for signature in signatures:
+            encodings[signature] = [_encoding_from_json(e) for e in done[signature]]
+        first_branch = resume["next_branch"]
+
+    todo = branches[first_branch:]
+    if jobs > 1 and len(todo) > 1:
+        import concurrent.futures as cf
+
+        max_nodes = None if budget is None else budget.max_nodes
+        max_ms = None if budget is None else budget.max_ms
+        args = [(poset.up, poset.name, signatures, branch, max_nodes, max_ms)
+                for branch in todo]
+        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_branch_worker, args))
+    else:
+        # lazy, so a budget stop skips the remaining branches; the shared
+        # stats carry the node count across branches
+        outcomes = ((_branch_outcome(poset, signatures, branch, stats, budget), None)
+                    for branch in todo)
+    for idx, (found, branch_stats) in enumerate(outcomes, first_branch):
+        if branch_stats is not None:
+            stats.nodes += branch_stats.nodes
+            stats.prunes += branch_stats.prunes
+            stats.leaves += branch_stats.leaves
+        if found is None:
+            stats.wall_s = time.monotonic() - start
+            checkpoint = {
+                "poset_key": poset.canonical_key,
+                "encodings": encodings,
+                "next_branch": idx,
+            }
+            raise BudgetExhausted(
+                f"stopped before branch {idx + 1}/{len(branches)}",
+                checkpoint=checkpoint,
+            )
+        for signature, encs in zip(signatures, found):
+            encodings[signature].extend(encs)
+
+    stats.wall_s = time.monotonic() - start
+    results = {}
+    for signature in signatures:
+        encs = sorted(encodings[signature], key=lambda e: (e[0], e[1], e[2], e[3] or ()))
+        frames = [_frame_from_encoding(poset, signature, enc, i)
+                  for i, enc in enumerate(encs)]
+        results[signature] = EnumerationResult(poset, signature, frames, stats)
+    return results
 
 
 def enumerate_frames(poset: Poset, signature: str = "dqra",
@@ -352,72 +472,5 @@ def enumerate_frames(poset: Poset, signature: str = "dqra",
     whose checkpoint carries the completed branches; pass it back through
     ``resume`` to continue.
     """
-    if signature not in ("dinfl", "dqra"):
-        raise ValueError(f"unknown signature {signature!r}")
-    stats = SearchStats()
-    start = time.monotonic()
-    if budget is not None:
-        budget.start()
-    if poset.n == 0:
-        frame = empty_frame(name=f"empty#{signature}")
-        if signature == "dqra":
-            frame = frame.with_neg(())
-        return EnumerationResult(poset, signature, [frame], stats)
-
-    branches = search_branches(poset)
-    done_encodings: list = []
-    first_branch = 0
-    if resume is not None:
-        if resume.get("poset_key") != poset.canonical_key or resume.get("signature") != signature:
-            raise ValueError("resume checkpoint does not match this search")
-        done_encodings = list(resume["encodings"])
-        first_branch = resume["next_branch"]
-
-    encodings = done_encodings
-
-    def checkpointed_stop(idx):
-        stats.wall_s = time.monotonic() - start
-        checkpoint = {
-            "poset_key": poset.canonical_key,
-            "signature": signature,
-            "encodings": encodings,
-            "next_branch": idx,
-        }
-        raise BudgetExhausted(
-            f"stopped before branch {idx + 1}/{len(branches)}",
-            checkpoint=checkpoint,
-        ) from None
-
-    if jobs > 1 and len(branches) - first_branch > 1:
-        # fork at the (identity, tilde) level; results merge in branch
-        # order so the outcome matches the sequential run
-        import concurrent.futures as cf
-
-        args = [
-            (poset.up, poset.name, signature, branches[idx][0], branches[idx][1],
-             None if budget is None else budget.max_nodes,
-             None if budget is None else budget.max_ms)
-            for idx in range(first_branch, len(branches))
-        ]
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_branch_worker, args))
-        for offset, (status, encs, nodes) in enumerate(results):
-            stats.nodes += nodes
-            if status == "budget":
-                checkpointed_stop(first_branch + offset)
-            encodings.extend(encs)
-    else:
-        for idx in range(first_branch, len(branches)):
-            identity, tilde = branches[idx]
-            try:
-                encodings.extend(run_branch(poset, signature, identity, tilde,
-                                            stats, budget))
-            except BudgetExhausted:
-                checkpointed_stop(idx)
-    encodings.sort(key=lambda e: (e[0], e[1], e[2], e[3] or ()))
-    frames = [
-        _frame_from_encoding(poset, signature, enc, i)
-        for i, enc in enumerate(encodings)
-    ]
-    stats.wall_s = time.monotonic() - start
-    return EnumerationResult(poset, signature, frames, stats)
+    return search_frames(poset, (signature,), budget=budget, resume=resume,
+                         jobs=jobs)[signature]

@@ -1,10 +1,14 @@
+import json
+
 import pytest
 
 from qra import (
     Budget,
+    census_table,
     classify,
     complex_algebra,
     count_algebras,
+    count_frames,
     enumerate_frames,
     enumerate_posets,
     frame_iso,
@@ -14,7 +18,7 @@ from qra.catalog import build_catalog, match_dinfl, match_dqra
 from qra.enumerate import enumerate_algebras, posets_with_upset_count
 from qra.errors import BudgetExhausted
 from qra.oracle import brute_force_frames
-from qra.order import NAMED_POSETS, all_posets
+from qra.order import CENSUS_ORDER, NAMED_POSETS, all_posets
 
 PER_POSET = {
     "1": (1, 1), "2": (2, 2), "1+1": (5, 6), "3": (4, 4), "4": (8, 8),
@@ -84,8 +88,7 @@ def test_stretch_poset_rows():
         assert enumerate_frames(poset, "dqra").count == dq, name
 
 
-@pytest.mark.stretch
-def test_stretch_algebra_counts():
+def test_algebra_counts_seven_and_eight():
     assert count_algebras(7) == (49, 48)
     assert count_algebras(8) == (282, 314)
 
@@ -113,6 +116,18 @@ def test_budget_checkpoint_and_resume():
     assert resumed.count == 23
 
 
+def test_resume_from_json_checkpoint():
+    poset = NAMED_POSETS["2x2"]
+    with pytest.raises(BudgetExhausted) as excinfo:
+        enumerate_frames(poset, "dqra", budget=Budget(max_nodes=10))
+    checkpoint = json.loads(json.dumps(excinfo.value.checkpoint))
+    assert checkpoint["encodings"]["dqra"]  # resumed and fresh encodings mix
+    resumed = enumerate_frames(poset, "dqra", resume=checkpoint)
+    assert resumed.count == 23
+    fresh = enumerate_frames(poset, "dqra")
+    assert [f.encoding() for f in resumed.frames] == [f.encoding() for f in fresh.frames]
+
+
 def test_resume_rejects_mismatched_checkpoint():
     poset = NAMED_POSETS["2x2"]
     budget = Budget(max_nodes=10)
@@ -127,6 +142,29 @@ def test_parallel_jobs_match_sequential():
     seq = enumerate_frames(poset, "dqra")
     par = enumerate_frames(poset, "dqra", jobs=2)
     assert [f.encoding() for f in par.frames] == [f.encoding() for f in seq.frames]
+
+
+def test_count_frames_matches_enumerate_frames():
+    for name in CENSUS_ORDER:
+        poset = NAMED_POSETS[name]
+        if poset.n > 6:
+            continue
+        want = (enumerate_frames(poset, "dinfl").count,
+                enumerate_frames(poset, "dqra").count)
+        assert count_frames(poset) == want, name
+
+
+def test_census_table_parallel_matches_sequential():
+    assert census_table(6, jobs=2) == census_table(6)
+
+
+def test_pruned_growth_matches_full_poset_filter():
+    for n in range(2, 8):
+        want = [s.poset for s in enumerate_posets(n - 1)
+                if s.upset_count == n and s.self_dual]
+        got = posets_with_upset_count(n)
+        assert [p.up for p in got] == [p.up for p in want], n
+        assert [p.name for p in got] == [p.name for p in want], n
 
 
 def test_count_algebras_range_guard():

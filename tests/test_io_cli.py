@@ -92,6 +92,15 @@ def test_cli_check_structural_error(tmp_path, capsys):
     assert run_cli("check", str(path)) == 2
 
 
+def test_cli_check_missing_key(tmp_path, capsys):
+    obj = json.loads((DATA / "d2_1_1.algebra.json").read_text())
+    del obj["leq"]
+    path = tmp_path / "no_leq.algebra.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("check", str(path)) == 2
+    assert "missing key 'leq'" in capsys.readouterr().err
+
+
 def test_cli_roundtrip_all_bundled(capsys):
     for name in bundled_frames():
         assert run_cli("roundtrip", name) == 0, name
