@@ -27,6 +27,7 @@ from .errors import (
     SignatureError,
     StructuralError,
 )
+from .iso import Structure, isomorphisms
 from .order import Poset, bits
 
 MAX_WITNESSES = 5
@@ -195,6 +196,16 @@ class FinAlgebra:
                     cov |= 1 << j
             out.append(cov)
         return tuple(out)
+
+    @cached_property
+    def structure(self) -> Structure:
+        """The order, unit, product and negations for :mod:`qra.iso`."""
+        maps = {"tilde": self.tilde, "minus": self.minus, "neg": self.neg}
+        return Structure(self.size, [
+            ("the order", "rel", 2, self.up_masks),
+            ("the unit", "op", 0, [self.one]),
+            ("the product", "op", 2, self.product.ravel().tolist()),
+        ] + [(name, "op", 1, m.tolist()) for name, m in maps.items() if m is not None])
 
     @cached_property
     def order_poset(self) -> Poset:
@@ -585,96 +596,13 @@ def commutative_to_qra(alg: FinAlgebra) -> FinAlgebra:
     return alg.with_neg(alg.tilde)
 
 
-def _element_profile(alg: FinAlgebra):
-    """Per-element isomorphism invariants used to prune the search."""
-    n = alg.size
-    prof = []
-    diag = [int(alg.product[i, i]) for i in range(n)]
-    for i in range(n):
-        prof.append(
-            (
-                int(alg.leq[i].sum()),
-                int(alg.leq[:, i].sum()),
-                i == alg.one,
-                diag[i] == i,
-                int(alg.leq[i, diag[i]]),
-                int(alg.leq[diag[i], i]),
-                alg.tilde[i] == i,
-                alg.minus[i] == i,
-                -1 if alg.neg is None else int(alg.neg[i] == i),
-            )
-        )
-    return prof
-
-
 def algebra_iso(a: FinAlgebra, b: FinAlgebra):
     """A signature-preserving bijection a -> b, or None.
 
-    Deterministic: images are assigned to 0,1,2,... in increasing order, so
-    the returned witness has the lexicographically least image sequence.
+    Deterministic: the witness has the lexicographically least image
+    sequence (see :mod:`qra.iso`).
     """
     if (a.neg is None) != (b.neg is None):
         raise SignatureError("cannot compare algebras with different signatures")
-    if a.size != b.size:
-        return None
-    pa, pb = _element_profile(a), _element_profile(b)
-    if sorted(pa) != sorted(pb):
-        return None
-    n = a.size
-    image = [-1] * n
-    used = [False] * n
-
-    def consistent(i, j):
-        if pa[i] != pb[j]:
-            return False
-        for k in range(i):
-            m = image[k]
-            if bool(a.leq[i, k]) != bool(b.leq[j, m]) or bool(a.leq[k, i]) != bool(b.leq[m, j]):
-                return False
-            # operation tables, where all participants already have images
-            for x, y, fx, fy in ((i, k, j, m), (k, i, m, j)):
-                p = int(a.product[x, y])
-                if image[p] != -1 and int(b.product[fx, fy]) != image[p]:
-                    return False
-        for unary_a, unary_b in ((a.tilde, b.tilde), (a.minus, b.minus)) + (
-            ((a.neg, b.neg),) if a.neg is not None else ()
-        ):
-            t = int(unary_a[i])
-            if image[t] != -1 and int(unary_b[j]) != image[t]:
-                return False
-        return True
-
-    def place(i):
-        if i == n:
-            return _verify_hom_tables(a, b, image)
-        for j in range(n):
-            if used[j] or not consistent(i, j):
-                continue
-            image[i] = j
-            used[j] = True
-            if place(i + 1):
-                return True
-            used[j] = False
-            image[i] = -1
-        return False
-
-    if place(0):
-        return list(image)
-    return None
-
-
-def _verify_hom_tables(a: FinAlgebra, b: FinAlgebra, image) -> bool:
-    n = a.size
-    img = np.asarray(image)
-    if int(img[a.one]) != b.one:
-        return False
-    if not np.array_equal(a.leq, b.leq[np.ix_(img, img)]):
-        return False
-    if not np.array_equal(img[a.product], b.product[np.ix_(img, img)]):
-        return False
-    for ua, ub in ((a.tilde, b.tilde), (a.minus, b.minus)):
-        if not np.array_equal(img[ua], ub[img]):
-            return False
-    if a.neg is not None and not np.array_equal(img[a.neg], b.neg[img]):
-        return False
-    return True
+    found = isomorphisms(a.structure, b.structure, first=True)
+    return list(found[0]) if found else None

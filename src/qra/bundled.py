@@ -105,16 +105,7 @@ def bundled_frames() -> dict[str, Frame]:
     for name, (points, covers, ident, comp, tilde, neg) in _FRAME_DATA.items():
         n = len(points)
         pos = {p: i for i, p in enumerate(points)}
-        up = [1 << i for i in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for lo, hi in covers:
-                new = up[lo] | up[hi]
-                if new != up[lo]:
-                    up[lo] = new
-                    changed = True
-        poset = Poset(tuple(up))
+        poset = Poset.from_covers(n, covers)
         identity = poset.upset_closure(mask_of(pos[p] for p in ident))
         table = [[0] * n for _ in range(n)]
         for (x, y), val in comp.items():

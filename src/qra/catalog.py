@@ -30,20 +30,8 @@ from .catalog_data import (
     SECOND_NEG,
 )
 from .errors import InternalCheckError, StructuralError
+from .iso import isomorphisms
 from .order import Poset, bits, mask_of
-
-
-def _lattice_from_covers(n, covers):
-    up = [1 << i for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in covers:
-            new = up[lo] | up[hi]
-            if new != up[lo]:
-                up[lo] = new
-                changed = True
-    return Poset(tuple(up))
 
 
 class _Tables:
@@ -62,7 +50,7 @@ class _Tables:
 
 def _parse_entry(name, covers, labels, styles):
     n = len(labels)
-    poset = _lattice_from_covers(n, covers)
+    poset = Poset.from_covers(n, covers)
     tables = _Tables(poset)
     names = {"T": tables.top}
     equations = []  # (xname, yname, node)
@@ -286,47 +274,8 @@ def _base_algebra(name) -> FinAlgebra:
 
 
 def algebra_automorphisms(alg: FinAlgebra) -> list[tuple[int, ...]]:
-    """All signature automorphisms; small carriers only."""
-    out = []
-    n = alg.size
-    image = [-1] * n
-    used = [False] * n
-
-    def ok(i, j):
-        for k in range(i):
-            m = image[k]
-            if bool(alg.leq[i, k]) != bool(alg.leq[j, m]):
-                return False
-            if bool(alg.leq[k, i]) != bool(alg.leq[m, j]):
-                return False
-        return True
-
-    def place(i):
-        if i == n:
-            cand = list(image)
-            img = np.asarray(cand)
-            if int(img[alg.one]) != alg.one:
-                return
-            if not np.array_equal(img[alg.product], alg.product[np.ix_(img, img)]):
-                return
-            if not np.array_equal(img[alg.tilde], alg.tilde[img]):
-                return
-            if not np.array_equal(img[alg.minus], alg.minus[img]):
-                return
-            if alg.neg is not None and not np.array_equal(img[alg.neg], alg.neg[img]):
-                return
-            out.append(tuple(cand))
-            return
-        for j in range(n):
-            if not used[j] and ok(i, j):
-                image[i] = j
-                used[j] = True
-                place(i + 1)
-                used[j] = False
-                image[i] = -1
-
-    place(0)
-    return out
+    """All signature automorphisms, in lexicographic order."""
+    return isomorphisms(alg.structure, alg.structure)
 
 
 def dqra_negations(alg: FinAlgebra) -> list[tuple[int, ...]]:

@@ -15,7 +15,7 @@ import sys
 from . import io as qio
 from .algebra import FinAlgebra, algebra_iso, classify, validate_dinfl, validate_dqra
 from .bundled import bundled_lookup
-from .catalog import catalog as build_named_catalog
+from .catalog import CatalogEntry, catalog as build_named_catalog
 from .enumerate import census_table
 from .errors import BudgetExhausted, QraError, StructuralError
 from .filters import PointedFrame, priestley_roundtrip, validate_pointed_frame
@@ -30,8 +30,10 @@ from .frame import (
 )
 from .morphism import AlgHom, FrameMap, validate_frame_morphism, validate_homomorphism
 from .order import CENSUS_ORDER, NAMED_POSETS
-from .ra import builtin_atom_structures, family_criteria, max_proper_qra_subreduct
+from .ra import (AtomStructure4, builtin_atom_structures, family_criteria,
+                 max_proper_qra_subreduct, ra_from_atoms)
 from .represent import (
+    RepBase,
     RepresentationCertificate,
     SearchOptions,
     representation_search,
@@ -69,26 +71,42 @@ def _emit(obj, args):
 def cmd_check(args) -> int:
     thing = _load_input(args.input)
     if isinstance(thing, Frame):
-        rep = validate_frame(thing)
         kind = "DqRA-frame" if thing.has_neg() else "DInFL-frame"
+        reports = [(kind, validate_frame(thing))]
     elif isinstance(thing, PointedFrame):
-        rep = validate_pointed_frame(thing)
-        kind = "doubly-pointed frame"
+        reports = [("doubly-pointed frame", validate_pointed_frame(thing))]
     elif isinstance(thing, FinAlgebra):
-        rep = validate_dqra(thing) if thing.has_neg() else validate_dinfl(thing)
         kind = "DqRA" if thing.has_neg() else "DInFL-algebra"
+        reports = [(kind, validate_dqra(thing) if thing.has_neg() else validate_dinfl(thing))]
+    elif isinstance(thing, CatalogEntry):
+        reports = [(f"DInFL-algebra {thing.name}", validate_dinfl(thing.base))] + [
+            (f"DqRA {v.algebra.name}", validate_dqra(v.algebra)) for v in thing.variants
+        ]
+    elif isinstance(thing, AtomStructure4):
+        reports = [(f"DqRA {thing.name}", validate_dqra(ra_from_atoms(thing, check=False)))]
     elif isinstance(thing, (FrameMap, AlgHom)):
         return cmd_morphism_check(args)
-    else:
+    elif isinstance(thing, RepBase):
+        # the constructor has already run RepBase.check()
         print(f"{type(thing).__name__}: structurally well-formed")
         return OK
-    if rep.ok:
-        print(f"{kind}: ok")
-        return OK
-    print(f"{kind}: FAILED")
-    for law, witness in rep.failures:
-        print(f"  {law}: witness {witness}")
-    return LAW_FAILURE
+    else:
+        raise StructuralError(f"check cannot validate a {type(thing).__name__}")
+    return _print_reports(reports)
+
+
+def _print_reports(reports) -> int:
+    """Print each (kind, report) pair; exit code 1 when any law failed."""
+    status = OK
+    for kind, rep in reports:
+        if rep.ok:
+            print(f"{kind}: ok")
+            continue
+        print(f"{kind}: FAILED")
+        for law, witness in rep.failures:
+            print(f"  {law}: witness {witness}")
+        status = LAW_FAILURE
+    return status
 
 
 def cmd_complex(args) -> int:
@@ -151,13 +169,7 @@ def cmd_morphism_check(args) -> int:
         kind = "homomorphism"
     else:
         raise StructuralError("morphism-check expects a morphism file")
-    if rep.ok:
-        print(f"{kind}: ok")
-        return OK
-    print(f"{kind}: FAILED")
-    for law, witness in rep.failures:
-        print(f"  {law}: witness {witness}")
-    return LAW_FAILURE
+    return _print_reports([(kind, rep)])
 
 
 def cmd_enumerate(args) -> int:

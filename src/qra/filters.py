@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import FinAlgebra, ValidationReport, join_irreducibles
 from .errors import InternalCheckError, PreconditionError, StructuralError
-from .frame import Frame, validate_frame
+from .frame import Frame, upset_algebra, validate_frame
+from .iso import check_witness
 from .order import Poset, bits, mask_of, popcount
 
 
@@ -78,14 +77,19 @@ def filter_unaries(alg: FinAlgebra, fmask: int):
 def filter_product(alg: FinAlgebra, fmask: int, gmask: int) -> list[int]:
     """All generalised prime filters containing every product a.b with
     a in F, b in G; upward closed in containment."""
+    return _filter_product(alg, gen_prime_filters(alg), fmask, gmask)
+
+
+def _filter_product(alg: FinAlgebra, filters: list[int], fmask: int, gmask: int) -> list[int]:
+    """``filter_product`` over the already computed ``gen_prime_filters(alg)``."""
     need = 0
     for a in bits(fmask):
         row = alg.product[a]
         for b in bits(gmask):
             need |= 1 << int(row[b])
-    out = [h for h in gen_prime_filters(alg) if need & ~h == 0]
+    out = [h for h in filters if need & ~h == 0]
     for h in out:
-        for h2 in gen_prime_filters(alg):
+        for h2 in filters:
             if h & ~h2 == 0 and h2 not in out:
                 raise InternalCheckError("filter product is not upward closed")
     return out
@@ -143,7 +147,7 @@ def filter_frame(alg: FinAlgebra) -> PointedFrame:
     comp = [[0] * n for _ in range(n)]
     for i, f in enumerate(filters):
         for j, g in enumerate(filters):
-            comp[i][j] = mask_of(index[h] for h in filter_product(alg, f, g))
+            comp[i][j] = mask_of(index[h] for h in _filter_product(alg, filters, f, g))
     tilde, minus, neg = [], [], ([] if alg.neg is not None else None)
     for f in filters:
         ft, fm, fn = filter_unaries(alg, f)
@@ -164,42 +168,10 @@ def filter_frame(alg: FinAlgebra) -> PointedFrame:
 def space_algebra(pf: PointedFrame, name: str | None = None) -> FinAlgebra:
     """The algebra on the proper non-empty upsets of a pointed frame."""
     frame = pf.frame
-    carrier_mask = frame.poset.carrier
-    ups = [u for u in frame.upsets if u not in (0, carrier_mask)]
+    ups = [u for u in frame.upsets if u not in (0, frame.poset.carrier)]
     if not ups:
         raise PreconditionError("pointed frame has no proper non-empty upsets")
-    index = {m: i for i, m in enumerate(ups)}
-    n = len(ups)
-    leq = np.array([[(u & ~v) == 0 for v in ups] for u in ups], dtype=bool)
-    product = np.zeros((n, n), dtype=np.int32)
-    for i, u in enumerate(ups):
-        for j, v in enumerate(ups):
-            w = frame.compose_sets(u, v)
-            if w not in index:
-                raise InternalCheckError(
-                    "composition left the proper non-empty upsets"
-                )
-            product[i, j] = index[w]
-    if frame.identity not in index:
-        raise InternalCheckError("identity set is not a proper non-empty upset")
-
-    def unary_from(pointmap):
-        out = []
-        for u in ups:
-            image = mask_of(
-                w for w in range(frame.size) if not (u >> pointmap[w]) & 1
-            )
-            if image not in index:
-                raise InternalCheckError("negation left the proper non-empty upsets")
-            out.append(index[image])
-        return out
-
-    tilde = unary_from(frame.minus)
-    minus = unary_from(frame.tilde)
-    neg = None if frame.neg is None else unary_from(frame.neg)
-    return FinAlgebra(
-        leq, product, index[frame.identity], tilde, minus, neg=neg, name=name
-    )
+    return upset_algebra(frame, ups, name)
 
 
 def priestley_roundtrip(alg: FinAlgebra) -> list[int]:
@@ -210,13 +182,8 @@ def priestley_roundtrip(alg: FinAlgebra) -> list[int]:
     """
     pf = filter_frame(alg)
     back = space_algebra(pf, name=None)
-    if back.size != alg.size:
-        raise InternalCheckError(
-            f"filter round-trip changed the carrier: {alg.size} -> {back.size}"
-        )
     filters = gen_prime_filters(alg)
-    carrier_mask = pf.frame.poset.carrier
-    ups = [u for u in pf.frame.upsets if u not in (0, carrier_mask)]
+    ups = [u for u in pf.frame.upsets if u not in (0, pf.frame.poset.carrier)]
     index = {m: i for i, m in enumerate(ups)}
     witness = []
     for a in range(alg.size):
@@ -224,7 +191,5 @@ def priestley_roundtrip(alg: FinAlgebra) -> list[int]:
         if xa not in index:
             raise InternalCheckError(f"X_{a} is not a proper non-empty upset")
         witness.append(index[xa])
-    from .frame import _verify_algebra_iso
-
-    _verify_algebra_iso(alg, back, witness)
+    check_witness(alg.structure, back.structure, witness, "round-trip witness")
     return witness

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 from .algebra import (
     FinAlgebra,
     ValidationReport,
@@ -23,7 +21,8 @@ from .algebra import (
     kappa_map,
 )
 from .errors import InternalCheckError, SignatureError, StructuralError
-from .order import Poset, bits, mask_of, popcount
+from .iso import Structure, check_witness, isomorphisms
+from .order import Poset, bits, mask_of
 
 
 class Frame:
@@ -111,6 +110,16 @@ class Frame:
     @cached_property
     def upsets(self) -> tuple[int, ...]:
         return self.poset.upsets
+
+    @cached_property
+    def structure(self) -> Structure:
+        """The order, identity set, composition and maps for :mod:`qra.iso`."""
+        maps = {"tilde": self.tilde, "minus": self.minus, "neg": self.neg}
+        return Structure(self.size, [
+            ("the order", "rel", 2, self.poset.up),
+            ("the identity set", "rel", 1, [self.identity]),
+            ("composition", "rel", 3, [cell for row in self.comp for cell in row]),
+        ] + [(name, "op", 1, m) for name, m in maps.items() if m is not None])
 
     def __repr__(self):
         label = self.name or "frame"
@@ -226,39 +235,38 @@ def validate_frame(frame: Frame) -> ValidationReport:
 # -- the two dual constructions ----------------------------------------------
 
 
-def complex_algebra(frame: Frame, name: str | None = None) -> FinAlgebra:
-    """The algebra of all upsets of the frame.
+def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
+    """The algebra on the listed upsets of the frame, ordered by inclusion.
 
     Product is the lifted composition, the unit is the identity set, and
     the negations send an upset U to the points whose image under the
-    paired map falls outside U.
+    paired map falls outside U.  Every one of these must land in ``ups``.
     """
-    ups = frame.upsets
     index = {m: i for i, m in enumerate(ups)}
-    n = len(ups)
-    carrier = frame.poset.carrier
-    leq = np.array([[ (u & ~v) == 0 for v in ups] for u in ups], dtype=bool)
-    product = np.zeros((n, n), dtype=np.int32)
-    for i, u in enumerate(ups):
-        for j, v in enumerate(ups):
-            product[i, j] = index[frame.compose_sets(u, v)]
+
+    def position(mask, what):
+        if mask not in index:
+            raise InternalCheckError(f"{what} left the upsets of the algebra")
+        return index[mask]
 
     def unary_from(pointmap):
-        out = []
-        for u in ups:
-            image = mask_of(w for w in range(frame.size)
-                            if not (u >> pointmap[w]) & 1)
-            if image & ~carrier or image not in index:
-                raise InternalCheckError("negation image of an upset is not an upset")
-            out.append(index[image])
-        return out
+        return [position(mask_of(w for w in range(frame.size) if not (u >> pointmap[w]) & 1),
+                         "negation") for u in ups]
 
+    leq = [[(u & ~v) == 0 for v in ups] for u in ups]
+    product = [[position(frame.compose_sets(u, v), "composition") for v in ups] for u in ups]
+    one = position(frame.identity, "the identity set")
     tilde = unary_from(frame.minus)   # ~U = {w | w^- not in U}
     minus = unary_from(frame.tilde)   # -U = {w | w^~ not in U}
     neg = None if frame.neg is None else unary_from(frame.neg)
+    return FinAlgebra(leq, product, one, tilde, minus, neg=neg, name=name)
+
+
+def complex_algebra(frame: Frame, name: str | None = None) -> FinAlgebra:
+    """The algebra of all upsets of the frame (see ``upset_algebra``)."""
     if name is None and frame.name:
         name = f"{frame.name}^+"
-    return FinAlgebra(leq, product, index[frame.identity], tilde, minus, neg=neg, name=name)
+    return upset_algebra(frame, frame.upsets, name)
 
 
 def dual_frame(alg: FinAlgebra, name: str | None = None) -> Frame:
@@ -307,10 +315,6 @@ def roundtrip_algebra(alg: FinAlgebra) -> list[int]:
     frame = dual_frame(alg)
     jirr = frame.carrier_elements
     back = complex_algebra(frame)
-    if back.size != alg.size:
-        raise InternalCheckError(
-            f"round-trip changed the carrier size: {alg.size} -> {back.size}"
-        )
     ups_index = {m: i for i, m in enumerate(frame.upsets)}
     psi = []
     for a in range(alg.size):
@@ -318,27 +322,8 @@ def roundtrip_algebra(alg: FinAlgebra) -> list[int]:
         if image not in ups_index:
             raise InternalCheckError(f"psi({a}) is not an upset of the dual frame")
         psi.append(ups_index[image])
-    _verify_algebra_iso(alg, back, psi)
+    check_witness(alg.structure, back.structure, psi, "round-trip witness")
     return psi
-
-
-def _verify_algebra_iso(a: FinAlgebra, b: FinAlgebra, image):
-    img = np.asarray(image)
-    if sorted(image) != list(range(a.size)):
-        raise InternalCheckError("round-trip witness is not a bijection")
-    if not np.array_equal(a.leq, b.leq[np.ix_(img, img)]):
-        raise InternalCheckError("round-trip witness does not preserve the order")
-    if int(img[a.one]) != b.one:
-        raise InternalCheckError("round-trip witness does not preserve the unit")
-    if not np.array_equal(img[a.product], b.product[np.ix_(img, img)]):
-        raise InternalCheckError("round-trip witness does not preserve the product")
-    for what, ua, ub in (("tilde", a.tilde, b.tilde), ("minus", a.minus, b.minus)):
-        if not np.array_equal(img[ua], ub[img]):
-            raise InternalCheckError(f"round-trip witness does not preserve {what}")
-    if (a.neg is None) != (b.neg is None):
-        raise InternalCheckError("round-trip changed the signature")
-    if a.neg is not None and not np.array_equal(img[a.neg], b.neg[img]):
-        raise InternalCheckError("round-trip witness does not preserve neg")
 
 
 def roundtrip_frame(frame: Frame) -> list[int]:
@@ -358,110 +343,17 @@ def roundtrip_frame(frame: Frame) -> list[int]:
         if a not in jirr:
             raise InternalCheckError(f"principal upset at {x} is not join-irreducible")
         image.append(jirr.index(a))
-    _verify_frame_iso(frame, back, image)
+    check_witness(frame.structure, back.structure, image, "frame witness")
     return image
 
 
-def _verify_frame_iso(f1: Frame, f2: Frame, image):
-    n = f1.size
-    if sorted(image) != list(range(n)) or f2.size != n:
-        raise InternalCheckError("frame witness is not a bijection")
-
-    def move(mask):
-        return mask_of(image[i] for i in bits(mask))
-
-    for x in range(n):
-        if move(f1.poset.up[x]) != f2.poset.up[image[x]]:
-            raise InternalCheckError("frame witness does not preserve the order")
-        if f2.tilde[image[x]] != image[f1.tilde[x]]:
-            raise InternalCheckError("frame witness does not preserve tilde")
-        if f2.minus[image[x]] != image[f1.minus[x]]:
-            raise InternalCheckError("frame witness does not preserve minus")
-        if f1.neg is not None and f2.neg[image[x]] != image[f1.neg[x]]:
-            raise InternalCheckError("frame witness does not preserve neg")
-    if move(f1.identity) != f2.identity:
-        raise InternalCheckError("frame witness does not preserve the identity set")
-    if (f1.neg is None) != (f2.neg is None):
-        raise InternalCheckError("frame witness changed the signature")
-    for x in range(n):
-        for y in range(n):
-            if move(f1.comp[x][y]) != f2.comp[image[x]][image[y]]:
-                raise InternalCheckError("frame witness does not preserve composition")
-
-
-def _frame_profile(frame: Frame):
-    poset_profile = frame.poset._profile()
-    prof = []
-    for x in range(frame.size):
-        prof.append(
-            (
-                poset_profile[x],
-                (frame.identity >> x) & 1,
-                frame.tilde[x] == x,
-                frame.minus[x] == x,
-                -1 if frame.neg is None else int(frame.neg[x] == x),
-                popcount(frame.comp[x][x]),
-                (frame.comp[x][x] >> x) & 1,
-            )
-        )
-    return prof
-
-
 def frame_iso(f1: Frame, f2: Frame):
-    """A structure-preserving bijection f1 -> f2, or None; deterministic."""
+    """A structure-preserving bijection f1 -> f2, or None.
+
+    Deterministic: the witness has the lexicographically least image
+    sequence (see :mod:`qra.iso`).
+    """
     if (f1.neg is None) != (f2.neg is None):
         raise SignatureError("cannot compare frames with different signatures")
-    if f1.size != f2.size:
-        return None
-    n = f1.size
-    p1, p2 = _frame_profile(f1), _frame_profile(f2)
-    if sorted(p1) != sorted(p2):
-        return None
-    image = [-1] * n
-    used = [False] * n
-
-    def consistent(x, j):
-        if p1[x] != p2[j]:
-            return False
-        if bool((f1.identity >> x) & 1) != bool((f2.identity >> j) & 1):
-            return False
-        for k in range(x):
-            m = image[k]
-            if f1.poset.leq(x, k) != f2.poset.leq(j, m):
-                return False
-            if f1.poset.leq(k, x) != f2.poset.leq(m, j):
-                return False
-        for u1, u2 in ((f1.tilde, f2.tilde), (f1.minus, f2.minus)) + (
-            ((f1.neg, f2.neg),) if f1.neg is not None else ()
-        ):
-            t = u1[x]
-            if image[t] != -1 and u2[j] != image[t]:
-                return False
-        return True
-
-    def full_check(image):
-        try:
-            _verify_frame_iso(f1, f2, image)
-            return True
-        except InternalCheckError:
-            return False
-
-    def place(x):
-        if x == n:
-            return full_check(image)
-        for j in range(n):
-            if used[j] or not consistent(x, j):
-                continue
-            image[x] = j
-            used[j] = True
-            if place(x + 1):
-                return True
-            used[j] = False
-            image[x] = -1
-        return False
-
-    if n == 0:
-        return []
-    if place(0):
-        return list(image)
-    return None
+    found = isomorphisms(f1.structure, f2.structure, first=True)
+    return list(found[0]) if found else None

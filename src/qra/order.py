@@ -11,6 +11,7 @@ from functools import cached_property
 from itertools import permutations
 
 from .errors import StructuralError
+from .iso import Structure, isomorphisms
 
 
 def bits(mask: int):
@@ -63,6 +64,15 @@ class Poset:
     @classmethod
     def antichain(cls, n: int, name=None) -> "Poset":
         return cls(tuple(1 << i for i in range(n)), name=name)
+
+    @classmethod
+    def from_covers(cls, n: int, covers, name=None) -> "Poset":
+        """The order generated by the pairs ``(lo, hi)`` with lo <= hi."""
+        up = [1 << i for i in range(n)]
+        for _ in range(n):  # each pass closes every chain of covers one step further
+            for lo, hi in covers:
+                up[lo] |= up[hi]
+        return cls(tuple(up), name=name)
 
     def check_partial_order(self):
         n, up = self.n, self.up
@@ -181,60 +191,19 @@ class Poset:
                 key |= 1 << (perm[i] * n + perm[j])
         return key
 
-    def _search_maps(self, other: "Poset", reverse: bool, find_all: bool):
-        """Bijections f with i<=j iff f(i) <=' f(j) (or >=' when reverse)."""
-        if self.n != other.n:
-            return []
-        n = self.n
-        mine = self._profile()
-        theirs = other._profile() if not reverse else other.dual()._profile()
-        if sorted(mine) != sorted(theirs):
-            return []
-        candidates = [
-            [j for j in range(n) if theirs[j] == mine[i]] for i in range(n)
-        ]
-        target_up = other.up if not reverse else other.down
-        found = []
-        image = [-1] * n
-        used = [False] * n
-
-        def place(i):
-            if i == n:
-                found.append(tuple(image))
-                return not find_all
-            for j in candidates[i]:
-                if used[j]:
-                    continue
-                ok = True
-                for k in range(i):
-                    fwd = (self.up[k] >> i) & 1
-                    bwd = (self.up[i] >> k) & 1
-                    if fwd != (target_up[image[k]] >> j) & 1 or bwd != (target_up[j] >> image[k]) & 1:
-                        ok = False
-                        break
-                if ok:
-                    image[i] = j
-                    used[j] = True
-                    if place(i + 1):
-                        return True
-                    used[j] = False
-            return False
-
-        place(0)
-        return found
-
-    def isomorphism(self, other: "Poset"):
-        maps = self._search_maps(other, reverse=False, find_all=False)
-        return maps[0] if maps else None
+    @cached_property
+    def structure(self) -> Structure:
+        """The order as a structure for :mod:`qra.iso`."""
+        return Structure(self.n, (("the order", "rel", 2, self.up),))
 
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._search_maps(self, reverse=False, find_all=True))
+        return tuple(isomorphisms(self.structure, self.structure))
 
     @cached_property
     def order_reversing_bijections(self) -> tuple[tuple[int, ...], ...]:
         """All bijections f with i <= j iff f(j) <= f(i)."""
-        return tuple(self._search_maps(self, reverse=True, find_all=True))
+        return tuple(isomorphisms(self.structure, self.dual().structure))
 
     @cached_property
     def is_self_dual(self) -> bool:
@@ -313,18 +282,6 @@ def _named_posets() -> dict[str, Poset]:
     c = Poset.chain
     a = Poset.antichain
 
-    def from_covers(n, cover_pairs, name):
-        up = [1 << i for i in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for lo, hi in cover_pairs:
-                new = up[lo] | up[hi]
-                if new != up[lo]:
-                    up[lo] = new
-                    changed = True
-        return Poset(tuple(up), name=name)
-
     named = {
         "1": c(1, "1"),
         "2": c(2, "2"),
@@ -337,15 +294,13 @@ def _named_posets() -> dict[str, Poset]:
         "1+1+1": a(3, "1+1+1"),
         "1+2": disjoint_union(c(1), c(2)),
         "1+3": disjoint_union(c(1), c(3)),
-        "2x2": from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)], "2x2"),
-        "bowtie": from_covers(4, [(0, 2), (0, 3), (1, 2), (1, 3)], "bowtie"),
-        "N": from_covers(4, [(0, 2), (1, 2), (1, 3)], "N"),
-        "X": from_covers(5, [(0, 2), (1, 2), (2, 3), (2, 4)], "X"),
-        "P": from_covers(5, [(0, 1), (0, 2), (1, 3), (3, 4), (2, 4)], "P"),
-        "d2x2": from_covers(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)], "d2x2"),
+        "2x2": Poset.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)], "2x2"),
+        "bowtie": Poset.from_covers(4, [(0, 2), (0, 3), (1, 2), (1, 3)], "bowtie"),
+        "N": Poset.from_covers(4, [(0, 2), (1, 2), (1, 3)], "N"),
+        "X": Poset.from_covers(5, [(0, 2), (1, 2), (2, 3), (2, 4)], "X"),
+        "P": Poset.from_covers(5, [(0, 1), (0, 2), (1, 3), (3, 4), (2, 4)], "P"),
+        "d2x2": Poset.from_covers(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)], "d2x2"),
     }
-    named["1+2"].name = "1+2"
-    named["1+3"].name = "1+3"
     for name, p in named.items():
         p.name = name
     return named

@@ -192,3 +192,28 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_cli_check_bundled_algebras(capsys):
+    assert run_cli("check", "D4_2_1_2") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "DInFL-algebra D4_2_1_2: ok",
+        "DqRA D4_2_1_2: ok",
+        "DqRA D4_2_1_2[a=a]: ok",
+    ]
+    assert run_cli("check", "RA13") == 0
+    assert capsys.readouterr().out == "DqRA RA13: ok\n"
+
+
+def test_cli_check_broken_atom_structure_and_unknown_type(monkeypatch, capsys):
+    from qra import cli
+    from qra.ra import AtomStructure4
+
+    good = bundled_lookup("RA13")
+    broken = AtomStructure4(good.index, ((1, 2, 4, 8),) * 4)
+    monkeypatch.setattr(cli, "_load_input", lambda spec: broken)
+    assert run_cli("check", "RA13") == 1
+    assert "DqRA RA13: FAILED" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "_load_input", lambda spec: object())
+    assert run_cli("check", "anything") == 2
+    assert "cannot validate" in capsys.readouterr().err
