@@ -176,11 +176,7 @@ def cmd_enumerate(args) -> int:
     if args.poset in NAMED_POSETS:
         poset = NAMED_POSETS[args.poset]
     elif os.path.exists(args.poset):
-        with open(args.poset) as fh:
-            obj = json.load(fh)
-        from .order import Poset
-
-        poset = Poset.from_matrix(obj["leq"], name=obj.get("name"))
+        poset = qio.load_poset(args.poset)
     else:
         raise StructuralError(f"unknown poset {args.poset!r}")
     result = enumerate_frames(

@@ -136,7 +136,11 @@ def validate_pointed_frame(pf: PointedFrame) -> ValidationReport:
 
 def filter_frame(alg: FinAlgebra) -> PointedFrame:
     """The doubly-pointed frame on the generalised prime filters."""
-    filters = gen_prime_filters(alg)
+    return _filter_frame(alg, gen_prime_filters(alg))
+
+
+def _filter_frame(alg: FinAlgebra, filters: list[int]) -> PointedFrame:
+    """``filter_frame`` over the already computed ``gen_prime_filters(alg)``."""
     index = {f: i for i, f in enumerate(filters)}
     n = len(filters)
     up = tuple(
@@ -148,13 +152,21 @@ def filter_frame(alg: FinAlgebra) -> PointedFrame:
     for i, f in enumerate(filters):
         for j, g in enumerate(filters):
             comp[i][j] = mask_of(index[h] for h in _filter_product(alg, filters, f, g))
+
+    def position(f):
+        if f not in index:
+            raise InternalCheckError(
+                "negation image of a filter left the generalised prime filters"
+            )
+        return index[f]
+
     tilde, minus, neg = [], [], ([] if alg.neg is not None else None)
     for f in filters:
         ft, fm, fn = filter_unaries(alg, f)
-        tilde.append(index[ft])
-        minus.append(index[fm])
+        tilde.append(position(ft))
+        minus.append(position(fm))
         if neg is not None:
-            neg.append(index[fn])
+            neg.append(position(fn))
     name = None if alg.name is None else f"filters({alg.name})"
     frame = Frame(poset, identity, comp, tilde, minus, neg=neg, name=name)
     full = (1 << alg.size) - 1
@@ -165,13 +177,17 @@ def filter_frame(alg: FinAlgebra) -> PointedFrame:
     return pf
 
 
+def _proper_upsets(pf: PointedFrame) -> list[int]:
+    frame = pf.frame
+    return [u for u in frame.upsets if u not in (0, frame.poset.carrier)]
+
+
 def space_algebra(pf: PointedFrame, name: str | None = None) -> FinAlgebra:
     """The algebra on the proper non-empty upsets of a pointed frame."""
-    frame = pf.frame
-    ups = [u for u in frame.upsets if u not in (0, frame.poset.carrier)]
+    ups = _proper_upsets(pf)
     if not ups:
         raise PreconditionError("pointed frame has no proper non-empty upsets")
-    return upset_algebra(frame, ups, name)
+    return upset_algebra(pf.frame, ups, name)
 
 
 def priestley_roundtrip(alg: FinAlgebra) -> list[int]:
@@ -180,10 +196,10 @@ def priestley_roundtrip(alg: FinAlgebra) -> list[int]:
     Returns the witness a -> X_a, where X_a collects the filters
     containing a.
     """
-    pf = filter_frame(alg)
-    back = space_algebra(pf, name=None)
     filters = gen_prime_filters(alg)
-    ups = [u for u in pf.frame.upsets if u not in (0, pf.frame.poset.carrier)]
+    pf = _filter_frame(alg, filters)
+    ups = _proper_upsets(pf)
+    back = upset_algebra(pf.frame, ups)
     index = {m: i for i, m in enumerate(ups)}
     witness = []
     for a in range(alg.size):

@@ -70,7 +70,7 @@ def algebra_from_obj(obj: dict) -> FinAlgebra:
     size = obj.get("size")
     if not isinstance(size, int) or size < 1:
         raise StructuralError("size must be a positive integer")
-    leq = _matrix(_field(obj, "leq"), size, "leq")
+    leq = _matrix(_field(obj, "leq"), size, "leq", upper=2)
     product = _matrix(_field(obj, "product"), size, "product", upper=size)
     one = _index(_field(obj, "one"), size, "one")
     tilde = _index_array(_field(obj, "tilde"), size, "tilde")
@@ -105,7 +105,7 @@ def frame_from_obj(obj: dict) -> Frame:
     if size == 0:
         frame = empty_frame(name=obj.get("name"))
         return frame.with_neg(()) if obj.get("neg") is not None else frame
-    leq = _matrix(_field(obj, "leq"), size, "leq")
+    leq = _matrix(_field(obj, "leq"), size, "leq", upper=2)
     poset = Poset.from_matrix(leq)
     identity = mask_of(_index_array(_field(obj, "identity"), size, "identity"))
     comp_rows = _matrix(_field(obj, "comp"), size, "comp")
@@ -150,8 +150,8 @@ def base_from_obj(obj: dict) -> RepBase:
     n = obj.get("points")
     if not isinstance(n, int) or n < 1:
         raise StructuralError("points must be a positive integer")
-    leq = _matrix(_field(obj, "leq"), n, "leq")
-    emat = _matrix(_field(obj, "E"), n, "E")
+    leq = _matrix(_field(obj, "leq"), n, "leq", upper=2)
+    emat = _matrix(_field(obj, "E"), n, "E", upper=2)
     equiv = tuple(mask_of(j for j in range(n) if emat[i][j]) for i in range(n))
     alpha = _index_array(_field(obj, "alpha"), n, "alpha")
     beta = obj.get("beta")
@@ -240,14 +240,29 @@ def save(thing, path):
         fh.write(canonical_dumps(to_obj(thing)))
 
 
-def load(path):
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise StructuralError(f"cannot read {path}: {exc}") from None
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: invalid JSON at line {exc.lineno}") from None
-    return detect_object(obj)
+
+
+def load(path):
+    return detect_object(_read_json(path))
+
+
+def load_poset(path) -> Poset:
+    """A poset file: a JSON object with a square 0/1 matrix ``leq`` and an
+    optional ``name``."""
+    obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise StructuralError("expected a JSON object")
+    leq = _field(obj, "leq")
+    if not isinstance(leq, list):
+        raise StructuralError("leq must be a square matrix")
+    return Poset.from_matrix(_matrix(leq, len(leq), "leq", upper=2), name=obj.get("name"))

@@ -14,40 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FinAlgebra, ValidationReport, join_irreducibles
-from .errors import BudgetExhausted, InternalCheckError, SignatureError, StructuralError
+from .errors import (BudgetExhausted, InternalCheckError, PreconditionError, SignatureError,
+                     StructuralError)
 from .frame import Frame, complex_algebra, dual_frame
 from .order import bits, mask_of
 
 
 @dataclass
-class FrameMap:
-    source: Frame
-    target: Frame
-    map: tuple[int, ...]
+class _CarrierMap:
+    """A map between the carriers of two finite structures of one kind."""
 
-    def __post_init__(self):
-        self.map = tuple(int(v) for v in self.map)
-        if len(self.map) != self.source.size:
-            raise StructuralError("map length differs from the source carrier")
-        if any(not 0 <= v < self.target.size for v in self.map):
-            raise StructuralError("map image out of range")
-
-    def is_surjective(self) -> bool:
-        return len(set(self.map)) == self.target.size
-
-    def is_order_embedding(self) -> bool:
-        f = self.map
-        return all(
-            self.source.leq(x, y) == self.target.leq(f[x], f[y])
-            for x in range(self.source.size)
-            for y in range(self.source.size)
-        )
-
-
-@dataclass
-class AlgHom:
-    source: FinAlgebra
-    target: FinAlgebra
+    source: FinAlgebra | Frame
+    target: FinAlgebra | Frame
     map: tuple[int, ...]
 
     def __post_init__(self):
@@ -63,6 +41,26 @@ class AlgHom:
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.target.size
 
+
+@dataclass
+class FrameMap(_CarrierMap):
+    source: Frame
+    target: Frame
+
+    def is_order_embedding(self) -> bool:
+        f = self.map
+        return all(
+            self.source.leq(x, y) == self.target.leq(f[x], f[y])
+            for x in range(self.source.size)
+            for y in range(self.source.size)
+        )
+
+
+@dataclass
+class AlgHom(_CarrierMap):
+    source: FinAlgebra
+    target: FinAlgebra
+
     def is_complete(self) -> bool:
         """Preserves empty meets and joins as well, i.e. both bounds.
 
@@ -72,14 +70,6 @@ class AlgHom:
         return (
             self.map[self.source.bottom] == self.target.bottom
             and self.map[self.source.top] == self.target.top
-        )
-
-    def is_order_embedding(self) -> bool:
-        f = self.map
-        return all(
-            bool(self.source.leq[x, y]) == bool(self.target.leq[f[x], f[y]])
-            for x in range(self.source.size)
-            for y in range(self.source.size)
         )
 
 
@@ -196,8 +186,6 @@ def hom_dual(h: AlgHom) -> FrameMap:
     homomorphism: without bound preservation the meet can fall outside the
     join-irreducibles and the dual is not defined.
     """
-    from .errors import PreconditionError
-
     if not h.is_complete():
         raise PreconditionError(
             "homomorphism does not preserve the lattice bounds; "
@@ -222,56 +210,72 @@ def hom_dual(h: AlgHom) -> FrameMap:
     return fm
 
 
-def enumerate_homs(a: FinAlgebra, b: FinAlgebra, budget: int = 10_000_000) -> list[AlgHom]:
-    """All homomorphisms a -> b, in lexicographic order of the map tuple.
+def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = False):
+    """Generate the homomorphisms a -> b, injective ones only if asked.
 
     Every element is the join of the bottom with the join-irreducibles
-    below it, so images are assigned to bottom plus the join-irreducibles
-    (monotonically, pruning on order violations) and extended by joins.
-    The bottom needs its own image because homomorphisms in this
-    signature do not have to preserve lattice bounds.
+    below it, so the search assigns images to these generators, bottom
+    first, trying the elements of b in increasing order, and extends the
+    assignment by joins.  The bottom needs its own image because
+    homomorphisms in this signature do not have to preserve lattice
+    bounds.  A partial assignment must send the earlier generators below
+    (above) the one being placed into the down-set (up-set) of its image;
+    an injective map also reflects the order, so the other earlier
+    generators must land outside them.  Each completed extension is
+    checked in full by ``validate_homomorphism``.  Raises
+    ``BudgetExhausted`` once the search has visited more than ``budget``
+    nodes.
     """
     if (a.neg is None) != (b.neg is None):
         raise SignatureError("source and target have different signatures")
     gens = [a.bottom] + [j for j in join_irreducibles(a) if j != a.bottom]
-    if b.size ** len(gens) > budget:
-        raise BudgetExhausted(
-            f"homomorphism search space {b.size}^{len(gens)} exceeds budget {budget}"
-        )
-    out = []
-    assignment = {}
+    # index masks of the earlier generators below and above each generator
+    lower = [mask_of(i for i in range(k) if a.leq[gens[i], j]) for k, j in enumerate(gens)]
+    upper = [mask_of(i for i in range(k) if a.leq[j, gens[i]]) for k, j in enumerate(gens)]
+    joined = [[k for k in range(1, len(gens)) if a.leq[gens[k], x]] for x in range(a.size)]
+    down, up, join = b.down_masks, b.up_masks, b.join_table
+    image = [0] * len(gens)
+    nodes = 0
 
-    def extend_and_check():
-        f = []
-        for x in range(a.size):
-            acc = assignment[a.bottom]
-            for j in gens[1:]:
-                if a.leq[j, x]:
-                    acc = int(b.join_table[acc, assignment[j]])
-            f.append(acc)
-        hom = AlgHom(source=a, target=b, map=tuple(f))
-        if validate_homomorphism(hom).ok:
-            out.append(hom)
+    def images(index_mask):
+        return mask_of(image[i] for i in bits(index_mask))
 
     def place(k):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExhausted(f"homomorphism search exceeded {budget} nodes")
         if k == len(gens):
-            extend_and_check()
+            f = []
+            for ks in joined:
+                acc = image[0]
+                for i in ks:
+                    acc = int(join[acc, image[i]])
+                f.append(acc)
+            hom = AlgHom(source=a, target=b, map=tuple(f))
+            if (not injective or hom.is_injective()) and validate_homomorphism(hom).ok:
+                yield hom
             return
-        j = gens[k]
+        below, above = images(lower[k]), images(upper[k])
+        if injective:
+            earlier = (1 << k) - 1
+            not_below, not_above = images(earlier & ~lower[k]), images(earlier & ~upper[k])
         for v in range(b.size):
-            ok = True
-            for j2 in gens[:k]:
-                if a.leq[j2, j] and not b.leq[assignment[j2], v]:
-                    ok = False
-                    break
-                if a.leq[j, j2] and not b.leq[v, assignment[j2]]:
-                    ok = False
-                    break
-            if ok:
-                assignment[j] = v
-                place(k + 1)
-                del assignment[j]
+            if below & ~down[v] or above & ~up[v]:
+                continue
+            if injective and (not_below & down[v] or not_above & up[v]):
+                continue
+            image[k] = v
+            yield from place(k + 1)
 
-    place(0)
-    out.sort(key=lambda h: h.map)
-    return out
+    return place(0)
+
+
+def enumerate_homs(a: FinAlgebra, b: FinAlgebra, budget: int = 10_000_000) -> list[AlgHom]:
+    """All homomorphisms a -> b, in lexicographic order of the map tuple.
+
+    ``budget`` counts search nodes, one per partial assignment of
+    generator images including the empty one; past it the search raises
+    ``BudgetExhausted``.
+    """
+    return sorted(_hom_search(a, b, budget), key=lambda h: h.map)

@@ -110,48 +110,31 @@ class Poset:
             out |= self.up[i]
         return out
 
+    def _grow_upsets(self, cap: int | None = None) -> list[int]:
+        """The upsets in no particular order; once there are more than
+        ``cap`` of them, the first list found that is longer than ``cap``.
+        """
+        found = [0]
+        # Everything above e comes before e, so each upset of the elements
+        # seen so far is an upset of the whole poset, and adding e to one
+        # only needs a containment test on the prefix.
+        for e in sorted(range(self.n), key=lambda i: popcount(self.up[i])):
+            strict_up = self.up[e] ^ (1 << e)
+            found += [m | (1 << e) for m in found if strict_up & ~m == 0]
+            if cap is not None and len(found) > cap:
+                break
+        return found
+
     @cached_property
     def upsets(self) -> tuple[int, ...]:
         """All upward closed subsets, sorted by (size, mask)."""
-        found = []
-        # Elements in an order that lists everything above e before e itself,
-        # so inclusion of e only needs a containment test on the prefix.
-        order = sorted(range(self.n), key=lambda i: popcount(self.up[i]))
-        strict_up = [self.up[i] ^ (1 << i) for i in range(self.n)]
-
-        def grow(pos, mask):
-            if pos == len(order):
-                found.append(mask)
-                return
-            e = order[pos]
-            grow(pos + 1, mask)
-            if strict_up[e] & ~mask == 0:
-                grow(pos + 1, mask | (1 << e))
-
-        grow(0, 0)
-        found.sort(key=lambda m: (popcount(m), m))
-        return tuple(found)
+        return tuple(sorted(self._grow_upsets(), key=lambda m: (popcount(m), m)))
 
     def count_upsets(self, cap: int | None = None) -> int:
-        """Number of upsets, abandoning the count once it exceeds ``cap``."""
-        order = sorted(range(self.n), key=lambda i: popcount(self.up[i]))
-        strict_up = [self.up[i] ^ (1 << i) for i in range(self.n)]
-        count = 0
-
-        def grow(pos, mask):
-            nonlocal count
-            if cap is not None and count > cap:
-                return
-            if pos == len(order):
-                count += 1
-                return
-            e = order[pos]
-            grow(pos + 1, mask)
-            if strict_up[e] & ~mask == 0:
-                grow(pos + 1, mask | (1 << e))
-
-        grow(0, 0)
-        return count
+        """Number of upsets, abandoning the count once it exceeds ``cap``:
+        the result is ``min(total, cap + 1)``."""
+        count = len(self._grow_upsets(cap))
+        return count if cap is None else min(count, cap + 1)
 
     @cached_property
     def covers(self) -> tuple[int, ...]:

@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FinAlgebra, join_irreducibles, validate_dinfl, validate_dqra
-from .errors import (
-    BudgetExhausted,
-    PreconditionError,
-    StructuralError,
-)
-from .morphism import AlgHom, validate_homomorphism
+from .algebra import FinAlgebra, validate_dinfl, validate_dqra
+from .errors import PreconditionError, StructuralError
+from .morphism import AlgHom, _hom_search, validate_homomorphism
 from .order import Poset, all_posets, bits, mask_of
 
 DEFAULT_UPSET_CAP = 1 << 16
@@ -245,58 +241,14 @@ def check_complement_shift(base: RepBase, gamma, rel_mask: int):
 def embed_search(a: FinAlgebra, b: FinAlgebra, budget: int = 2_000_000):
     """An injective homomorphism a -> b, or None after exhausting the space.
 
-    Generator images (bottom plus the join-irreducibles) drive the search;
-    order relations among generators prune, injectivity and full
-    preservation are checked on the completed extension.
+    The first injective map of the homomorphism search behind
+    ``enumerate_homs``; ``budget`` caps its nodes.
     """
     if (a.neg is None) != (b.neg is None):
         raise PreconditionError("signatures differ")
     if a.size > b.size:
         return None
-    gens = [a.bottom] + [j for j in join_irreducibles(a) if j != a.bottom]
-    nodes = 0
-    assignment = {}
-
-    def extend():
-        f = []
-        for x in range(a.size):
-            acc = assignment[a.bottom]
-            for j in gens[1:]:
-                if a.leq[j, x]:
-                    acc = int(b.join_table[acc, assignment[j]])
-            f.append(acc)
-        return f
-
-    def place(k):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExhausted(f"embedding search exceeded {budget} nodes")
-        if k == len(gens):
-            f = extend()
-            if len(set(f)) != a.size:
-                return None
-            hom = AlgHom(source=a, target=b, map=tuple(f))
-            if validate_homomorphism(hom).ok:
-                return hom
-            return None
-        j = gens[k]
-        for v in range(b.size):
-            # injective lattice maps reflect order, so the generator order
-            # must transfer exactly in both directions
-            if all(
-                bool(a.leq[j2, j]) == bool(b.leq[assignment[j2], v])
-                and bool(a.leq[j, j2]) == bool(b.leq[v, assignment[j2]])
-                for j2 in gens[:k]
-            ):
-                assignment[j] = v
-                found = place(k + 1)
-                del assignment[j]
-                if found is not None:
-                    return found
-        return None
-
-    return place(0)
+    return next(_hom_search(a, b, budget, injective=True), None)
 
 
 def no_finite_rep_filter(alg: FinAlgebra):

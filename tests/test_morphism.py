@@ -5,9 +5,11 @@ import pytest
 from qra import (
     AlgHom,
     FrameMap,
+    embed_search,
     enumerate_homs,
     frame_morphism_dual,
     hom_dual,
+    join_irreducibles,
     principal_preimage_meet,
     roundtrip_algebra,
     validate_frame_morphism,
@@ -110,6 +112,74 @@ def test_hom_from_trivial_exists_iff_target_odd(sugihara3, bool2):
 def test_enumerate_homs_budget(bool2):
     with pytest.raises(BudgetExhausted):
         enumerate_homs(bool2, bool2, budget=1)
+
+
+def test_hom_search_matches_brute_force_on_small_catalog():
+    catalog = build_catalog()
+    bases = [e.base for e in catalog if e.size <= 4]
+    variants = [v.algebra for e in catalog if e.size <= 4 for v in e.variants]
+    for group in (bases, variants):
+        for a in group:
+            for b in group:
+                # the unit test first only skips maps validation would reject
+                brute = [
+                    image
+                    for image in itertools.product(range(b.size), repeat=a.size)
+                    if image[a.one] == b.one
+                    and validate_homomorphism(AlgHom(source=a, target=b, map=image)).ok
+                ]
+                assert [h.map for h in enumerate_homs(a, b)] == brute, (a.name, b.name)
+                found = embed_search(a, b)
+                if found is None:
+                    assert all(len(set(image)) < a.size for image in brute), (a.name, b.name)
+                else:
+                    assert found.is_injective() and validate_homomorphism(found).ok
+
+
+def _order_consistent_assignments(a, b, injective):
+    """Assignments of images to a prefix of the generators (bottom, then the
+    join-irreducibles) that preserve, and if injective also reflect, their
+    order; the empty assignment included."""
+    gens = [a.bottom] + [j for j in join_irreducibles(a) if j != a.bottom]
+    count = 0
+    for k in range(len(gens) + 1):
+        for images in itertools.product(range(b.size), repeat=k):
+            if all(
+                bool(b.leq[images[i], images[m]]) == bool(a.leq[gens[i], gens[m]])
+                if injective
+                else b.leq[images[i], images[m]] or not a.leq[gens[i], gens[m]]
+                for i in range(k)
+                for m in range(k)
+            ):
+                count += 1
+    return count
+
+
+def test_hom_search_visits_exactly_the_order_consistent_assignments():
+    catalog = build_catalog()
+    bases = [e.base for e in catalog if e.size <= 4]
+    variants = [v.algebra for e in catalog if e.size <= 4 for v in e.variants]
+    # reversed carriers list some join-irreducibles before those below them
+    reversed_sources = [a.relabel(tuple(reversed(range(a.size)))) for a in bases + variants]
+    exhausted = 0
+    for sources, targets in ((bases, bases), (variants, variants),
+                             (reversed_sources, bases + variants)):
+        for a in sources:
+            for b in targets:
+                if (a.neg is None) != (b.neg is None):
+                    continue
+                nodes = _order_consistent_assignments(a, b, injective=False)
+                enumerate_homs(a, b, budget=nodes)
+                with pytest.raises(BudgetExhausted):
+                    enumerate_homs(a, b, budget=nodes - 1)
+                if a.size > b.size or embed_search(a, b) is not None:
+                    continue
+                nodes = _order_consistent_assignments(a, b, injective=True)
+                assert embed_search(a, b, budget=nodes) is None
+                with pytest.raises(BudgetExhausted):
+                    embed_search(a, b, budget=nodes - 1)
+                exhausted += 1
+    assert exhausted > 20
 
 
 def test_hom_dual_needs_completeness(sugihara2):

@@ -26,6 +26,18 @@ def test_upsets_are_exactly_the_upward_closed_sets():
         assert poset.count_upsets() == len(brute)
 
 
+def test_capped_upset_count_over_all_five_point_posets():
+    for poset in all_posets(5):
+        brute = [
+            m for m in range(1 << poset.n)
+            if all(poset.up[i] & ~m == 0 for i in bits(m))
+        ]
+        assert poset.upsets == tuple(sorted(brute, key=lambda m: (bin(m).count("1"), m)))
+        for cap in (1, 3, 8, None):
+            want = len(brute) if cap is None else min(len(brute), cap + 1)
+            assert poset.count_upsets(cap) == want, (poset.up, cap)
+
+
 def test_partial_order_rejected_when_broken():
     with pytest.raises(StructuralError):
         Poset.from_matrix([[1, 1], [1, 1]])  # not antisymmetric

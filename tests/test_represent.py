@@ -22,7 +22,7 @@ from qra import (
     verify_certificate,
 )
 from qra.catalog import build_catalog, catalog_lookup
-from qra.errors import PreconditionError, StructuralError
+from qra.errors import BudgetExhausted, PreconditionError, StructuralError
 from qra.order import Poset
 from qra.represent import dq_zero_relation
 
@@ -115,6 +115,29 @@ def test_embed_search_trivial_cases(bool2):
     alg = build_dq(chain2_base()).algebra
     self_hom = embed_search(alg, alg)
     assert self_hom is not None and sorted(self_hom.map) == list(range(alg.size))
+
+
+def test_embed_search_node_budget(sugihara3):
+    alg = build_dq(chain2_base()).algebra
+    found = embed_search(alg, alg)
+    needed = 1
+    while True:
+        try:
+            bounded = embed_search(alg, alg, budget=needed)
+            break
+        except BudgetExhausted:
+            needed += 1
+    # every smaller budget stops the search, the root counts as a node, and
+    # the first sufficient budget finds the same map as the default one
+    assert needed > 2
+    assert bounded.map == found.map
+    for budget in range(needed):
+        with pytest.raises(BudgetExhausted):
+            embed_search(alg, alg, budget=budget)
+    # a search that finds nothing says so only after its last node
+    assert embed_search(sugihara3, alg) is None
+    with pytest.raises(BudgetExhausted):
+        embed_search(sugihara3, alg, budget=2)
 
 
 def test_embed_search_matches_brute_force(sugihara3):
