@@ -28,7 +28,7 @@ from .errors import (
     StructuralError,
 )
 from .iso import Structure, isomorphisms
-from .order import Poset, bits
+from .order import LatticeTables, Poset, bits, lattice_tables
 
 MAX_WITNESSES = 5
 
@@ -71,6 +71,13 @@ def _as_perm(values, n, what) -> np.ndarray:
         raise StructuralError(f"{what} is not a permutation of 0..{n - 1}")
     arr.setflags(write=False)
     return arr
+
+
+def _total_table(table: np.ndarray, what: str) -> np.ndarray:
+    if (table < 0).any():
+        i, j = np.argwhere(table < 0)[0].tolist()
+        raise PreconditionError(f"{what} of ({i},{j}) does not exist")
+    return table
 
 
 class FinAlgebra:
@@ -119,52 +126,29 @@ class FinAlgebra:
         )
 
     @cached_property
-    def _uppers_index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.up_masks)}
-
-    @cached_property
-    def _lowers_index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.down_masks)}
-
-    def join_of(self, i: int, j: int):
-        return self._uppers_index.get(self.up_masks[i] & self.up_masks[j])
-
-    def meet_of(self, i: int, j: int):
-        return self._lowers_index.get(self.down_masks[i] & self.down_masks[j])
+    def lattice(self) -> LatticeTables:
+        """Join and meet tables built in one pass; -1 marks a missing one."""
+        return lattice_tables(self.up_masks, self.down_masks)
 
     @cached_property
     def join_table(self) -> np.ndarray:
-        return self._binary_table(self.join_of, "join")
+        return _total_table(self.lattice.join, "join")
 
     @cached_property
     def meet_table(self) -> np.ndarray:
-        return self._binary_table(self.meet_of, "meet")
-
-    def _binary_table(self, op, what) -> np.ndarray:
-        n = self.size
-        out = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            for j in range(i, n):
-                v = op(i, j)
-                if v is None:
-                    raise PreconditionError(f"{what} of ({i},{j}) does not exist")
-                out[i, j] = out[j, i] = v
-        out.setflags(write=False)
-        return out
+        return _total_table(self.lattice.meet, "meet")
 
     @cached_property
     def bottom(self) -> int:
-        idx = self._uppers_index.get((1 << self.size) - 1)
-        if idx is None:
+        if self.lattice.bottom < 0:
             raise PreconditionError("lattice has no least element")
-        return idx
+        return self.lattice.bottom
 
     @cached_property
     def top(self) -> int:
-        idx = self._lowers_index.get((1 << self.size) - 1)
-        if idx is None:
+        if self.lattice.top < 0:
             raise PreconditionError("lattice has no greatest element")
-        return idx
+        return self.lattice.top
 
     @cached_property
     def zero(self) -> int:
@@ -290,15 +274,13 @@ def validate_dinfl(alg: FinAlgebra) -> ValidationReport:
     if not rep.ok:
         return rep
 
-    lattice_ok = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if alg.join_of(i, j) is None:
-                rep.add("lattice_join_exists", (i, j))
-                lattice_ok = False
-            if alg.meet_of(i, j) is None:
-                rep.add("lattice_meet_exists", (i, j))
-                lattice_ok = False
+    lat = alg.lattice
+    missing = np.triu((lat.join < 0) | (lat.meet < 0), 1)
+    for i, j in np.argwhere(missing).tolist():
+        for law, table in (("lattice_join_exists", lat.join), ("lattice_meet_exists", lat.meet)):
+            if table[i, j] < 0:
+                rep.add(law, (i, j))
+    lattice_ok = not missing.any()
     if lattice_ok:
         meet, join = alg.meet_table, alg.join_table
         if n <= DIRECT_CHECK_LIMIT:
@@ -537,15 +519,13 @@ def classify(alg: FinAlgebra) -> AlgebraFlags:
 def join_irreducibles(alg: FinAlgebra) -> list[int]:
     """Elements with exactly one lower cover, verified join-prime."""
     out = [i for i in range(alg.size) if int(alg.lower_covers[i]).bit_count() == 1]
-    join = alg.join_table
     for j in out:
-        for a in range(alg.size):
-            for b in range(alg.size):
-                if alg.leq[j, join[a, b]] and not (alg.leq[j, a] or alg.leq[j, b]):
-                    raise PreconditionError(
-                        f"element {j} is join-irreducible but not join-prime; "
-                        "the lattice is not distributive"
-                    )
+        lj = alg.leq[j]
+        if (lj[alg.join_table] & ~(lj[:, None] | lj[None, :])).any():
+            raise PreconditionError(
+                f"element {j} is join-irreducible but not join-prime; "
+                "the lattice is not distributive"
+            )
     return out
 
 

@@ -31,27 +31,15 @@ from .catalog_data import (
 )
 from .errors import InternalCheckError, StructuralError
 from .iso import isomorphisms
-from .order import Poset, bits, mask_of
-
-
-class _Tables:
-    """Join/meet tables for a lattice given as a Poset."""
-
-    def __init__(self, poset: Poset):
-        self.poset = poset
-        n = poset.n
-        uppers = {poset.up[i]: i for i in range(n)}
-        lowers = {poset.down[i]: i for i in range(n)}
-        self.join = [[uppers[poset.up[i] & poset.up[j]] for j in range(n)] for i in range(n)]
-        self.meet = [[lowers[poset.down[i] & poset.down[j]] for j in range(n)] for i in range(n)]
-        self.bottom = uppers[poset.carrier]
-        self.top = lowers[poset.carrier]
+from .order import Poset, bits, lattice_tables, mask_of
 
 
 def _parse_entry(name, covers, labels, styles):
     n = len(labels)
     poset = Poset.from_covers(n, covers)
-    tables = _Tables(poset)
+    tables = lattice_tables(poset.up, poset.down)
+    if (tables.join < 0).any() or (tables.meet < 0).any():
+        raise StructuralError(f"{name}: the diagram is not a lattice")
     names = {"T": tables.top}
     equations = []  # (xname, yname, node)
     for node, label in enumerate(labels):
@@ -79,7 +67,7 @@ def _deduce_products(name, poset, tables, names, equations, styles):
     """Fill the product table as far as the diagram rules go; -1 is open."""
     n = poset.n
     one, bottom = names["1"], tables.bottom
-    join = tables.join
+    join = tables.join.tolist()
     commutative = all(s in "io" for s in styles)
     idempotent = [s in "iI" for s in styles]
     prod = [[-1] * n for _ in range(n)]
@@ -189,7 +177,7 @@ def _negations_from_zero(poset, tables, prod, zero):
 def _complete(name, poset, tables, names, prod, styles):
     """Search the open cells for the unique completion passing validation."""
     n = poset.n
-    join, meet = tables.join, tables.meet
+    join, meet = tables.join.tolist(), tables.meet.tolist()
     zero = names["0"]
     open_cells = [(x, y) for x in range(n) for y in range(n) if prod[x][y] == -1]
     solutions = []

@@ -182,14 +182,15 @@ def cmd_enumerate(args) -> int:
     result = enumerate_frames(
         poset, args.signature, budget=_budget_from_env(), jobs=args.jobs
     )
+    label = poset.name or "poset"
     print(
-        f"{poset.name or 'poset'} {args.signature}: {result.count} frames "
+        f"{label} {args.signature}: {result.count} frames "
         f"(nodes={result.stats.nodes}, wall={result.stats.wall_s:.2f}s)"
     )
     if args.emit:
         os.makedirs(args.emit, exist_ok=True)
         for i, frame in enumerate(result.frames):
-            qio.save(frame, os.path.join(args.emit, f"{poset.name}_{args.signature}_{i}.frame.json"))
+            qio.save(frame, os.path.join(args.emit, f"{label}_{args.signature}_{i}.frame.json"))
         print(f"wrote {result.count} frames to {args.emit}")
     return OK
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
+import numpy as np
+
 from .algebra import (
     FinAlgebra,
     ValidationReport,
@@ -235,31 +237,73 @@ def validate_frame(frame: Frame) -> ValidationReport:
 # -- the two dual constructions ----------------------------------------------
 
 
+def _words(masks, width: int) -> np.ndarray:
+    """Bitmask sets as rows of ``width`` little-endian 64-bit words."""
+    raw = b"".join(int(m).to_bytes(8 * width, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), width)
+
+
+def _union_over(member: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """out[a] is the union of the word rows table[i] over the i with member[a, i]."""
+    rows = np.broadcast_to(table, (len(member),) + table.shape)
+    where = member.reshape(member.shape + (1,) * (table.ndim - 1))
+    return np.bitwise_or.reduce(rows, axis=1, where=where)
+
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The position of each query in the sorted distinct keys, or -1."""
+    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return np.where(keys[at] == queries, at, -1)
+
+
+def _positions(sets: np.ndarray, found: np.ndarray, what: str) -> np.ndarray:
+    """The index of each word row of ``found`` among the distinct word rows
+    ``sets``.  Rows are matched a word at a time: the rank of a prefix and
+    of the next word give the rank of the longer prefix, so keys stay below
+    len(sets) ** 2 whatever the number of words."""
+    rank = np.zeros(len(sets), dtype=np.int64)
+    query = np.zeros(found.shape[:-1], dtype=np.int64)
+    for w in range(sets.shape[1]):
+        words = np.unique(sets[:, w])
+        word = _find(words, found[..., w])
+        rank = rank * len(words) + np.searchsorted(words, sets[:, w])
+        query = np.where((query < 0) | (word < 0), -1, query * len(words) + word)
+        if w:
+            prefixes = np.unique(rank)
+            rank, query = np.searchsorted(prefixes, rank), _find(prefixes, query)
+    if (query < 0).any():
+        raise InternalCheckError(f"{what} left the upsets of the algebra")
+    return np.argsort(rank)[query]
+
+
 def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
     """The algebra on the listed upsets of the frame, ordered by inclusion.
 
     Product is the lifted composition, the unit is the identity set, and
     the negations send an upset U to the points whose image under the
-    paired map falls outside U.  Every one of these must land in ``ups``.
+    paired map falls outside U.  Every one of these must land in ``ups``,
+    whose sets must be distinct.  U.V, the union of comp[x][y] over x in U
+    and y in V, is formed in two vectorised stages: over the points y of V,
+    then over the points x of U.  Sets are rows of 64-bit words, so the
+    tables are exact for any number of points.
     """
-    index = {m: i for i, m in enumerate(ups)}
-
-    def position(mask, what):
-        if mask not in index:
-            raise InternalCheckError(f"{what} left the upsets of the algebra")
-        return index[mask]
-
-    def unary_from(pointmap):
-        return [position(mask_of(w for w in range(frame.size) if not (u >> pointmap[w]) & 1),
-                         "negation") for u in ups]
-
-    leq = [[(u & ~v) == 0 for v in ups] for u in ups]
-    product = [[position(frame.compose_sets(u, v), "composition") for v in ups] for u in ups]
-    one = position(frame.identity, "the identity set")
-    tilde = unary_from(frame.minus)   # ~U = {w | w^- not in U}
-    minus = unary_from(frame.tilde)   # -U = {w | w^~ not in U}
-    neg = None if frame.neg is None else unary_from(frame.neg)
-    return FinAlgebra(leq, product, one, tilde, minus, neg=neg, name=name)
+    n, width = frame.size, max(1, -(-frame.size // 64))
+    sets = _words(ups, width)
+    member = np.unpackbits(sets.view(np.uint8), axis=1, count=n,
+                           bitorder="little").astype(bool)
+    comp = _words([cell for row in frame.comp for cell in row], width).reshape(n, n, width)
+    right = _union_over(member, comp.transpose(1, 0, 2))
+    product = _positions(sets, _union_over(member, right.transpose(1, 0, 2)), "composition")
+    one = _positions(sets, _words([frame.identity], width), "the identity set")[0]
+    # ~U = {w | w^- not in U}, -U = {w | w^~ not in U}, likewise for neg
+    maps = [frame.minus, frame.tilde] + ([] if frame.neg is None else [frame.neg])
+    images = np.zeros((len(maps), len(ups), 64 * width), dtype=bool)
+    images[..., :n] = ~member[:, np.array(maps, dtype=np.intp)].transpose(1, 0, 2)
+    images = np.packbits(images, axis=-1, bitorder="little").view("<u8")
+    tilde, minus, *neg = _positions(sets, images, "negation")
+    leq = ((sets[:, None, :] & ~sets[None, :, :]) == 0).all(axis=-1)
+    return FinAlgebra(leq, product, one, tilde, minus, neg=neg[0] if neg else None,
+                      name=name)
 
 
 def complex_algebra(frame: Frame, name: str | None = None) -> FinAlgebra:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import permutations
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import StructuralError
 from .iso import Structure, isomorphisms
@@ -31,6 +34,33 @@ def mask_of(indices) -> int:
 
 def popcount(mask: int) -> int:
     return int(mask).bit_count()
+
+
+class LatticeTables(NamedTuple):
+    """Join and meet tables of a finite order, with -1 where there is none."""
+
+    join: np.ndarray
+    meet: np.ndarray
+    bottom: int
+    top: int
+
+
+def lattice_tables(up, down) -> LatticeTables:
+    """Join and meet tables, bottom and top of the order with these up-set
+    and down-set masks, filled in one pass over the pairs; -1 marks a
+    missing one.  The tables are read-only."""
+    n = len(up)
+    uppers = {m: i for i, m in enumerate(up)}
+    lowers = {m: i for i, m in enumerate(down)}
+    join = np.empty((n, n), dtype=np.int32)
+    meet = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        join[i, i:] = join[i:, i] = [uppers.get(up[i] & u, -1) for u in up[i:]]
+        meet[i, i:] = meet[i:, i] = [lowers.get(down[i] & d, -1) for d in down[i:]]
+    join.setflags(write=False)
+    meet.setflags(write=False)
+    carrier = (1 << n) - 1
+    return LatticeTables(join, meet, uppers.get(carrier, -1), lowers.get(carrier, -1))
 
 
 class Poset:

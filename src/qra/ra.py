@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import FinAlgebra, algebra_iso, validate_dqra
 from .catalog import dqra_negations
 from .errors import InternalCheckError, PreconditionError, StructuralError
-from .frame import dual_frame
+from .frame import Frame, dual_frame, upset_algebra
 from .order import Poset, bits, mask_of
 
 ATOMS = ("1", "a", "r", "s")
@@ -136,37 +136,27 @@ def atom_structure(index: int) -> AtomStructure4:
     raise KeyError(f"no atom structure with index {index}")
 
 
+def _atom_algebra(comp, converse, name) -> FinAlgebra:
+    """The complex algebra of the antichain frame on the atoms, atom 0 the
+    identity: composition is the table, tilde = minus = converse and neg
+    is the identity map.  Elements are the atom sets in numeric order;
+    neg is complement, tilde and minus are complement-of-converse."""
+    atoms = len(comp)
+    frame = Frame(Poset.antichain(atoms), 1, comp, converse, converse,
+                  neg=range(atoms))
+    return upset_algebra(frame, range(2 ** atoms), name)
+
+
 def ra_from_atoms(struct: AtomStructure4, check: bool = True) -> FinAlgebra:
-    """Lift the atom table to the 16-element algebra.
-
-    Elements are atom-set bitmasks 0..15 ordered by value; join/meet are
-    Boolean; the product distributes over atom joins; neg is complement
-    and both linear negations are complement-of-converse.
-    """
-    n = 16
-    comp = struct.comp
-
-    def conv_mask(m):
-        return mask_of(struct.converse_atom(i) for i in bits(m))
-
-    leq = np.array([[(u & ~v) == 0 for v in range(n)] for u in range(n)], dtype=bool)
-    product = np.zeros((n, n), dtype=np.int32)
-    for u in range(n):
-        for v in range(n):
-            acc = 0
-            for i in bits(u):
-                for j in bits(v):
-                    acc |= comp[i][j]
-            product[u, v] = acc
-    neg = [15 ^ u for u in range(n)]
-    tilde = [15 ^ conv_mask(u) for u in range(n)]
-    alg = FinAlgebra(leq, product, _ATOM_BIT["1"], tilde, tilde, neg=neg,
-                     name=struct.name)
+    """Lift the atom table to the 16-element algebra (see ``_atom_algebra``)."""
+    converse = [struct.converse_atom(i) for i in range(4)]
+    alg = _atom_algebra(struct.comp, converse, struct.name)
     if check:
         rep = validate_dqra(alg)
         if not rep.ok:
             raise StructuralError(f"{struct.name} fails algebra laws: {rep.summary()}")
-        ra_rep = relation_algebra_checks(alg, conv_mask)
+        ra_rep = relation_algebra_checks(
+            alg, lambda m: mask_of(converse[i] for i in bits(m)))
         if not ra_rep.ok:
             raise StructuralError(f"{struct.name} fails relation algebra laws: {ra_rep.summary()}")
     return alg
@@ -351,27 +341,13 @@ def symmetric_subreduct_check(alg: FinAlgebra, conv_mask) -> bool:
 def small_symmetric_ra(diversity_rule: str) -> tuple[FinAlgebra, callable]:
     """Tiny symmetric relation algebras built from one diversity atom d:
     'group' has d.d = 1, 'dense' has d.d = 1+d; 'trivial' has no d."""
-    if diversity_rule == "trivial":
-        leq = np.array([[True, True], [False, True]])
-        product = np.array([[0, 0], [0, 1]], dtype=np.int32)
-        alg = FinAlgebra(leq, product, 1, [1, 0], [1, 0], neg=[1, 0], name="sym2")
-        return alg, (lambda u: u)
-    dd = {"group": 0b01, "dense": 0b11}[diversity_rule]
     comp = {
-        (0, 0): 0b01, (0, 1): 0b10, (1, 0): 0b10, (1, 1): dd,
-    }
-    n = 4
-    product = np.zeros((n, n), dtype=np.int32)
-    for u in range(n):
-        for v in range(n):
-            acc = 0
-            for i in bits(u):
-                for j in bits(v):
-                    acc |= comp[(i, j)]
-            product[u, v] = acc
-    leq = np.array([[(u & ~v) == 0 for v in range(n)] for u in range(n)])
-    neg = [3 ^ u for u in range(n)]
-    alg = FinAlgebra(leq, product, 0b01, neg, neg, neg=neg, name=f"sym4-{diversity_rule}")
+        "trivial": ((0b1,),),
+        "group": ((0b01, 0b10), (0b10, 0b01)),
+        "dense": ((0b01, 0b10), (0b10, 0b11)),
+    }[diversity_rule]
+    name = "sym2" if diversity_rule == "trivial" else f"sym4-{diversity_rule}"
+    alg = _atom_algebra(comp, range(len(comp)), name)
     rep = validate_dqra(alg)
     if not rep.ok:
         raise StructuralError(f"symmetric algebra invalid: {rep.summary()}")

@@ -7,20 +7,22 @@ alpha-conjugate).  The pairs in E are ordered by the twisted rule
 (u,v) <= (x,y) iff x <= u and v <= y; the upsets of that order form a
 distributive lattice closed under relational composition, with unit <=,
 linear negations built from converse-of-complement and alpha, and a De
-Morgan negation built from beta.  Embedding an abstract algebra into such
-a relation algebra is what representability means here; the search walks
-bases smallest first and emits self-contained certificates that an
-independent verifier re-checks from scratch.
+Morgan negation built from beta.  This algebra Dq(E) is the complex
+algebra of a frame on the pairs of E (``dq_frame``), built by the same
+upset-algebra construction as every other complex algebra.  Embedding
+an abstract algebra into such a relation algebra is what representability
+means here; the search walks bases smallest first and emits
+self-contained certificates that an independent verifier re-checks from
+scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import FinAlgebra, validate_dinfl, validate_dqra
 from .errors import PreconditionError, StructuralError
+from .frame import Frame, upset_algebra
 from .morphism import AlgHom, _hom_search, validate_homomorphism
 from .order import Poset, all_posets, bits, mask_of
 
@@ -99,15 +101,10 @@ def twist_order(base: RepBase):
     """The pair order (u,v) <= (x,y) iff x <= u and v <= y, as a Poset."""
     pairs = base.pair_list()
     idx = {p: i for i, p in enumerate(pairs)}
-    leq = base.poset
-    up = []
-    for (u, v) in pairs:
-        mask = 0
-        for (x, y), i in idx.items():
-            if leq.leq(x, u) and leq.leq(v, y):
-                mask |= 1 << i
-        up.append(mask)
-    return pairs, Poset(tuple(up))
+    down, up = base.poset.down, base.poset.up
+    return pairs, Poset(tuple(
+        mask_of(idx[(x, y)] for x in bits(down[u]) for y in bits(up[v])) for (u, v) in pairs
+    ))
 
 
 @dataclass
@@ -153,63 +150,42 @@ def _relation_tools(base: RepBase, pairs):
     return idx, emask, from_pairs, compose, converse, complement, graph, leq_rel
 
 
-def build_dq(base: RepBase, cap: int = DEFAULT_UPSET_CAP, name=None) -> DqAlgebra:
-    """The algebra of twisted-order upsets of E under relation composition.
-
-    The carrier size (the number of upsets) is counted before anything is
-    materialized and a cap overrun raises with the computed count.
-    """
+def dq_frame(base: RepBase) -> Frame:
+    """The frame whose complex algebra is Dq(E): the pairs of E in the
+    twisted order, the order relation as identity set, (x,z) composed with
+    (z',y) the principal upset of (x,y) if z <= z' (else empty), and point
+    maps tilde (x,y) -> (y, alpha x), minus (x,y) -> (alpha^-1 y, x) and
+    neg (x,y) -> (beta alpha x, beta y)."""
     pairs, tw = twist_order(base)
-    count = tw.count_upsets(cap=cap)
+    idx = {p: i for i, p in enumerate(pairs)}
+    leq = base.poset.leq
+    alpha, beta = base.alpha, base.beta
+    alpha_inv = {a: x for x, a in enumerate(alpha)}
+    identity = mask_of(i for i, (x, y) in enumerate(pairs) if leq(x, y))
+    comp = [[tw.up[idx[(x, y)]] if leq(z, z2) else 0 for (z2, y) in pairs]
+            for (x, z) in pairs]
+    tilde = [idx[(y, alpha[x])] for (x, y) in pairs]
+    minus = [idx[(alpha_inv[y], x)] for (x, y) in pairs]
+    neg = None if beta is None else [idx[(beta[alpha[x]], beta[y])] for (x, y) in pairs]
+    return Frame(tw, identity, comp, tilde, minus, neg=neg)
+
+
+def build_dq(base: RepBase, cap: int = DEFAULT_UPSET_CAP, name=None) -> DqAlgebra:
+    """The algebra of twisted-order upsets of E under relation composition:
+    the complex algebra of ``dq_frame(base)``.
+
+    The carrier size (the number of upsets) is counted before the carrier
+    is materialized and a cap overrun raises with the computed count.
+    """
+    frame = dq_frame(base)
+    count = frame.poset.count_upsets(cap=cap)
     if count > cap:
         raise PreconditionError(
             f"carrier would have more than {cap} elements (at least {count})"
         )
-    idx, emask, from_pairs, compose, converse, complement, graph, leq_rel = \
-        _relation_tools(base, pairs)
-    ups = tw.upsets
-    pos = {m: i for i, m in enumerate(ups)}
-    ncar = len(ups)
-    alpha_g = graph(base.alpha)
-    beta_g = None if base.beta is None else graph(base.beta)
-
-    k = len(pairs)
-    stack = np.zeros((ncar, base.points, base.points), dtype=np.uint8)
-    for i, m in enumerate(ups):
-        for b in bits(m):
-            x, y = pairs[b]
-            stack[i, x, y] = 1
-    weights = np.zeros((base.points, base.points), dtype=np.int64)
-    for b, (x, y) in enumerate(pairs):
-        weights[x, y] = 1 << b
-    key_to_index = {int((stack[i] * weights).sum()): i for i in range(ncar)}
-    composed = np.einsum("aij,bjk->abik", stack, stack) > 0
-    keys = (composed * weights).sum(axis=(2, 3))
-    product = np.zeros((ncar, ncar), dtype=np.int32)
-    for i in range(ncar):
-        for j in range(ncar):
-            product[i, j] = key_to_index[int(keys[i, j])]
-
-    leq = np.array([[(u & ~v) == 0 for v in ups] for u in ups], dtype=bool)
-
-    def unary(fn):
-        out = []
-        for m in ups:
-            r = fn(m)
-            if r not in pos:
-                raise StructuralError("negation image is not an upset")
-            out.append(pos[r])
-        return out
-
-    tilde = unary(lambda r: compose(converse(complement(r)), alpha_g))
-    minus = unary(lambda r: compose(alpha_g, converse(complement(r))))
-    neg = None
-    if beta_g is not None:
-        neg = unary(
-            lambda r: compose(compose(compose(alpha_g, beta_g), complement(r)), beta_g)
-        )
-    alg = FinAlgebra(leq, product, pos[leq_rel], tilde, minus, neg=neg, name=name)
-    return DqAlgebra(algebra=alg, base=base, pairs=pairs, relation_masks=ups)
+    ups = frame.poset.upsets
+    return DqAlgebra(algebra=upset_algebra(frame, ups, name), base=base,
+                     pairs=base.pair_list(), relation_masks=ups)
 
 
 def dq_zero_relation(dq: DqAlgebra) -> int:

@@ -57,6 +57,24 @@ def test_swapped_product_names_the_unit_law():
     assert any(law.startswith("monoid_unit") for law in rep.laws_violated())
 
 
+def test_missing_joins_and_meets_are_law_failures_in_pair_order():
+    # the bowtie 0, 1 < 2, 3: the pairs (0,1) and (2,3) have neither a
+    # join nor a meet, and there is no bottom and no top
+    leq = [[1, 0, 1, 1], [0, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]]
+    alg = FinAlgebra(leq, [[0] * 4] * 4, 0, [0, 1, 2, 3], [0, 1, 2, 3])
+    rep = validate_dqra(alg.with_neg([0, 1, 2, 3]))
+    assert [f for f in rep.failures if f[0].startswith("lattice")] == [
+        ("lattice_join_exists", (0, 1)), ("lattice_meet_exists", (0, 1)),
+        ("lattice_join_exists", (2, 3)), ("lattice_meet_exists", (2, 3)),
+    ]
+    for what in ("join", "meet"):
+        with pytest.raises(PreconditionError, match=rf"^{what} of \(0,1\) does not exist$"):
+            getattr(alg, f"{what}_table")
+    for end in ("bottom", "top"):
+        with pytest.raises(PreconditionError, match="lattice has no"):
+            getattr(alg, end)
+
+
 def test_structural_errors_are_not_law_failures():
     with pytest.raises(StructuralError):
         FinAlgebra([[1, 1], [0, 1]], [[0, 0]], 1, [1, 0], [1, 0])

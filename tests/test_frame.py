@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from qra import (
@@ -14,8 +17,9 @@ from qra import (
 )
 from qra.bundled import bundled_frame, bundled_frames
 from qra.catalog import match_dqra
-from qra.errors import SignatureError, StructuralError
-from qra.frame import Frame
+from qra.errors import InternalCheckError, SignatureError, StructuralError
+from qra.frame import Frame, _positions, upset_algebra
+from qra.order import Poset, mask_of
 
 
 def test_all_bundled_frames_validate_and_roundtrip():
@@ -140,3 +144,53 @@ def test_dual_frames_of_catalog_validate():
         for variant in entry.variants:
             frame = dual_frame(variant.algebra)
             assert validate_frame(frame).ok, entry.name
+
+
+def test_upset_algebra_matches_compose_sets_beyond_64_points():
+    # 72 points in an antichain, so every set is an upset.  The sets used
+    # are the 32 unions of five atoms: the blocks 66..71 (wholly past bit
+    # 64), 0..5, 30..35 and 60..65 (across bit 64), and the other 48
+    # points.  Composition is random on points, so not monotone in any
+    # sense; the point maps permute the atoms, so the unions are closed
+    # under the product and the negations.
+    n = 72
+    blocks = [range(66, 72), range(0, 6), range(30, 36), range(60, 66)]
+    atoms = [mask_of(b) for b in blocks]
+    atoms.append(((1 << n) - 1) & ~sum(atoms))
+    ups = [sum(a for i, a in enumerate(atoms) if (s >> i) & 1) for s in range(1 << 5)]
+
+    def block_map(image):  # block i onto block image[i], the rest fixed
+        out = list(range(n))
+        for b, c in zip(blocks, image):
+            for w, v in zip(b, blocks[c]):
+                out[w] = v
+        return out
+
+    rng = random.Random(5)
+    comp = [[rng.choice(ups) for _ in range(n)] for _ in range(n)]
+    frame = Frame(Poset.antichain(n), ups[0b10110], comp, block_map([1, 2, 3, 0]),
+                  block_map([3, 0, 1, 2]), neg=block_map([1, 0, 3, 2]))
+    alg = upset_algebra(frame, ups)
+    assert ups[alg.one] == frame.identity
+    for i, u in enumerate(ups):
+        for op, pointmap in ((alg.tilde, frame.minus), (alg.minus, frame.tilde),
+                             (alg.neg, frame.neg)):
+            assert ups[op[i]] == mask_of(w for w in range(n) if not (u >> pointmap[w]) & 1)
+        for j, v in enumerate(ups):
+            assert alg.leq[i, j] == (u & ~v == 0)
+            assert ups[alg.product[i, j]] == frame.compose_sets(u, v)
+    # lists the negations leave: one without the block past bit 64 alone
+    # (the empty set's twin in the first word), one without 0..5 alone,
+    # and one whose second words all miss the block across bit 64
+    for part in (ups[:1] + ups[2:], ups[:2] + ups[3:], [u for u in ups if not u & atoms[3]]):
+        with pytest.raises(InternalCheckError, match="left the upsets"):
+            upset_algebra(frame, part)
+
+
+def test_word_row_lookup_reports_rows_missing_in_a_later_word():
+    # (2, 7) matches (2, 0) in the first word; ranks combined without a
+    # check on the second word would land it on (1, 5)
+    sets = np.array([[1, 5], [2, 0]], dtype="<u8")
+    assert _positions(sets, sets[::-1], "row").tolist() == [1, 0]
+    with pytest.raises(InternalCheckError, match="row left the upsets"):
+        _positions(sets, np.array([[2, 7]], dtype="<u8"), "row")

@@ -128,6 +128,18 @@ def test_cli_enumerate_and_emit(tmp_path, capsys):
     assert run_cli("check", str(emitted[0])) == 0
 
 
+def test_cli_enumerate_emit_names_unnamed_poset_files(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"leq": [[1, 1], [0, 1]]}))
+    out_dir = tmp_path / "frames"
+    assert run_cli("enumerate", "--poset", str(path), "--signature", "dqra",
+                   "--emit", str(out_dir)) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith("poset dqra: 2 frames")
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "poset_dqra_0.frame.json", "poset_dqra_1.frame.json"]
+
+
 def test_cli_catalog(capsys):
     assert run_cli("catalog", "--max-size", "3") == 0
     out = capsys.readouterr().out

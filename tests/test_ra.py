@@ -151,3 +151,45 @@ def test_relation_algebra_law_checks():
         return out
 
     assert relation_algebra_checks(alg, conv).ok
+
+
+def _direct_lift(comp, converse):
+    """The atom-set algebra with the product lifted pair of atoms by pair."""
+    n = 1 << len(comp)
+    product = []
+    for u in range(n):
+        product.append([])
+        for v in range(n):
+            acc = 0
+            for i in bits(u):
+                for j in bits(v):
+                    acc |= comp[i][j]
+            product[-1].append(acc)
+    leq = [[(u & ~v) == 0 for v in range(n)] for u in range(n)]
+    tilde = [(n - 1) ^ sum(1 << converse[i] for i in bits(u)) for u in range(n)]
+    neg = [(n - 1) ^ u for u in range(n)]
+    return leq, product, tilde, neg
+
+
+def _assert_lift(alg, comp, converse):
+    leq, product, tilde, neg = _direct_lift(comp, converse)
+    assert alg.one == 1
+    assert alg.leq.tolist() == leq
+    assert alg.product.tolist() == product
+    assert alg.tilde.tolist() == tilde and alg.minus.tolist() == tilde
+    assert alg.neg.tolist() == neg
+
+
+def test_atom_lifts_equal_the_direct_lift():
+    for struct in builtin_atom_structures():
+        _assert_lift(ra_from_atoms(struct), struct.comp,
+                     [struct.converse_atom(i) for i in range(4)])
+    rules = {
+        "trivial": ((0b1,),),
+        "group": ((0b01, 0b10), (0b10, 0b01)),
+        "dense": ((0b01, 0b10), (0b10, 0b11)),
+    }
+    for rule, comp in rules.items():
+        alg, conv = small_symmetric_ra(rule)
+        _assert_lift(alg, comp, list(range(len(comp))))
+        assert all(conv(u) == u for u in range(alg.size))

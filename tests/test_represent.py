@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from qra import (
@@ -18,13 +19,14 @@ from qra import (
     twist_order,
     validate_dinfl,
     validate_dqra,
+    validate_frame,
     validate_homomorphism,
     verify_certificate,
 )
 from qra.catalog import build_catalog, catalog_lookup
 from qra.errors import BudgetExhausted, PreconditionError, StructuralError
-from qra.order import Poset
-from qra.represent import dq_zero_relation
+from qra.order import Poset, bits, mask_of
+from qra.represent import dq_frame, dq_zero_relation, iterate_bases
 
 
 def chain2_base():
@@ -70,6 +72,101 @@ def test_build_dq_examples():
     # the unit (the order relation) is a coatom of the carrier lattice
     assert bool(alg.lower_covers[alg.top] >> alg.one & 1)
     assert dq6.relation_masks[alg.zero] == dq_zero_relation(dq6)
+
+
+def _reference_dq(base):
+    """Dq(E) from the definitions: (relations, leq, product, one, tilde,
+    minus, neg) with tables indexed by position in ``relations``.
+
+    Relations are frozensets of pairs; the carrier is every set of E-pairs
+    that is upward closed in the twisted order.  The product composes row
+    by row: row x of R;S is the union of the rows z of S over z in row x of R.
+    """
+    n = base.points
+    up, down = base.poset.up, base.poset.down
+    pairs = [(x, y) for x in range(n) for y in bits(base.equiv[x])]
+    everything = frozenset(pairs)
+    choices, relations = [], []
+    for choice in range(1 << len(pairs)):
+        rel = frozenset(pairs[i] for i in bits(choice))
+        if all((x, y) in rel for (u, v) in rel
+               for x in bits(down[u]) for y in bits(up[v])):
+            choices.append(choice)
+            relations.append(rel)
+    choices = np.array(choices)
+    leq = (choices[:, None] & ~choices[None, :]) == 0
+
+    def rows(rel):
+        return [mask_of(y for (x2, y) in rel if x2 == x) for x in range(n)]
+
+    def images(rel):  # images[z_mask] = the union of the rows z in z_mask
+        row = rows(rel)
+        out = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            out[mask] = out[mask ^ low] | row[low.bit_length() - 1]
+        return out
+
+    def compose(r, s):
+        return frozenset((x, y) for (x, z) in r for (z2, y) in s if z == z2)
+
+    def converse(r):
+        return frozenset((y, x) for (x, y) in r)
+
+    def graph(perm):
+        return frozenset((x, perm[x]) for x in range(n))
+
+    position = {r: i for i, r in enumerate(relations)}
+    # a relation coded as its rows side by side, n bits each
+    by_code = np.full(1 << (n * n), -1)
+    for i, r in enumerate(relations):
+        by_code[sum(row << (n * x) for x, row in enumerate(rows(r)))] = i
+    right = np.array([images(s) for s in relations])
+    product = np.array([by_code[sum(right[:, row] << (n * x) for x, row in enumerate(rows(r)))]
+                        for r in relations])
+    one = position[frozenset((x, y) for (x, y) in pairs if base.poset.leq(x, y))]
+    alpha = graph(base.alpha)
+    tilde = [position[compose(converse(everything - r), alpha)] for r in relations]
+    minus = [position[compose(alpha, converse(everything - r))] for r in relations]
+    neg = None
+    if base.beta is not None:
+        beta = graph(base.beta)
+        neg = [position[compose(compose(compose(alpha, beta), everything - r), beta)]
+               for r in relations]
+    return relations, leq, product, one, tilde, minus, neg
+
+
+def _small_bases():
+    options = SearchOptions()
+    for need_beta in (True, False):
+        for base in iterate_bases(3, need_beta, options):
+            if twist_order(base)[1].count_upsets(options.upset_cap) <= options.upset_cap:
+                yield base
+
+
+def test_build_dq_matches_the_definitions_on_all_small_bases():
+    bases = list(_small_bases())
+    assert len(bases) == 78
+    for base in bases:
+        assert validate_frame(dq_frame(base)).ok
+        dq = build_dq(base)
+        alg = dq.algebra
+        relations, leq, product, one, tilde, minus, neg = _reference_dq(base)
+        # dq element i is the relation relation_masks[i]; ref[i] is its
+        # position among the reference relations
+        position = {r: i for i, r in enumerate(relations)}
+        ref = np.array([position[frozenset(dq.pairs[b] for b in bits(m))]
+                        for m in dq.relation_masks])
+        assert sorted(ref.tolist()) == list(range(len(relations)))
+        assert ref[alg.one] == one
+        assert (ref[alg.tilde] == np.array(tilde)[ref]).all()
+        assert (ref[alg.minus] == np.array(minus)[ref]).all()
+        if neg is None:
+            assert alg.neg is None
+        else:
+            assert (ref[alg.neg] == np.array(neg)[ref]).all()
+        assert (alg.leq == leq[np.ix_(ref, ref)]).all()
+        assert (ref[alg.product] == product[np.ix_(ref, ref)]).all()
 
 
 def test_build_dq_cap():
