@@ -34,7 +34,7 @@ from .errors import (
     StructuralError,
 )
 from .iso import Structure, isomorphisms
-from .order import LatticeTables, Poset, bits, lattice_tables
+from .order import Poset, bits
 
 MAX_WITNESSES = 5
 
@@ -117,44 +117,30 @@ class FinAlgebra:
     # -- derived structure ------------------------------------------------
 
     @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        # plain-int shifts: carriers can exceed the word size
-        return tuple(
-            sum(1 << int(j) for j in np.flatnonzero(self.leq[i]))
-            for i in range(self.size)
-        )
-
-    @cached_property
-    def down_masks(self) -> tuple[int, ...]:
-        return tuple(
-            sum(1 << int(j) for j in np.flatnonzero(self.leq[:, i]))
-            for i in range(self.size)
-        )
-
-    @cached_property
-    def lattice(self) -> LatticeTables:
-        """Join and meet tables built in one pass; -1 marks a missing one."""
-        return lattice_tables(self.up_masks, self.down_masks)
+    def order_poset(self) -> Poset:
+        """The order as a :class:`Poset`, the source of every table derived
+        from it.  Not checked: ``validate_dinfl`` reports order failures."""
+        return Poset.from_matrix(self.leq, check=False)
 
     @cached_property
     def join_table(self) -> np.ndarray:
-        return _total_table(self.lattice.join, "join")
+        return _total_table(self.order_poset.lattice.join, "join")
 
     @cached_property
     def meet_table(self) -> np.ndarray:
-        return _total_table(self.lattice.meet, "meet")
+        return _total_table(self.order_poset.lattice.meet, "meet")
 
     @cached_property
     def bottom(self) -> int:
-        if self.lattice.bottom < 0:
+        if self.order_poset.lattice.bottom < 0:
             raise PreconditionError("lattice has no least element")
-        return self.lattice.bottom
+        return self.order_poset.lattice.bottom
 
     @cached_property
     def top(self) -> int:
-        if self.lattice.top < 0:
+        if self.order_poset.lattice.top < 0:
             raise PreconditionError("lattice has no greatest element")
-        return self.lattice.top
+        return self.order_poset.lattice.top
 
     @cached_property
     def zero(self) -> int:
@@ -175,31 +161,14 @@ class FinAlgebra:
         return acc
 
     @cached_property
-    def lower_covers(self) -> tuple[int, ...]:
-        """lower_covers[i] = bitmask of elements covered by i."""
-        out = []
-        for i in range(self.size):
-            strict = self.down_masks[i] ^ (1 << i)
-            cov = 0
-            for j in bits(strict):
-                if (self.up_masks[j] & strict) == (1 << j):
-                    cov |= 1 << j
-            out.append(cov)
-        return tuple(out)
-
-    @cached_property
     def structure(self) -> Structure:
         """The order, unit, product and negations for :mod:`qra.iso`."""
         maps = {"tilde": self.tilde, "minus": self.minus, "neg": self.neg}
         return Structure(self.size, [
-            ("the order", "rel", 2, self.up_masks),
+            ("the order", "rel", 2, self.order_poset.up),
             ("the unit", "op", 0, [self.one]),
             ("the product", "op", 2, self.product.ravel().tolist()),
         ] + [(name, "op", 1, m.tolist()) for name, m in maps.items() if m is not None])
-
-    @cached_property
-    def order_poset(self) -> Poset:
-        return Poset(self.up_masks)
 
     def has_neg(self) -> bool:
         return self.neg is not None
@@ -218,19 +187,13 @@ class FinAlgebra:
 
     def relabel(self, perm, name=None) -> "FinAlgebra":
         """Transport all tables along the bijection i -> perm[i]."""
-        n = self.size
-        perm = list(perm)
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        leq = np.array([[self.leq[inv[i], inv[j]] for j in range(n)] for i in range(n)])
-        product = np.array(
-            [[perm[self.product[inv[i], inv[j]]] for j in range(n)] for i in range(n)]
-        )
-        tilde = [perm[self.tilde[inv[i]]] for i in range(n)]
-        minus = [perm[self.minus[inv[i]]] for i in range(n)]
-        neg = None if self.neg is None else [perm[self.neg[inv[i]]] for i in range(n)]
-        return FinAlgebra(leq, product, perm[self.one], tilde, minus, neg=neg, name=name)
+        perm = np.asarray(perm, dtype=np.intp)
+        inv = np.zeros(self.size, dtype=np.intp)
+        inv[perm] = np.arange(self.size)
+        cells = np.ix_(inv, inv)
+        neg = None if self.neg is None else perm[self.neg[inv]]
+        return FinAlgebra(self.leq[cells], perm[self.product[cells]], perm[self.one],
+                          perm[self.tilde[inv]], perm[self.minus[inv]], neg=neg, name=name)
 
     def signature(self) -> str:
         return "dqra" if self.neg is not None else "dinfl"
@@ -263,7 +226,7 @@ def _join_prime_failures(leq: np.ndarray, join: np.ndarray, j: int) -> np.ndarra
 
 
 def _one_lower_cover(alg: FinAlgebra) -> list[int]:
-    return [i for i in range(alg.size) if int(alg.lower_covers[i]).bit_count() == 1]
+    return [i for i, c in enumerate(alg.order_poset.lower_covers) if c.bit_count() == 1]
 
 
 def _residuals(alg: FinAlgebra) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +253,7 @@ def _adjoint(alg: FinAlgebra, rres: np.ndarray, lres_cb: np.ndarray) -> bool:
         and leq[prod[rows[None, :], lres_cb], rows[:, None]].all()  # a(a\c) <= c
     ):
         return False
-    covers = [(a0, a) for a in range(n) for a0 in bits(alg.lower_covers[a])]
+    covers = [(a0, a) for a, low in enumerate(alg.order_poset.lower_covers) for a0 in bits(low)]
     covers = np.array(covers, dtype=np.intp).reshape(-1, 2)
     # blocks of n cover pairs: no gather is larger than the n x n ones above
     for lo, hi in (block.T for block in np.split(covers, range(n, len(covers), n))):
@@ -325,7 +288,7 @@ def validate_dinfl(alg: FinAlgebra) -> ValidationReport:
     if not rep.ok:
         return rep
 
-    lat = alg.lattice
+    lat = alg.order_poset.lattice
     missing = np.triu((lat.join < 0) | (lat.meet < 0), 1)
     for i, j in np.argwhere(missing).tolist():
         for law, table in (("lattice_join_exists", lat.join), ("lattice_meet_exists", lat.meet)):
@@ -420,7 +383,6 @@ def validate_dqra(alg: FinAlgebra) -> ValidationReport:
     if alg.neg is None:
         raise SignatureError("algebra carries no De Morgan negation")
     rep = validate_dinfl(alg)
-    rep.subject = alg.name or "algebra"
     n = alg.size
     neg = alg.neg
     ident = np.arange(n)
@@ -523,21 +485,16 @@ def join_irreducibles(alg: FinAlgebra) -> list[int]:
 
 
 def meet_irreducibles(alg: FinAlgebra) -> list[int]:
-    out = []
-    for i in range(alg.size):
-        strict = alg.up_masks[i] ^ (1 << i)
-        upper_covers = [j for j in bits(strict) if (alg.down_masks[j] & strict) == (1 << j)]
-        if len(upper_covers) == 1:
-            out.append(i)
-    return out
+    """Elements with exactly one upper cover."""
+    return [i for i, c in enumerate(alg.order_poset.covers) if c.bit_count() == 1]
 
 
 def kappa(alg: FinAlgebra, j: int) -> int:
     """kappa(j) = join of every element not above j; defined for j join-irreducible."""
-    if j not in join_irreducibles(alg):
+    kmap = kappa_map(alg)
+    if j not in kmap:
         raise DomainError(f"element {j} is not join-irreducible")
-    mask = sum(1 << a for a in range(alg.size) if not alg.leq[j, a])
-    return alg.join_mask(mask)
+    return kmap[j]
 
 
 def kappa_map(alg: FinAlgebra) -> dict[int, int]:

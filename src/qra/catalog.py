@@ -31,13 +31,13 @@ from .catalog_data import (
 )
 from .errors import InternalCheckError, StructuralError
 from .iso import isomorphisms
-from .order import Poset, bits, lattice_tables, mask_of
+from .order import Poset, bits, mask_of
 
 
 def _parse_entry(name, covers, labels, styles):
     n = len(labels)
     poset = Poset.from_covers(n, covers)
-    tables = lattice_tables(poset.up, poset.down)
+    tables = poset.lattice
     if (tables.join < 0).any() or (tables.meet < 0).any():
         raise StructuralError(f"{name}: the diagram is not a lattice")
     names = {"T": tables.top}
@@ -198,10 +198,7 @@ def _complete(name, poset, tables, names, prod, styles):
         tilde, minus = _negations_from_zero(poset, tables, prod, zero)
         if tilde is None:
             return
-        alg = FinAlgebra(
-            [[bool((poset.up[i] >> j) & 1) for j in range(n)] for i in range(n)],
-            prod, names["1"], tilde, minus, name=name,
-        )
+        alg = FinAlgebra(poset.matrix(), prod, names["1"], tilde, minus, name=name)
         if validate_dinfl(alg).ok:
             solutions.append([row[:] for row in prod])
 
@@ -240,10 +237,7 @@ def _base_algebra(name) -> FinAlgebra:
     prod = _complete(name, poset, tables, names, prod, styles)
     n = poset.n
     tilde, minus = _negations_from_zero(poset, tables, prod, names["0"])
-    alg = FinAlgebra(
-        [[bool((poset.up[i] >> j) & 1) for j in range(n)] for i in range(n)],
-        prod, names["1"], tilde, minus, name=name,
-    )
+    alg = FinAlgebra(poset.matrix(), prod, names["1"], tilde, minus, name=name)
     rep = validate_dinfl(alg)
     if not rep.ok:
         raise InternalCheckError(f"{name}: reconstruction failed validation: {rep.summary()}")
@@ -277,9 +271,7 @@ def dqra_negations(alg: FinAlgebra) -> list[tuple[int, ...]]:
     plus = plus_table(base)
     n = base.size
     valid = []
-    for g in base.order_poset.order_reversing_bijections:
-        if any(g[g[x]] != x for x in range(n)):
-            continue
+    for g in base.order_poset.order_reversing_involutions:
         garr = np.asarray(g)
         if np.array_equal(garr[base.product], plus[np.ix_(garr, garr)]):
             valid.append(tuple(g))

@@ -18,7 +18,7 @@ from .bundled import bundled_lookup
 from .catalog import CatalogEntry, catalog as build_named_catalog
 from .enumerate import census_table
 from .errors import BudgetExhausted, QraError, StructuralError
-from .filters import PointedFrame, priestley_roundtrip, validate_pointed_frame
+from .filters import PointedFrame, filter_frame, priestley_roundtrip, validate_pointed_frame
 from .frame import (
     Frame,
     complex_algebra,
@@ -264,7 +264,6 @@ def cmd_priestley(args) -> int:
         witness = priestley_roundtrip(alg)
         print(f"filter-space round-trip ok; witness {list(witness)}")
         return OK
-    from .filters import filter_frame
 
     _emit(filter_frame(alg), args)
     return OK

@@ -25,7 +25,7 @@ def is_gen_prime_filter(alg: FinAlgebra, fmask: int) -> bool:
     if fmask in (0, full):
         return True
     for a in bits(fmask):
-        if alg.up_masks[a] & ~fmask:
+        if alg.order_poset.up[a] & ~fmask:
             return False
     for a in bits(fmask):
         for b in bits(fmask):
@@ -49,7 +49,7 @@ def gen_prime_filters(alg: FinAlgebra) -> list[int]:
     full = (1 << alg.size) - 1
     filters = {0, full}
     for j in join_irreducibles(alg):
-        filters.add(alg.up_masks[j])
+        filters.add(alg.order_poset.up[j])
     out = sorted(filters, key=lambda m: (popcount(m), m))
     for f in out:
         if not is_gen_prime_filter(alg, f):

@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .errors import InternalCheckError, SignatureError, StructuralError
 from .iso import Structure, check_witness, isomorphisms
-from .order import Poset, bits, mask_of
+from .order import Poset, bits, mask_of, row_masks
 
 
 class Frame:
@@ -319,8 +319,7 @@ def dual_frame(alg: FinAlgebra, name: str | None = None) -> Frame:
     pos = {a: i for i, a in enumerate(jirr)}
     n = len(jirr)
     kmap = kappa_map(alg)
-    up = [mask_of(pos[b] for b in jirr if alg.leq[b, a]) for a in jirr]
-    poset = Poset(tuple(up))
+    poset = Poset(row_masks(alg.leq[np.ix_(jirr, jirr)].T))
     identity = mask_of(pos[a] for a in jirr if alg.leq[a, alg.one])
     comp = [[0] * n for _ in range(n)]
     for a in jirr:

@@ -16,7 +16,7 @@ from .errors import StructuralError
 from .filters import PointedFrame
 from .frame import Frame, empty_frame
 from .morphism import AlgHom, FrameMap
-from .order import Poset, bits, mask_of
+from .order import Poset, bits, mask_of, row_masks
 from .represent import RepBase
 
 
@@ -152,7 +152,7 @@ def base_from_obj(obj: dict) -> RepBase:
         raise StructuralError("points must be a positive integer")
     leq = _matrix(_field(obj, "leq"), n, "leq", upper=2)
     emat = _matrix(_field(obj, "E"), n, "E", upper=2)
-    equiv = tuple(mask_of(j for j in range(n) if emat[i][j]) for i in range(n))
+    equiv = row_masks(np.asarray(emat, dtype=bool))
     alpha = _index_array(_field(obj, "alpha"), n, "alpha")
     beta = obj.get("beta")
     if beta is not None:

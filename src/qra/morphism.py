@@ -233,7 +233,7 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
     lower = [mask_of(i for i in range(k) if a.leq[gens[i], j]) for k, j in enumerate(gens)]
     upper = [mask_of(i for i in range(k) if a.leq[j, gens[i]]) for k, j in enumerate(gens)]
     joined = [[k for k in range(1, len(gens)) if a.leq[gens[k], x]] for x in range(a.size)]
-    down, up, join = b.down_masks, b.up_masks, b.join_table
+    down, up, join = b.order_poset.down, b.order_poset.up, b.join_table
     image = [0] * len(gens)
     nodes = 0
 

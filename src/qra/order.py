@@ -45,22 +45,24 @@ class LatticeTables(NamedTuple):
     top: int
 
 
-def lattice_tables(up, down) -> LatticeTables:
-    """Join and meet tables, bottom and top of the order with these up-set
-    and down-set masks, filled in one pass over the pairs; -1 marks a
-    missing one.  The tables are read-only."""
-    n = len(up)
-    uppers = {m: i for i, m in enumerate(up)}
-    lowers = {m: i for i, m in enumerate(down)}
-    join = np.empty((n, n), dtype=np.int32)
-    meet = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        join[i, i:] = join[i:, i] = [uppers.get(up[i] & u, -1) for u in up[i:]]
-        meet[i, i:] = meet[i:, i] = [lowers.get(down[i] & d, -1) for d in down[i:]]
-    join.setflags(write=False)
-    meet.setflags(write=False)
-    carrier = (1 << n) - 1
-    return LatticeTables(join, meet, uppers.get(carrier, -1), lowers.get(carrier, -1))
+def row_masks(matrix) -> tuple[int, ...]:
+    """Row i of a 2-D boolean array as the bitmask of its true columns.
+
+    Each row is packed into bytes with bit j of the mask at column j, so
+    the masks are plain ints of any width.
+    """
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _covers(up, down) -> tuple[int, ...]:
+    """covers[i] = bitmask of the elements covering i, for the order with
+    these up-set and down-set masks; swapping them gives lower covers."""
+    out = []
+    for i, mask in enumerate(up):
+        strict = mask ^ (1 << i)
+        out.append(mask_of(j for j in bits(strict) if (strict & down[j]) == 1 << j))
+    return tuple(out)
 
 
 class Poset:
@@ -78,11 +80,13 @@ class Poset:
 
     @classmethod
     def from_matrix(cls, matrix, name=None, check=True) -> "Poset":
+        """The order with ``i <= j`` where ``matrix[i][j]`` is true."""
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise StructuralError("order matrix is not square")
-        up = tuple(mask_of(j for j in range(n) if matrix[i][j]) for i in range(n))
-        poset = cls(up, name=name)
+        leq = np.asarray(matrix, dtype=bool).reshape(n, n)
+        poset = cls(row_masks(leq), name=name)
+        poset.__dict__["down"] = row_masks(leq.T)  # fills the cached property
         if check:
             poset.check_partial_order()
         return poset
@@ -129,10 +133,7 @@ class Poset:
         return [[1 if self.leq(i, j) else 0 for j in range(self.n)] for i in range(self.n)]
 
     def is_upset(self, mask: int) -> bool:
-        out = 0
-        for i in bits(mask):
-            out |= self.up[i]
-        return out == mask
+        return self.upset_closure(mask) == mask
 
     def upset_closure(self, mask: int) -> int:
         out = 0
@@ -169,15 +170,29 @@ class Poset:
     @cached_property
     def covers(self) -> tuple[int, ...]:
         """covers[i] = bitmask of elements covering i."""
-        out = []
-        for i in range(self.n):
-            strict = self.up[i] ^ (1 << i)
-            cov = 0
-            for j in bits(strict):
-                if (strict & self.down[j]) == (1 << j):
-                    cov |= 1 << j
-            out.append(cov)
-        return tuple(out)
+        return _covers(self.up, self.down)
+
+    @cached_property
+    def lower_covers(self) -> tuple[int, ...]:
+        """lower_covers[i] = bitmask of elements covered by i."""
+        return _covers(self.down, self.up)
+
+    @cached_property
+    def lattice(self) -> LatticeTables:
+        """Join and meet tables, bottom and top, filled in one pass over the
+        pairs; -1 marks a missing one.  The tables are read-only."""
+        n, up, down = self.n, self.up, self.down
+        uppers = {m: i for i, m in enumerate(up)}
+        lowers = {m: i for i, m in enumerate(down)}
+        join = np.empty((n, n), dtype=np.int32)
+        meet = np.empty((n, n), dtype=np.int32)
+        for i in range(n):
+            join[i, i:] = join[i:, i] = [uppers.get(up[i] & u, -1) for u in up[i:]]
+            meet[i, i:] = meet[i:, i] = [lowers.get(down[i] & d, -1) for d in down[i:]]
+        join.setflags(write=False)
+        meet.setflags(write=False)
+        return LatticeTables(join, meet, uppers.get(self.carrier, -1),
+                             lowers.get(self.carrier, -1))
 
     def _profile(self) -> tuple:
         """Iterated degree profile, an isomorphism invariant per element."""
@@ -217,6 +232,12 @@ class Poset:
     def order_reversing_bijections(self) -> tuple[tuple[int, ...], ...]:
         """All bijections f with i <= j iff f(j) <= f(i)."""
         return tuple(isomorphisms(self.structure, self.dual().structure))
+
+    @cached_property
+    def order_reversing_involutions(self) -> tuple[tuple[int, ...], ...]:
+        """The order reversing bijections that are their own inverse."""
+        return tuple(g for g in self.order_reversing_bijections
+                     if all(g[g[x]] == x for x in range(self.n)))
 
     @cached_property
     def is_self_dual(self) -> bool:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import FinAlgebra, algebra_iso, validate_dqra
+from .algebra import FinAlgebra, ValidationReport, algebra_iso, validate_dqra
 from .catalog import dqra_negations
 from .errors import InternalCheckError, PreconditionError, StructuralError
 from .frame import Frame, dual_frame, upset_algebra
@@ -162,10 +162,8 @@ def ra_from_atoms(struct: AtomStructure4, check: bool = True) -> FinAlgebra:
     return alg
 
 
-def relation_algebra_checks(alg: FinAlgebra, conv_mask) -> "ValidationReport":
+def relation_algebra_checks(alg: FinAlgebra, conv_mask) -> ValidationReport:
     """Converse involution, antidistribution over products, identity law."""
-    from .algebra import ValidationReport
-
     rep = ValidationReport(subject=alg.name or "relation algebra")
     n = alg.size
     for u in range(n):

@@ -302,9 +302,7 @@ def _order_automorphisms(poset: Poset, equiv):
 
 def _beta_candidates(poset: Poset, equiv, alpha):
     out = []
-    for g in poset.order_reversing_bijections:
-        if any(g[g[i]] != i for i in range(poset.n)):
-            continue
+    for g in poset.order_reversing_involutions:
         if any(not (equiv[i] >> g[i]) & 1 for i in range(poset.n)):
             continue
         if any(alpha[g[alpha[i]]] != g[i] for i in range(poset.n)):

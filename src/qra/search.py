@@ -239,11 +239,6 @@ class _BranchSearch:
             self._restore(snap)
 
 
-def _neg_candidates(poset: Poset):
-    return [g for g in poset.order_reversing_bijections
-            if all(g[g[x]] == x for x in range(poset.n))]
-
-
 def _neg_compatible(comp, tilde, minus, neg, n) -> bool:
     for x in range(n):
         tx = neg[tilde[x]]
@@ -276,8 +271,10 @@ def _relabel_encoding(poset, perm, identity, tilde, comp, neg):
 
 
 def _is_orbit_minimal(poset, identity, tilde, comp, neg) -> bool:
-    mine = _relabel_encoding(poset, tuple(range(poset.n)), identity, tilde, comp, neg)
-    for g in poset.automorphisms:
+    mine = (identity, tuple(tilde), () if neg is None else tuple(neg),
+            tuple(cell for row in comp for cell in row))
+    # qra.iso lists the automorphisms in lexicographic order, identity first
+    for g in poset.automorphisms[1:]:
         if _relabel_encoding(poset, g, identity, tilde, comp, neg) < mine:
             return False
     return True
@@ -322,7 +319,7 @@ def run_branch(poset: Poset, signatures, identity: int, tilde,
     stats = stats if stats is not None else SearchStats()
     searcher = _BranchSearch(poset, identity, tilde, stats, budget)
     minus = searcher.minus
-    negs = _neg_candidates(poset) if "dqra" in signatures else []
+    negs = poset.order_reversing_involutions if "dqra" in signatures else []
     out = {signature: [] for signature in signatures}
     for comp in searcher.run():
         if "dinfl" in out and _is_orbit_minimal(poset, identity, tilde, comp, None):

@@ -42,8 +42,8 @@ def test_filter_unaries_examples(sugihara3):
     assert filter_unaries(sugihara3, full)[0] == 0
     assert filter_unaries(sugihara3, 0)[0] == full
     # on the 3-chain the tilde image swaps the two principal filters
-    up1 = sugihara3.up_masks[1]
-    uptop = sugihara3.up_masks[2]
+    up1 = sugihara3.order_poset.up[1]
+    uptop = sugihara3.order_poset.up[2]
     assert filter_unaries(sugihara3, up1)[0] == uptop
     assert filter_unaries(sugihara3, uptop)[0] == up1
 
@@ -62,7 +62,7 @@ def test_filter_product_examples(bool2, sugihara3):
     filters = gen_prime_filters(bool2)
     # empty filter times anything gives every filter
     assert filter_product(bool2, 0, filters[-1]) == filters
-    f1 = bool2.up_masks[1]  # the prime filter at the top
+    f1 = bool2.order_poset.up[1]  # the prime filter at the top
     assert filter_product(bool2, f1, f1) == [f1, (1 << 2) - 1]
     full = (1 << sugihara3.size) - 1
     assert full in filter_product(sugihara3, full, full)

@@ -169,7 +169,7 @@ def test_monotonicity_failure_past_the_first_block_of_covers():
     neg = (b_neg[:, None] * size + (bits_ ^ (size - 1))[None, :]).ravel()
     alg = FinAlgebra(leq, prod.reshape(3 * size, 3 * size), 0, neg, neg, name="2^6 x B")
     b = FinAlgebra(b_leq, b_prod, 0, b_neg, b_neg)
-    assert sum(int(c).bit_count() for c in alg.lower_covers[:size]) == alg.size
+    assert sum(int(c).bit_count() for c in alg.order_poset.lower_covers[:size]) == alg.size
     rep = validate_dinfl(alg)
     assert set(rep.laws_violated()) & COVERED == reference_laws(b)
     assert "residuation_right" in rep.laws_violated()

@@ -70,7 +70,7 @@ def test_build_dq_examples():
     assert alg.size == 6
     assert validate_dqra(alg).ok
     # the unit (the order relation) is a coatom of the carrier lattice
-    assert bool(alg.lower_covers[alg.top] >> alg.one & 1)
+    assert bool(alg.order_poset.lower_covers[alg.top] >> alg.one & 1)
     assert dq6.relation_masks[alg.zero] == dq_zero_relation(dq6)
 
 
