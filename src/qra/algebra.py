@@ -209,8 +209,7 @@ class FinAlgebra:
 def _witnesses(mask: np.ndarray):
     if not mask.any():
         return []
-    idx = np.argwhere(mask)
-    return [tuple(int(v) for v in row) for row in idx[:MAX_WITNESSES]]
+    return [tuple(row) for row in np.argwhere(mask)[:MAX_WITNESSES].tolist()]
 
 
 def _mismatches(lhs: np.ndarray, rhs: np.ndarray):

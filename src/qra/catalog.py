@@ -1,12 +1,12 @@
 """Reconstruction of the named algebra catalog from its Hasse-diagram data.
 
-Each bundled entry pins a handful of products; the rest follow from the
-unit law, idempotence, commutativity, annihilation by the lattice bottom
-(the product preserves all joins, the empty one included), join
-expansion, and monotone interpolation between equal products.  Any cell
-still open is settled by demanding a unique completion that passes full
-validation; more than one survivor would mean the diagram underdetermines
-the algebra and raises instead of guessing.
+Each bundled entry pins a handful of products; the rest follow by
+deduction from the unit law, idempotence, commutativity, annihilation by
+the lattice bottom (the product preserves all joins, the empty one
+included), and monotone interpolation between equal products.  There is
+no search: a cell the rules leave open means the diagram underdetermines
+the algebra, and raises like any other diagram error.  The deduced table
+is validated once, and the node decorations are checked against it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .iso import isomorphisms
 from .order import Poset, bits, mask_of
 
 
-def _parse_entry(name, covers, labels, styles):
+def _parse_entry(name, covers, labels):
     n = len(labels)
     poset = Poset.from_covers(n, covers)
     tables = poset.lattice
@@ -60,14 +60,13 @@ def _parse_entry(name, covers, labels, styles):
             raise StructuralError(f"{name}: unit not named")
         names["1"] = 0
     names.setdefault("0", tables.bottom)
-    return poset, tables, names, equations
+    return poset, names, equations
 
 
-def _deduce_products(name, poset, tables, names, equations, styles):
-    """Fill the product table as far as the diagram rules go; -1 is open."""
+def _deduce_products(name, poset, names, equations, styles):
+    """The product table the diagram rules force; an open cell is an error."""
     n = poset.n
-    one, bottom = names["1"], tables.bottom
-    join = tables.join.tolist()
+    one, bottom = names["1"], poset.lattice.bottom
     commutative = all(s in "io" for s in styles)
     idempotent = [s in "iI" for s in styles]
     prod = [[-1] * n for _ in range(n)]
@@ -101,35 +100,6 @@ def _deduce_products(name, poset, tables, names, equations, styles):
                 for y in range(n):
                     if prod[x][y] != -1:
                         changed |= put(y, x, prod[x][y])
-        # join expansion: (u or w).y = u.y or w.y
-        for x in range(n):
-            for y in range(n):
-                if prod[x][y] != -1:
-                    continue
-                for u in bits(poset.down[x]):
-                    if u == x:
-                        continue
-                    for w in bits(poset.down[x]):
-                        if join[u][w] != x:
-                            continue
-                        if prod[u][y] != -1 and prod[w][y] != -1:
-                            changed |= put(x, y, join[prod[u][y]][prod[w][y]])
-                            break
-                    if prod[x][y] != -1:
-                        break
-                if prod[x][y] != -1:
-                    continue
-                for u in bits(poset.down[y]):
-                    if u == y:
-                        continue
-                    for w in bits(poset.down[y]):
-                        if join[u][w] != y:
-                            continue
-                        if prod[x][u] != -1 and prod[x][w] != -1:
-                            changed |= put(x, y, join[prod[x][u]][prod[x][w]])
-                            break
-                    if prod[x][y] != -1:
-                        break
         # monotone interpolation between equal known products
         for x in range(n):
             for y in range(n):
@@ -152,11 +122,15 @@ def _deduce_products(name, poset, tables, names, equations, styles):
                     raise StructuralError(f"{name}: interpolation conflict at ({x},{y})")
                 if pinch:
                     changed |= put(x, y, pinch.pop())
+    for x in range(n):
+        for y in range(n):
+            if prod[x][y] == -1:
+                raise StructuralError(f"{name}: the diagram leaves the product ({x},{y}) open")
     return prod
 
 
-def _negations_from_zero(poset, tables, prod, zero):
-    """tilde/minus as the largest solutions of x.y <= zero; None if absent."""
+def _negations_from_zero(name, poset, prod, zero):
+    """tilde/minus as the largest solutions of x.y <= zero."""
     n = poset.n
     tilde, minus = [], []
     for a in range(n):
@@ -169,79 +143,23 @@ def _negations_from_zero(poset, tables, prod, zero):
                     best = x
                     break
             if best is None:
-                return None, None
+                raise StructuralError(f"{name}: no largest residual of 0 at node {a}")
             out.append(best)
     return tilde, minus
 
 
-def _complete(name, poset, tables, names, prod, styles):
-    """Search the open cells for the unique completion passing validation."""
-    n = poset.n
-    join, meet = tables.join.tolist(), tables.meet.tolist()
-    zero = names["0"]
-    open_cells = [(x, y) for x in range(n) for y in range(n) if prod[x][y] == -1]
-    solutions = []
-
-    def bounds(x, y):
-        lo, hi = tables.bottom, tables.top
-        for u in bits(poset.down[x]):
-            for v in bits(poset.down[y]):
-                if prod[u][v] != -1:
-                    lo = join[lo][prod[u][v]]
-        for u in bits(poset.up[x]):
-            for v in bits(poset.up[y]):
-                if prod[u][v] != -1:
-                    hi = meet[hi][prod[u][v]]
-        return lo, hi
-
-    def attempt():
-        tilde, minus = _negations_from_zero(poset, tables, prod, zero)
-        if tilde is None:
-            return
-        alg = FinAlgebra(poset.matrix(), prod, names["1"], tilde, minus, name=name)
-        if validate_dinfl(alg).ok:
-            solutions.append([row[:] for row in prod])
-
-    def fill(k):
-        if len(solutions) > 1:
-            return
-        if k == len(open_cells):
-            attempt()
-            return
-        x, y = open_cells[k]
-        lo, hi = bounds(x, y)
-        for v in range(n):
-            if not (poset.up[lo] >> v) & 1 or not (poset.down[hi] >> v) & 1:
-                continue
-            prod[x][y] = v
-            fill(k + 1)
-            prod[x][y] = -1
-
-    fill(0)
-    if not solutions:
-        raise InternalCheckError(f"{name}: no valid completion of the product table")
-    if len(solutions) > 1:
-        raise InternalCheckError(f"{name}: product table underdetermined")
-    return solutions[0]
-
-
-@lru_cache(maxsize=None)
-def _base_algebra(name) -> FinAlgebra:
-    for entry_name, covers, labels, styles in CATALOG_ENTRIES:
-        if entry_name == name:
-            break
-    else:
-        raise KeyError(name)
-    poset, tables, names, equations = _parse_entry(name, covers, labels, styles)
-    prod = _deduce_products(name, poset, tables, names, equations, styles)
-    prod = _complete(name, poset, tables, names, prod, styles)
-    n = poset.n
-    tilde, minus = _negations_from_zero(poset, tables, prod, names["0"])
+def _diagram_algebra(name, covers, labels, styles):
+    """The DInFL-algebra a catalog entry draws, with its node names
+    (symbol -> node)."""
+    poset, names, equations = _parse_entry(name, covers, labels)
+    prod = _deduce_products(name, poset, names, equations, styles)
+    tilde, minus = _negations_from_zero(name, poset, prod, names["0"])
     alg = FinAlgebra(poset.matrix(), prod, names["1"], tilde, minus, name=name)
     rep = validate_dinfl(alg)
     if not rep.ok:
         raise InternalCheckError(f"{name}: reconstruction failed validation: {rep.summary()}")
     # The node decorations double as a transcription check.
+    n = poset.n
     for x in range(n):
         idem = prod[x][x] == x
         central = all(prod[x][y] == prod[y][x] for y in range(n))
@@ -251,8 +169,7 @@ def _base_algebra(name) -> FinAlgebra:
         ]
         if want != got:
             raise InternalCheckError(f"{name}: node {x} drawn {want} but computed {got}")
-    alg.catalog_names = {v: k for k, v in names.items() if k not in ("T",)}
-    return alg
+    return alg, names
 
 
 def algebra_automorphisms(alg: FinAlgebra) -> list[tuple[int, ...]]:
@@ -331,11 +248,10 @@ def _name_parts(name: str):
     return vals[0], vals[1], vals[2], vals[3]
 
 
-def _variant_desc(entry_name, alg, neg) -> str:
+def _variant_desc(entry_name, alg, node_of, neg) -> str:
     if tuple(neg) == tuple(int(v) for v in alg.tilde):
         return "~"
     spec = SECOND_NEG.get(entry_name) or ONLY_NEG.get(entry_name)
-    node_of = {v: k for k, v in alg.catalog_names.items()}  # name -> node
     if spec is not None:
         x, y = spec
         if x in node_of and y in node_of and neg[node_of[x]] == node_of[y]:
@@ -348,7 +264,7 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
     """All named algebras up to size six, each with its De Morgan variants."""
     entries = []
     for name, covers, labels, styles in CATALOG_ENTRIES:
-        base = _base_algebra(name)
+        base, node_of = _diagram_algebra(name, covers, labels, styles)
         negs = dqra_negations(base)
         n, m, i, k = _name_parts(name)
         if name in ONLY_NEG:
@@ -361,7 +277,7 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
             )
         variants = []
         for neg in negs:
-            desc = _variant_desc(name, base, neg)
+            desc = _variant_desc(name, base, node_of, neg)
             status, note = REPRESENTABILITY[(name, desc)]
             variants.append(
                 CatalogVariant(

@@ -13,10 +13,10 @@ Each entry records a Hasse diagram with decorated nodes:
   element; an algebra is commutative exactly when no square nodes occur.
 
 The element named ``0`` (the bottom when no node carries that name) fixes
-the linear negations.  Unlabelled products follow from the unit law,
-idempotence, commutativity, annihilation by the lattice bottom, join
-expansion, and monotone interpolation; any cell still open after that is
-forced by requiring a unique completion satisfying all algebra laws.
+the linear negations.  Unlabelled products follow by deduction alone from
+the unit law, idempotence, commutativity, annihilation by the lattice
+bottom, and monotone interpolation; there is no completion search, and a
+cell still open after that is a diagram error.
 
 Names follow the ``D{n}_{m}_{i}[_{k}]`` scheme: n the cardinality, m the
 involutive-lattice class, i the index inside the class, and k (when

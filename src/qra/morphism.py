@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import FinAlgebra, ValidationReport, join_irreducibles
+from .algebra import FinAlgebra, ValidationReport, _witnesses, join_irreducibles
 from .errors import (BudgetExhausted, InternalCheckError, PreconditionError, SignatureError,
                      StructuralError)
 from .frame import Frame, complex_algebra, dual_frame
@@ -151,23 +151,17 @@ def validate_homomorphism(h: AlgHom) -> ValidationReport:
         raise SignatureError("source and target have different signatures")
     if int(f[a.one]) != b.one:
         rep.add("unit_preserved", (a.one,))
-    pairs_meet = f[a.meet_table] != b.meet_table[np.ix_(f, f)]
-    for x, y in np.argwhere(pairs_meet)[:5]:
-        rep.add("meet_preserved", (int(x), int(y)))
-    pairs_join = f[a.join_table] != b.join_table[np.ix_(f, f)]
-    for x, y in np.argwhere(pairs_join)[:5]:
-        rep.add("join_preserved", (int(x), int(y)))
-    pairs_prod = f[a.product] != b.product[np.ix_(f, f)]
-    for x, y in np.argwhere(pairs_prod)[:5]:
-        rep.add("product_preserved", (int(x), int(y)))
-    for what, ua, ub in (("tilde", a.tilde, b.tilde), ("minus", a.minus, b.minus)):
-        bad = f[ua] != ub[f]
-        for (x,) in np.argwhere(bad)[:5]:
-            rep.add(f"{what}_preserved", (int(x),))
+    for law, table_a, table_b in (("meet_preserved", a.meet_table, b.meet_table),
+                                  ("join_preserved", a.join_table, b.join_table),
+                                  ("product_preserved", a.product, b.product)):
+        for pair in _witnesses(f[table_a] != table_b[np.ix_(f, f)]):
+            rep.add(law, pair)
+    unaries = [("tilde", a.tilde, b.tilde), ("minus", a.minus, b.minus)]
     if a.neg is not None:
-        bad = f[a.neg] != b.neg[f]
-        for (x,) in np.argwhere(bad)[:5]:
-            rep.add("neg_preserved", (int(x),))
+        unaries.append(("neg", a.neg, b.neg))
+    for what, ua, ub in unaries:
+        for point in _witnesses(f[ua] != ub[f]):
+            rep.add(f"{what}_preserved", point)
     return rep
 
 

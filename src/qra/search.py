@@ -286,7 +286,6 @@ class EnumerationResult:
     signature: str
     frames: list[Frame]
     stats: SearchStats
-    checkpoint: dict | None = None  # populated when a budget ran out
 
     @property
     def count(self) -> int:
@@ -332,24 +331,19 @@ def run_branch(poset: Poset, signatures, identity: int, tilde,
     return tuple(out[signature] for signature in signatures)
 
 
-def _branch_outcome(poset, signatures, branch, stats, budget):
-    """``run_branch`` on one branch, or None when the budget ran out."""
+def _branch_worker(args):
+    """``run_branch`` on one branch with its node quota and the caller's
+    deadline; None in place of the encodings when the budget ran out."""
+    poset, signatures, branch, max_nodes, deadline = args
+    budget = None
+    if max_nodes is not None or deadline is not None:
+        budget = Budget(max_nodes=max_nodes, _deadline=deadline)
+    stats = SearchStats()
     identity, tilde = branch
     try:
-        return run_branch(poset, signatures, identity, tilde, stats, budget)
+        found = run_branch(poset, signatures, identity, tilde, stats, budget)
     except BudgetExhausted:
-        return None
-
-
-def _branch_worker(args):
-    """Run one branch in a separate process with its own budget."""
-    up, name, signatures, branch, max_nodes, max_ms = args
-    budget = None
-    if max_nodes is not None or max_ms is not None:
-        budget = Budget(max_nodes=max_nodes, max_ms=max_ms)
-        budget.start()
-    stats = SearchStats()
-    found = _branch_outcome(Poset(up, name=name), signatures, branch, stats, budget)
+        found = None
     return found, stats
 
 
@@ -377,13 +371,16 @@ def search_frames(poset: Poset, signatures=SIGNATURES,
     """All frames over the poset up to isomorphism, for each signature.
 
     One depth-first search per (identity, tilde) branch serves every
-    requested signature; the results share one ``SearchStats``.  With
-    ``jobs > 1`` the branches run in worker processes, each with its own
-    copy of the budget, and merge in branch order, so the outcome matches
-    the sequential run.  When the budget runs out a ``BudgetExhausted`` is
-    raised whose checkpoint carries the completed branches; it survives a
-    JSON round trip, and ``resume`` accepts it for any subset of its
-    signatures.
+    requested signature; the results share one ``SearchStats``.  Sequential
+    and ``jobs > 1`` runs map the same branch worker over the branches and
+    merge in branch order.  A branch gets the node quota the branches
+    merged before it left (the whole quota under ``jobs > 1``, where it
+    starts before any merge) and the caller's deadline.  The merge stops at
+    the first branch that ran out or took the summed node count past the
+    quota, so a budget stops at the same branch for any ``jobs``.  The
+    ``BudgetExhausted`` it raises carries a checkpoint of the completed
+    branches; it survives a JSON round trip, and ``resume`` accepts it for
+    any subset of its signatures.
     """
     signatures = tuple(signatures)
     for signature in signatures:
@@ -414,27 +411,31 @@ def search_frames(poset: Poset, signatures=SIGNATURES,
             encodings[signature] = [_encoding_from_json(e) for e in done[signature]]
         first_branch = resume["next_branch"]
 
+    max_nodes = None if budget is None else budget.max_nodes
+    deadline = None if budget is None else budget._deadline
     todo = branches[first_branch:]
     if jobs > 1 and len(todo) > 1:
         import concurrent.futures as cf
 
-        max_nodes = None if budget is None else budget.max_nodes
-        max_ms = None if budget is None else budget.max_ms
-        args = [(poset.up, poset.name, signatures, branch, max_nodes, max_ms)
-                for branch in todo]
+        # computed once here, so the workers receive them with the poset
+        poset.automorphisms, poset.order_reversing_involutions
+        # every branch starts before any has merged, so each gets the
+        # whole node quota
+        args = [(poset, signatures, branch, max_nodes, deadline) for branch in todo]
         with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_branch_worker, args))
     else:
-        # lazy, so a budget stop skips the remaining branches; the shared
-        # stats carry the node count across branches
-        outcomes = ((_branch_outcome(poset, signatures, branch, stats, budget), None)
+        # lazy, so a stop skips the remaining branches; each branch gets
+        # the node quota the merged branches left
+        outcomes = (_branch_worker((poset, signatures, branch,
+                                    None if max_nodes is None else max_nodes - stats.nodes,
+                                    deadline))
                     for branch in todo)
     for idx, (found, branch_stats) in enumerate(outcomes, first_branch):
-        if branch_stats is not None:
-            stats.nodes += branch_stats.nodes
-            stats.prunes += branch_stats.prunes
-            stats.leaves += branch_stats.leaves
-        if found is None:
+        stats.nodes += branch_stats.nodes
+        stats.prunes += branch_stats.prunes
+        stats.leaves += branch_stats.leaves
+        if found is None or (max_nodes is not None and stats.nodes > max_nodes):
             stats.wall_s = time.monotonic() - start
             checkpoint = {
                 "poset_key": poset.canonical_key,

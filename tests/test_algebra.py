@@ -223,3 +223,11 @@ def test_antitone_and_meet_join_duality_on_catalog():
                 lhs = int(alg.meet_table[a, b])
                 rhs = int(alg.minus[alg.join_table[tilde[a], tilde[b]]])
                 assert lhs == rhs
+
+
+def test_catalog_diagram_leaving_a_cell_open_is_an_error():
+    from qra.catalog import _diagram_algebra
+
+    # D4_1_1 without its "ab" label: nothing pins the product of b with itself
+    with pytest.raises(StructuralError, match=r"D4_1_1: .*\(1,1\) open"):
+        _diagram_algebra("D4_1_1", [(0, 1), (1, 2), (2, 3)], ["", "b", "a", "1"], "ioii")

@@ -258,3 +258,18 @@ def test_catalog_k_values():
         "D4_2_1_2", "D6_2_1_2", "D6_2_3_2", "D6_2_4_2", "D6_2_9_2",
         "D6_3_1_2", "D6_3_5_2", "D6_3_7_2",
     }
+
+
+def test_budget_stops_at_the_same_branch_for_any_jobs():
+    # every quota runs out part way through the search
+    for name, quotas in (("d2x2", (10, 50, 200, 400)), ("2x2", (1, 10, 50))):
+        poset = NAMED_POSETS[name]
+        for max_nodes in quotas:
+            stops = []
+            for jobs in (1, 2):
+                with pytest.raises(BudgetExhausted) as excinfo:
+                    enumerate_frames(poset, "dqra", budget=Budget(max_nodes=max_nodes),
+                                     jobs=jobs)
+                stops.append((str(excinfo.value),
+                              json.loads(json.dumps(excinfo.value.checkpoint))))
+            assert stops[0] == stops[1], (name, max_nodes)

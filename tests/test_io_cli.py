@@ -8,8 +8,11 @@ import pytest
 from qra import io as qio
 from qra.bundled import bundled_frame, bundled_frames, bundled_lookup
 from qra.cli import main
+from qra.algebra import validate_dqra
 from qra.errors import StructuralError
+from qra.filters import PointedFrame
 from qra.frame import frame_iso
+from qra.morphism import AlgHom
 from qra.represent import RepBase
 from qra.order import Poset
 
@@ -229,3 +232,71 @@ def test_cli_check_broken_atom_structure_and_unknown_type(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_load_input", lambda spec: object())
     assert run_cli("check", "anything") == 2
     assert "cannot validate" in capsys.readouterr().err
+
+
+def _exit_cleanly(capsys, *argv):
+    """Run the CLI; return its exit code after checking stderr holds no traceback."""
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_cli_complex_of_bundled_frame(capsys):
+    assert run_cli("complex", "W3_1_2") == 0
+    alg = qio.algebra_from_obj(json.loads(capsys.readouterr().out))
+    assert alg.size == 3 and validate_dqra(alg).ok
+
+
+def test_cli_priestley_output_reads_back(tmp_path, capsys):
+    assert run_cli("priestley", str(DATA / "d3_1_2.algebra.json")) == 0
+    path = tmp_path / "filters.json"
+    path.write_text(capsys.readouterr().out)
+    assert isinstance(qio.load(path), PointedFrame)
+    assert run_cli("check", str(path)) == 0
+    assert run_cli("roundtrip", str(path)) == 0
+    assert "frame round-trip ok" in capsys.readouterr().out
+
+
+def test_cli_morphism_check_algebra_homomorphism(tmp_path, capsys):
+    alg = qio.load(DATA / "d4_1_3.algebra.json")
+    path = tmp_path / "hom.json"
+    path.write_text(qio.canonical_dumps(qio.to_obj(AlgHom(alg, alg, tuple(range(alg.size))))))
+    assert run_cli("morphism-check", str(path)) == 0
+    assert "homomorphism: ok" in capsys.readouterr().out
+    path.write_text(qio.canonical_dumps(qio.to_obj(AlgHom(alg, alg, (0,) * alg.size))))
+    assert run_cli("morphism-check", str(path)) == 1
+    out = capsys.readouterr().out
+    assert "homomorphism: FAILED" in out and "unit_preserved" in out
+
+
+def test_cli_iso_of_algebras(tmp_path, capsys):
+    alg = qio.load(DATA / "d4_1_3.algebra.json")
+    path = tmp_path / "relabelled.algebra.json"
+    qio.save(alg.relabel([2, 0, 3, 1]), path)
+    assert run_cli("iso", str(DATA / "d4_1_3.algebra.json"), str(path)) == 0
+    assert capsys.readouterr().out.startswith("isomorphic; witness")
+    assert run_cli("iso", str(DATA / "d3_1_1.algebra.json"),
+                   str(DATA / "d3_1_2.algebra.json")) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
+
+
+def test_cli_bad_requests_exit_2_without_traceback(tmp_path, capsys, monkeypatch):
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    frame_file = str(DATA / "w3_1_2.frame.json")
+    alg_file = str(DATA / "d3_1_2.algebra.json")
+    for argv in (
+        ("enumerate", "--poset", "nosuch"),
+        ("represent", frame_file),
+        ("subreducts", "--index", "99"),
+        ("check", str(tmp_path / "missing.json")),
+        ("check", str(array)),
+        ("iso", frame_file, alg_file),
+        ("morphism-check", alg_file),
+    ):
+        code, err = _exit_cleanly(capsys, *argv)
+        assert code == 2 and err.startswith("error:"), argv
+    monkeypatch.setenv("QRA_BUDGET_MS", "soon")
+    code, err = _exit_cleanly(capsys, "enumerate", "--poset", "2x2")
+    assert code == 2 and "QRA_BUDGET_MS" in err
