@@ -288,16 +288,18 @@ def cmd_represent(args) -> int:
         }
         print(json.dumps(payload, indent=1))
         return OK if ok else LAW_FAILURE
+    undecided = result.bases_undecided > 0
     payload = {
-        "result": "exhausted",
+        "result": "undecided" if undecided else "exhausted",
         "max_points": result.max_points,
         "bases_tried": result.bases_tried,
         "bases_skipped_over_cap": result.bases_skipped_over_cap,
+        "bases_undecided": result.bases_undecided,
         "filter_witness": result.filter_witness,
         "note": result.note,
     }
     print(json.dumps(payload, indent=1))
-    return OK
+    return BUDGET if undecided else OK
 
 
 def cmd_subreducts(args) -> int:

@@ -204,6 +204,38 @@ def hom_dual(h: AlgHom) -> FrameMap:
     return fm
 
 
+def _preserves(a: FinAlgebra, b: FinAlgebra, injective: bool = False):
+    """A test of a map a -> b, given as a list of images, that answers
+    ``validate_homomorphism(...).ok`` (and injectivity, if asked) without
+    collecting witnesses.
+
+    It stops at the first law the map breaks, cheapest first: injectivity,
+    the unit, the unary maps over Python lists, then product, join and
+    meet, each one gather of b's table at the images.
+    """
+    n, a_one, b_one = a.size, a.one, b.one
+    unaries = [(a.tilde.tolist(), b.tilde.tolist()), (a.minus.tolist(), b.minus.tolist())]
+    if a.neg is not None:
+        unaries.append((a.neg.tolist(), b.neg.tolist()))
+    tables = [(a.product, b.product), (a.join_table, b.join_table),
+              (a.meet_table, b.meet_table)]
+
+    def check(f: list[int]) -> bool:
+        if injective and len(set(f)) < n:
+            return False
+        if f[a_one] != b_one:
+            return False
+        for ua, ub in unaries:
+            for x in range(n):
+                if f[ua[x]] != ub[f[x]]:
+                    return False
+        image = np.array(f)
+        rows, cols = image[:, None], image[None, :]
+        return all((image[table_a] == table_b[rows, cols]).all() for table_a, table_b in tables)
+
+    return check
+
+
 def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = False):
     """Generate the homomorphisms a -> b, injective ones only if asked.
 
@@ -216,9 +248,10 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
     (above) the one being placed into the down-set (up-set) of its image;
     an injective map also reflects the order, so the other earlier
     generators must land outside them.  Each completed extension is
-    checked in full by ``validate_homomorphism``.  Raises
-    ``BudgetExhausted`` once the search has visited more than ``budget``
-    nodes.
+    rejected by the early-exit check of ``_preserves``; each map it
+    accepts is validated in full by ``validate_homomorphism`` before it
+    is yielded.  Raises ``BudgetExhausted`` once the search has visited
+    more than ``budget`` nodes.
     """
     if (a.neg is None) != (b.neg is None):
         raise SignatureError("source and target have different signatures")
@@ -228,6 +261,7 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
     upper = [mask_of(i for i in range(k) if a.leq[j, gens[i]]) for k, j in enumerate(gens)]
     joined = [[k for k in range(1, len(gens)) if a.leq[gens[k], x]] for x in range(a.size)]
     down, up, join = b.order_poset.down, b.order_poset.up, b.join_table
+    preserves = _preserves(a, b, injective)
     image = [0] * len(gens)
     nodes = 0
 
@@ -246,9 +280,12 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
                 for i in ks:
                     acc = int(join[acc, image[i]])
                 f.append(acc)
+            if not preserves(f):
+                return
             hom = AlgHom(source=a, target=b, map=tuple(f))
-            if (not injective or hom.is_injective()) and validate_homomorphism(hom).ok:
-                yield hom
+            if not validate_homomorphism(hom).ok:
+                raise InternalCheckError(f"leaf check accepted a non-homomorphism {hom.map}")
+            yield hom
             return
         below, above = images(lower[k]), images(upper[k])
         if injective:

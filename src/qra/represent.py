@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import FinAlgebra, validate_dinfl, validate_dqra
-from .errors import PreconditionError, StructuralError
+from .errors import BudgetExhausted, PreconditionError, StructuralError
 from .frame import Frame, upset_algebra
 from .morphism import AlgHom, _hom_search, validate_homomorphism
 from .order import Poset, all_posets, bits, mask_of
@@ -218,7 +218,9 @@ def embed_search(a: FinAlgebra, b: FinAlgebra, budget: int = 2_000_000):
     """An injective homomorphism a -> b, or None after exhausting the space.
 
     The first injective map of the homomorphism search behind
-    ``enumerate_homs``; ``budget`` caps its nodes.
+    ``enumerate_homs``; ``budget`` caps its nodes.  Each leaf is rejected
+    by an early-exit boolean check, and only the map returned is validated
+    in full.
     """
     if (a.neg is None) != (b.neg is None):
         raise PreconditionError("signatures differ")
@@ -325,6 +327,7 @@ class ExhaustionReport:
     bases_skipped_over_cap: int
     filter_witness: int | None = None
     note: str = ""
+    bases_undecided: int = 0  # bases whose embedding search ran out of budget
 
 
 @dataclass
@@ -363,7 +366,9 @@ def representation_search(alg: FinAlgebra, max_points: int,
 
     Returns a certificate on success, otherwise an exhaustion report.  The
     no-finite-representation filter short-circuits the search when an
-    obstruction element exists.
+    obstruction element exists.  A base whose embedding search runs out of
+    ``options.embed_budget`` is counted as undecided and the search moves
+    on to the next base.
     """
     options = options or SearchOptions()
     need_beta = alg.neg is not None
@@ -375,7 +380,7 @@ def representation_search(alg: FinAlgebra, max_points: int,
                 filter_witness=witness,
                 note="no finite representation is possible",
             )
-    tried = skipped = 0
+    tried = skipped = undecided = 0
     for base in iterate_bases(max_points, need_beta, options):
         pairs, tw = twist_order(base)
         count = tw.count_upsets(cap=options.upset_cap)
@@ -387,27 +392,37 @@ def representation_search(alg: FinAlgebra, max_points: int,
             continue
         dq = build_dq(base, cap=options.upset_cap)
         tried += 1
-        hom = embed_search(alg, dq.algebra, budget=options.embed_budget)
+        try:
+            hom = embed_search(alg, dq.algebra, budget=options.embed_budget)
+        except BudgetExhausted:
+            undecided += 1
+            continue
         if hom is not None:
             return RepresentationCertificate(
                 base=base, embedding=tuple(hom.map), carrier_size=dq.algebra.size
             )
     return ExhaustionReport(
-        max_points=max_points, bases_tried=tried, bases_skipped_over_cap=skipped
+        max_points=max_points, bases_tried=tried, bases_skipped_over_cap=skipped,
+        bases_undecided=undecided,
     )
 
 
 def verify_certificate(alg: FinAlgebra, cert: RepresentationCertificate) -> bool:
     """Recompute the target algebra from the base and re-check everything;
-    shares no state with the search."""
+    shares no state with the search.  A certificate whose carrier size or
+    embedding does not fit the rebuilt algebra fails like any other."""
     dq = build_dq(cert.base)
     target = dq.algebra
+    if cert.carrier_size != target.size:
+        return False
+    if len(cert.embedding) != alg.size or len(set(cert.embedding)) != alg.size:
+        return False
+    if any(not 0 <= v < target.size for v in cert.embedding):
+        return False
     report = (
         validate_dqra(target) if target.neg is not None else validate_dinfl(target)
     )
     if not report.ok:
-        return False
-    if len(cert.embedding) != alg.size or len(set(cert.embedding)) != alg.size:
         return False
     hom = AlgHom(source=alg, target=target, map=cert.embedding)
     return validate_homomorphism(hom).ok

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from qra import cli
 from qra import io as qio
 from qra.bundled import bundled_frame, bundled_frames, bundled_lookup
 from qra.cli import main
@@ -13,7 +15,7 @@ from qra.errors import StructuralError
 from qra.filters import PointedFrame
 from qra.frame import frame_iso
 from qra.morphism import AlgHom
-from qra.represent import RepBase
+from qra.represent import RepBase, SearchOptions
 from qra.order import Poset
 
 DATA = Path(__file__).parent / "data"
@@ -179,6 +181,18 @@ def test_cli_represent_filtered(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"] == "exhausted"
     assert payload["filter_witness"] is not None
+
+
+def test_cli_represent_undecided(capsys, monkeypatch):
+    path = str(DATA / "d4_1_3.algebra.json")
+    assert run_cli("represent", path, "--max-points", "2") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] == "exhausted" and payload["bases_undecided"] == 0
+    monkeypatch.setattr(cli, "SearchOptions", partial(SearchOptions, embed_budget=12))
+    assert run_cli("represent", path, "--max-points", "2") == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] == "undecided"
+    assert (payload["bases_tried"], payload["bases_undecided"]) == (8, 5)
 
 
 def test_cli_subreducts(capsys):

@@ -1,24 +1,33 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from qra import (
     AlgHom,
+    FinAlgebra,
     FrameMap,
+    SearchOptions,
+    build_dq,
     embed_search,
     enumerate_homs,
     frame_morphism_dual,
     hom_dual,
     join_irreducibles,
     principal_preimage_meet,
+    representation_search,
     roundtrip_algebra,
     validate_frame_morphism,
     validate_homomorphism,
 )
+from qra import morphism
 from qra.bundled import bundled_frames
-from qra.catalog import build_catalog
+from qra.catalog import build_catalog, catalog_lookup
 from qra.errors import BudgetExhausted, PreconditionError
 from qra.frame import empty_frame
+from qra.morphism import _preserves
+from qra.represent import iterate_bases
 
 from conftest import sugihara4
 
@@ -180,6 +189,109 @@ def test_hom_search_visits_exactly_the_order_consistent_assignments():
                     embed_search(a, b, budget=nodes - 1)
                 exhausted += 1
     assert exhausted > 20
+
+
+def _leaf_verdicts_agree(a, b, image):
+    ok = validate_homomorphism(AlgHom(source=a, target=b, map=image)).ok
+    assert _preserves(a, b)(list(image)) == ok, (a.name, b.name, image)
+    injective = ok and len(set(image)) == a.size
+    assert _preserves(a, b, injective=True)(list(image)) == injective, (a.name, b.name, image)
+    return ok
+
+
+def test_leaf_check_matches_validation_on_every_small_catalog_map():
+    catalog = build_catalog()
+    bases = [e.base for e in catalog if e.size <= 3]
+    variants = [v.algebra for e in catalog if e.size <= 3 for v in e.variants]
+    accepted = 0
+    for group in (bases, variants):
+        for a in group:
+            for b in group:
+                for image in itertools.product(range(b.size), repeat=a.size):
+                    accepted += _leaf_verdicts_agree(a, b, image)
+    assert accepted > 10
+
+
+def test_leaf_check_matches_validation_on_random_maps_into_dq():
+    sources = [v.algebra for e in build_catalog() if e.size == 4 for v in e.variants]
+    targets = [build_dq(base).algebra
+               for base in iterate_bases(2, True, SearchOptions()) if base.points == 2]
+    rng = random.Random(9)
+    for k in range(2000):
+        a, b = rng.choice(sources), rng.choice(targets)
+        image = [rng.randrange(b.size) for _ in range(a.size)]
+        if k % 2:
+            # past the unit, so the later parts of the check decide
+            image[a.one] = b.one
+        _leaf_verdicts_agree(a, b, tuple(image))
+
+
+def _hand_algebra(n, strict, product, one, tilde=None, minus=None, neg=None):
+    """An algebra on n elements ordered by the (transitive) pairs ``strict``,
+    with product ``"meet"``, ``"join"`` or a table; unary maps default to
+    the identity.  Not a DInFL-algebra in general."""
+    leq = np.eye(n, dtype=bool)
+    for i, j in strict:
+        leq[i, j] = True
+    ident = list(range(n))
+    if isinstance(product, str):
+        shape = FinAlgebra(leq, np.zeros((n, n), dtype=int), one, ident, ident)
+        product = shape.meet_table if product == "meet" else shape.join_table
+    return FinAlgebra(leq, product, one, tilde or ident, minus or ident, neg=neg or ident)
+
+
+def _maps_breaking_one_law():
+    chain = [(0, 1)]
+    square = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+    # 0 < 1, 2 < 3 < 4 and 0 < 1 < 2, 3 < 4
+    v_top = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+    v_bottom = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]
+    two = _hand_algebra(2, chain, "meet", 1)
+    return [
+        ("unit_preserved", two, _hand_algebra(2, chain, "meet", 0), (0, 1)),
+        ("tilde_preserved", two, _hand_algebra(2, chain, "meet", 1, tilde=[1, 0]), (0, 1)),
+        ("minus_preserved", two, _hand_algebra(2, chain, "meet", 1, minus=[1, 0]), (0, 1)),
+        ("neg_preserved", two, _hand_algebra(2, chain, "meet", 1, neg=[1, 0]), (0, 1)),
+        ("product_preserved", two, _hand_algebra(2, chain, "join", 1), (0, 1)),
+        ("join_preserved", _hand_algebra(4, square, "meet", 3),
+         _hand_algebra(5, v_top, "meet", 4), (0, 1, 2, 4)),
+        ("meet_preserved", _hand_algebra(4, square, "join", 0),
+         _hand_algebra(5, v_bottom, "join", 0), (0, 2, 3, 4)),
+    ]
+
+
+def test_leaf_check_rejects_a_map_breaking_any_single_law():
+    cases = _maps_breaking_one_law()
+    assert len({law for law, *_ in cases}) == 7
+    for law, a, b, image in cases:
+        assert validate_homomorphism(AlgHom(source=a, target=b, map=image)).laws_violated() \
+            == [law]
+        assert not _preserves(a, b)(list(image)), law
+
+
+def test_hom_search_validates_each_yielded_map_once(monkeypatch):
+    validated = []
+
+    def counting(h):
+        validated.append(h.map)
+        return validate_homomorphism(h)
+
+    monkeypatch.setattr(morphism, "validate_homomorphism", counting)
+    variants = [v.algebra for e in build_catalog() if e.size <= 4 for v in e.variants]
+    yielded = []
+    for a in variants:
+        for b in variants:
+            yielded += [h.map for h in enumerate_homs(a, b)]
+    assert len(yielded) > 50
+    assert sorted(validated) == sorted(yielded)
+    alg = catalog_lookup("D6_4_2").variants[0].algebra
+    validated.clear()
+    cert = representation_search(alg, 3)
+    # every base before the certificate's yields nothing
+    assert cert.base.points == 3 and validated == [cert.embedding]
+    validated.clear()
+    hom = embed_search(alg, build_dq(cert.base).algebra)
+    assert validated == [hom.map] == [cert.embedding]
 
 
 def test_hom_dual_needs_completeness(sugihara2):

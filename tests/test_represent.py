@@ -285,6 +285,53 @@ def test_tampered_certificate_fails(bool2):
     assert not verify_certificate(bool2, bad)
 
 
+def test_certificate_with_wrong_carrier_size_fails():
+    alg = catalog_lookup("D2_1_1").variants[0].algebra
+    result = representation_search(alg, 1)
+    assert verify_certificate(alg, result)
+    bad = RepresentationCertificate(base=result.base, embedding=result.embedding,
+                                    carrier_size=999)
+    assert not verify_certificate(alg, bad)
+
+
+def test_certificate_with_image_outside_target_fails(bool2):
+    result = representation_search(bool2, 1)
+    bad = RepresentationCertificate(
+        base=result.base,
+        embedding=(result.embedding[0], result.carrier_size),
+        carrier_size=result.carrier_size,
+    )
+    assert verify_certificate(bool2, bad) is False
+
+
+def test_representation_search_passes_undecided_bases():
+    alg = catalog_lookup("D1_1_1").variants[0].algebra
+    options = SearchOptions(embed_budget=12)
+    result = representation_search(alg, 2, options)
+    assert isinstance(result, RepresentationCertificate)
+    assert result == representation_search(alg, 2)
+    assert verify_certificate(alg, result)
+    undecided = 0
+    for base in iterate_bases(2, True, options):
+        if base == result.base:
+            break
+        try:
+            embed_search(alg, build_dq(base).algebra, budget=options.embed_budget)
+        except BudgetExhausted:
+            undecided += 1
+    assert undecided == 2
+
+
+def test_representation_search_ends_undecided():
+    alg = catalog_lookup("D4_1_3").variants[0].algebra
+    result = representation_search(alg, 2, SearchOptions(embed_budget=12))
+    assert isinstance(result, ExhaustionReport)
+    assert (result.bases_tried, result.bases_undecided) == (8, 5)
+    assert result.filter_witness is None
+    decided = representation_search(alg, 2)
+    assert (decided.bases_tried, decided.bases_undecided) == (8, 0)
+
+
 def test_filter_examples(bool2, sugihara3, lukasiewicz3):
     assert no_finite_rep_filter(lukasiewicz3) == 1
     assert no_finite_rep_filter(bool2) is None
