@@ -78,12 +78,11 @@ def cmd_check(args) -> int:
     elif isinstance(thing, FinAlgebra):
         kind = "DqRA" if thing.has_neg() else "DInFL-algebra"
         reports = [(kind, validate_dqra(thing) if thing.has_neg() else validate_dinfl(thing))]
-    elif isinstance(thing, CatalogEntry):
-        reports = [(f"DInFL-algebra {thing.name}", validate_dinfl(thing.base))] + [
-            (f"DqRA {v.algebra.name}", validate_dqra(v.algebra)) for v in thing.variants
+    elif isinstance(thing, (CatalogEntry, AtomStructure4)):
+        reports = [
+            (kind, validate_dqra(alg) if alg.has_neg() else validate_dinfl(alg))
+            for kind, alg in _named_algebras(thing)
         ]
-    elif isinstance(thing, AtomStructure4):
-        reports = [(f"DqRA {thing.name}", validate_dqra(ra_from_atoms(thing, check=False)))]
     elif isinstance(thing, (FrameMap, AlgHom)):
         return cmd_morphism_check(args)
     elif isinstance(thing, RepBase):
@@ -93,6 +92,17 @@ def cmd_check(args) -> int:
     else:
         raise StructuralError(f"check cannot validate a {type(thing).__name__}")
     return _print_reports(reports)
+
+
+def _named_algebras(thing) -> list[tuple[str, FinAlgebra]]:
+    """The algebras behind a bundled name, each with its label: a catalogue
+    entry's base DInFL-algebra and every DqRA variant, or the 16-element
+    algebra of an atom table."""
+    if isinstance(thing, CatalogEntry):
+        return [(f"DInFL-algebra {thing.name}", thing.base)] + [
+            (f"DqRA {v.algebra.name}", v.algebra) for v in thing.variants
+        ]
+    return [(f"DqRA {thing.name}", ra_from_atoms(thing, check=False))]
 
 
 def _print_reports(reports) -> int:
@@ -138,6 +148,10 @@ def cmd_roundtrip(args) -> int:
     elif isinstance(thing, PointedFrame):
         witness = roundtrip_frame(thing.frame)
         print(f"frame round-trip ok; witness {list(witness)}")
+    elif isinstance(thing, (CatalogEntry, AtomStructure4)):
+        for kind, alg in _named_algebras(thing):
+            witness = roundtrip_algebra(alg)
+            print(f"{kind}: algebra round-trip ok; witness {list(witness)}")
     else:
         raise StructuralError("roundtrip expects an algebra or frame")
     return OK
@@ -257,15 +271,20 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_priestley(args) -> int:
-    alg = _load_input(args.input)
-    if not isinstance(alg, FinAlgebra):
+    thing = _load_input(args.input)
+    if args.roundtrip and isinstance(thing, (CatalogEntry, AtomStructure4)):
+        for kind, alg in _named_algebras(thing):
+            witness = priestley_roundtrip(alg)
+            print(f"{kind}: filter-space round-trip ok; witness {list(witness)}")
+        return OK
+    if not isinstance(thing, FinAlgebra):
         raise StructuralError("priestley expects an algebra")
     if args.roundtrip:
-        witness = priestley_roundtrip(alg)
+        witness = priestley_roundtrip(thing)
         print(f"filter-space round-trip ok; witness {list(witness)}")
         return OK
 
-    _emit(filter_frame(alg), args)
+    _emit(filter_frame(thing), args)
     return OK
 
 

@@ -11,6 +11,7 @@ upsets recover the algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import FinAlgebra, ValidationReport, join_irreducibles
 from .errors import InternalCheckError, PreconditionError, StructuralError
@@ -19,22 +20,47 @@ from .iso import check_witness
 from .order import Poset, bits, mask_of, popcount
 
 
+class _Tables(NamedTuple):
+    """An algebra's tables as Python lists, made once per construction so
+    the filter loops never read a numpy scalar."""
+
+    full: int
+    up: tuple[int, ...]
+    meet: list[list[int]]
+    join: list[list[int]]
+    product: list[list[int]]
+    unaries: tuple[list[int], ...]  # tilde, minus and, when present, neg
+
+
+def _tables(alg: FinAlgebra) -> _Tables:
+    unaries = (alg.tilde, alg.minus) + (() if alg.neg is None else (alg.neg,))
+    return _Tables((1 << alg.size) - 1, alg.order_poset.up, alg.meet_table.tolist(),
+                   alg.join_table.tolist(), alg.product.tolist(),
+                   tuple(op.tolist() for op in unaries))
+
+
 def is_gen_prime_filter(alg: FinAlgebra, fmask: int) -> bool:
     """Empty, total, or a proper nonempty prime filter of the lattice."""
-    full = (1 << alg.size) - 1
-    if fmask in (0, full):
+    return _is_gen_prime_filter(_tables(alg), fmask)
+
+
+def _is_gen_prime_filter(tables: _Tables, fmask: int) -> bool:
+    if fmask in (0, tables.full):
         return True
-    for a in bits(fmask):
-        if alg.order_poset.up[a] & ~fmask:
+    members = list(bits(fmask))
+    for a in members:
+        if tables.up[a] & ~fmask:
             return False
-    for a in bits(fmask):
-        for b in bits(fmask):
-            if not (fmask >> alg.meet_table[a, b]) & 1:
+    for a in members:
+        row = tables.meet[a]
+        for b in members:
+            if not (fmask >> row[b]) & 1:
                 return False
-    comp = full & ~fmask
-    for a in bits(comp):
-        for b in bits(comp):
-            if (fmask >> alg.join_table[a, b]) & 1:
+    outside = list(bits(tables.full & ~fmask))
+    for a in outside:
+        row = tables.join[a]
+        for b in outside:
+            if (fmask >> row[b]) & 1:
                 return False
     return True
 
@@ -46,51 +72,53 @@ def gen_prime_filters(alg: FinAlgebra) -> list[int]:
     On a finite distributive lattice these are the empty set, the whole
     carrier, and the principal filters at join-irreducible elements.
     """
-    full = (1 << alg.size) - 1
-    filters = {0, full}
+    tables = _tables(alg)
+    filters = {0, tables.full}
     for j in join_irreducibles(alg):
-        filters.add(alg.order_poset.up[j])
+        filters.add(tables.up[j])
     out = sorted(filters, key=lambda m: (popcount(m), m))
     for f in out:
-        if not is_gen_prime_filter(alg, f):
+        if not _is_gen_prime_filter(tables, f):
             raise InternalCheckError(f"candidate {f:b} is not a generalised prime filter")
     return out
 
 
 def filter_unaries(alg: FinAlgebra, fmask: int):
     """(F^~, F^-, F^neg); each is again a generalised prime filter."""
-    full = (1 << alg.size) - 1
-    comp = full & ~fmask
+    return _filter_unaries(_tables(alg), fmask)
 
-    def image(op):
-        return mask_of(int(op[a]) for a in bits(comp))
 
-    f_tilde = image(alg.tilde)
-    f_minus = image(alg.minus)
-    f_neg = None if alg.neg is None else image(alg.neg)
-    for out in (f_tilde, f_minus) + ((f_neg,) if f_neg is not None else ()):
-        if not is_gen_prime_filter(alg, out):
+def _filter_unaries(tables: _Tables, fmask: int):
+    outside = list(bits(tables.full & ~fmask))
+    images = [mask_of(op[a] for a in outside) for op in tables.unaries]
+    for out in images:
+        if not _is_gen_prime_filter(tables, out):
             raise InternalCheckError("negation image of a filter is not a filter")
-    return f_tilde, f_minus, f_neg
+    f_tilde, f_minus, *f_neg = images
+    return f_tilde, f_minus, f_neg[0] if f_neg else None
 
 
 def filter_product(alg: FinAlgebra, fmask: int, gmask: int) -> list[int]:
     """All generalised prime filters containing every product a.b with
     a in F, b in G; upward closed in containment."""
-    return _filter_product(alg, gen_prime_filters(alg), fmask, gmask)
+    return _filter_product(_tables(alg).product, gen_prime_filters(alg), fmask, gmask)
 
 
-def _filter_product(alg: FinAlgebra, filters: list[int], fmask: int, gmask: int) -> list[int]:
-    """``filter_product`` over the already computed ``gen_prime_filters(alg)``."""
+def _filter_product(product: list[list[int]], filters: list[int], fmask: int,
+                    gmask: int) -> list[int]:
+    """``filter_product`` over the product table as lists and the already
+    computed ``gen_prime_filters``."""
     need = 0
+    right = list(bits(gmask))
     for a in bits(fmask):
-        row = alg.product[a]
-        for b in bits(gmask):
-            need |= 1 << int(row[b])
+        row = product[a]
+        for b in right:
+            need |= 1 << row[b]
     out = [h for h in filters if need & ~h == 0]
+    chosen = set(out)
     for h in out:
         for h2 in filters:
-            if h & ~h2 == 0 and h2 not in out:
+            if h & ~h2 == 0 and h2 not in chosen:
                 raise InternalCheckError("filter product is not upward closed")
     return out
 
@@ -141,6 +169,7 @@ def filter_frame(alg: FinAlgebra) -> PointedFrame:
 
 def _filter_frame(alg: FinAlgebra, filters: list[int]) -> PointedFrame:
     """``filter_frame`` over the already computed ``gen_prime_filters(alg)``."""
+    tables = _tables(alg)
     index = {f: i for i, f in enumerate(filters)}
     n = len(filters)
     up = tuple(
@@ -151,7 +180,7 @@ def _filter_frame(alg: FinAlgebra, filters: list[int]) -> PointedFrame:
     comp = [[0] * n for _ in range(n)]
     for i, f in enumerate(filters):
         for j, g in enumerate(filters):
-            comp[i][j] = mask_of(index[h] for h in _filter_product(alg, filters, f, g))
+            comp[i][j] = mask_of(index[h] for h in _filter_product(tables.product, filters, f, g))
 
     def position(f):
         if f not in index:
@@ -162,7 +191,7 @@ def _filter_frame(alg: FinAlgebra, filters: list[int]) -> PointedFrame:
 
     tilde, minus, neg = [], [], ([] if alg.neg is not None else None)
     for f in filters:
-        ft, fm, fn = filter_unaries(alg, f)
+        ft, fm, fn = _filter_unaries(tables, f)
         tilde.append(position(ft))
         minus.append(position(fm))
         if neg is not None:

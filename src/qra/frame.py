@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import (
     FinAlgebra,
     ValidationReport,
+    _witnesses,
     join_irreducibles,
     kappa_map,
 )
@@ -135,9 +136,31 @@ def empty_frame(name: str | None = None) -> Frame:
 # -- validation -------------------------------------------------------------
 
 
+def _membership(frame: Frame) -> np.ndarray:
+    """The cube member[x, y, w] = (w in comp[x][y])."""
+    n, width = frame.size, max(1, -(-frame.size // 64))
+    cells = _words([cell for row in frame.comp for cell in row], width)
+    member = np.unpackbits(cells.view(np.uint8), axis=1, count=n, bitorder="little")
+    return member.astype(bool).reshape(n, n, n)
+
+
 def validate_dinfl_frame(frame: Frame) -> ValidationReport:
     """Check every defining frame condition, plus the derived monotonicity
-    and inverse laws as redundancy."""
+    and inverse laws as redundancy.
+
+    The conditions on the composition are read off one boolean cube,
+    member[x, y, w] = (w in x o y), built once per call.  Associativity is
+    checked one x at a time by two matrix products of the cube's slices,
+    (x o y) o z and x o (y o z) for every y and z at once, so no array is
+    larger than n**3; the witness sets are composed only at the failing
+    triples.  Rotation, the upset condition and the antitone laws are
+    gathers and products of the same cube.  Witnesses and their order are
+    those of a plain loop over the tuples in lexicographic order.
+    """
+    return _dinfl_report(frame, _membership(frame))
+
+
+def _dinfl_report(frame: Frame, member: np.ndarray) -> ValidationReport:
     rep = ValidationReport(subject=frame.name or "frame")
     n = frame.size
     poset = frame.poset
@@ -146,6 +169,8 @@ def validate_dinfl_frame(frame: Frame) -> ValidationReport:
     comp = frame.comp
     identity = frame.identity
     tilde, minus = frame.tilde, frame.minus
+    cube = member.astype(np.float32)
+    leq = np.array(poset.matrix(), dtype=np.float32).reshape(n, n)
 
     if not poset.is_upset(identity):
         xs = [x for x in bits(identity) if up[x] & ~identity]
@@ -160,23 +185,26 @@ def validate_dinfl_frame(frame: Frame) -> ValidationReport:
             rep.add("identity_composition_left", (x, left, up[x]))
         if right != up[x]:
             rep.add("identity_composition_right", (x, right, up[x]))
+    closed = (cube.reshape(n * n, n) @ leq > 0).reshape(n, n, n)
+    for witness in _witnesses((closed & ~member).any(axis=2)):
+        rep.add("composition_upset", witness)
+    # lhs[y, z, w]: w in (x o y) o z;  rhs[y, z, w]: w in x o (y o z)
+    by_left, by_right = cube.reshape(n, n * n), cube.reshape(n * n, n)
+    broken = np.zeros((n, n, n), dtype=bool)
     for x in range(n):
-        for y in range(n):
-            if not poset.is_upset(comp[x][y]):
-                rep.add("composition_upset", (x, y))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = frame.compose_sets(comp[x][y], 1 << z)
-                rhs = frame.compose_sets(1 << x, comp[y][z])
-                if lhs != rhs:
-                    rep.add("composition_associative", (x, y, z, lhs, rhs))
-    for x in range(n):
-        for y in range(n):
-            cell = comp[x][y]
-            for z in range(n):
-                if ((cell >> tilde[z]) & 1) != ((comp[z][x] >> minus[y]) & 1):
-                    rep.add("rotation", (x, y, z))
+        lhs = (cube[x] @ by_left).reshape(n, n, n) > 0
+        rhs = (by_right @ cube[x]).reshape(n, n, n) > 0
+        broken[x] = (lhs != rhs).any(axis=2)
+    for x, y, z in _witnesses(broken):
+        lhs = frame.compose_sets(comp[x][y], 1 << z)
+        rhs = frame.compose_sets(1 << x, comp[y][z])
+        rep.add("composition_associative", (x, y, z, lhs, rhs))
+    tilde_at = np.array(tilde, dtype=np.intp)
+    minus_at = np.array(minus, dtype=np.intp)
+    # z^~ in x o y  iff  y^- in z o x
+    rotated = member[:, :, tilde_at] != member[:, :, minus_at].transpose(1, 2, 0)
+    for witness in _witnesses(rotated):
+        rep.add("rotation", witness)
     for x in range(n):
         if not poset.leq(minus[tilde[x]], x):
             rep.add("linear_negation_collapse", (x, "tilde-minus"))
@@ -190,38 +218,43 @@ def validate_dinfl_frame(frame: Frame) -> ValidationReport:
         for y in bits(up[x]):
             if not poset.leq(tilde[y], tilde[x]) or not poset.leq(minus[y], minus[x]):
                 rep.add("derived_negation_antitone", (x, y))
-    for x in range(n):
-        for w in range(n):
-            target = comp[x][w]
-            for y in bits(up[x] ^ (1 << x)):
-                if comp[y][w] & ~target:
-                    rep.add("derived_composition_antitone_left", (x, y, w))
-                if comp[w][y] & ~comp[w][x]:
-                    rep.add("derived_composition_antitone_right", (x, y, w))
+    # escapes[w, y, x]: y o w is not inside x o w (left), w o y not inside w o x
+    outside = (~member).astype(np.float32)
+    escapes_left = np.matmul(cube.transpose(1, 0, 2), outside.transpose(1, 2, 0)) > 0
+    escapes_right = np.matmul(cube, outside.transpose(0, 2, 1)) > 0
+    above = (leq > 0) & ~np.eye(n, dtype=bool)
+    found = [
+        ((x, w, y), law)
+        for law, escapes in (("derived_composition_antitone_left", escapes_left),
+                             ("derived_composition_antitone_right", escapes_right))
+        # at [x, w, y] for every y strictly above x
+        for x, w, y in _witnesses(above[:, None, :] & escapes.transpose(2, 0, 1))
+    ]
+    for (x, w, y), law in sorted(found):
+        rep.add(law, (x, y, w))
     return rep
 
 
 def validate_dqra_frame(frame: Frame) -> ValidationReport:
     if frame.neg is None:
         raise SignatureError("frame carries no neg map")
-    rep = validate_dinfl_frame(frame)
+    member = _membership(frame)
+    rep = _dinfl_report(frame, member)
     n = frame.size
     poset = frame.poset
     neg, tilde, minus = frame.neg, frame.tilde, frame.minus
-    comp = frame.comp
     for x in range(n):
         if neg[neg[x]] != x:
             rep.add("neg_involution", (x,))
         for y in bits(poset.up[x]):
             if not poset.leq(neg[y], neg[x]):
                 rep.add("neg_antitone", (x, y))
-    for x in range(n):
-        for y in range(n):
-            cell = comp[x][y]
-            twisted = comp[neg[tilde[y]]][neg[tilde[x]]]
-            for z in range(n):
-                if ((cell >> minus[z]) & 1) != ((twisted >> neg[z]) & 1):
-                    rep.add("neg_rotation", (x, y, z))
+    # z^- in x o y  iff  z^neg in (y^~)^neg o (x^~)^neg
+    twist = np.array([neg[t] for t in tilde], dtype=np.intp)
+    neg_at = np.array(neg, dtype=np.intp)
+    twisted = member[np.ix_(twist, twist, neg_at)].transpose(1, 0, 2)
+    for witness in _witnesses(member[:, :, np.array(minus, dtype=np.intp)] != twisted):
+        rep.add("neg_rotation", witness)
     for x in range(n):
         if neg[tilde[x]] != minus[neg[x]]:
             rep.add("derived_neg_tilde_compat", (x,))

@@ -184,15 +184,20 @@ def closed_subsets(alg: FinAlgebra) -> list[int]:
     """All subsets of the carrier containing 1 and closed under join,
     product and tilde, as element-index bitmasks."""
     n = alg.size
+    # the tables as lists, read once; pair[x][y] has the bits of x v y and x.y
+    tilde = [1 << t for t in alg.tilde.tolist()]
+    pair = [[(1 << j) | (1 << p) for j, p in zip(join_row, product_row)]
+            for join_row, product_row in zip(alg.join_table.tolist(), alg.product.tolist())]
 
     def closure(mask):
         while True:
             new = mask
-            for x in bits(mask):
-                new |= 1 << int(alg.tilde[x])
-                for y in bits(mask):
-                    new |= 1 << int(alg.join_table[x, y])
-                    new |= 1 << int(alg.product[x, y])
+            members = list(bits(mask))
+            for x in members:
+                new |= tilde[x]
+                row = pair[x]
+                for y in members:
+                    new |= row[y]
             if new == mask:
                 return mask
             mask = new

@@ -340,24 +340,24 @@ class SearchOptions:
 
 
 def iterate_bases(max_points: int, need_beta: bool, options: SearchOptions):
-    """Bases ordered by point count, then canonical poset order."""
-    for size in range(1, max_points + 1):
-        for poset in all_posets(size):
-            if need_beta and not poset.is_self_dual:
-                continue
-            equivs = _equivalences_containing(poset)
-            if options.full_e_only:
-                equivs = [tuple([poset.carrier] * poset.n)]
-            for equiv in equivs:
-                alphas = _order_automorphisms(poset, equiv)
-                if options.alpha_id_only:
-                    alphas = [tuple(range(poset.n))]
-                for alpha in alphas:
-                    if need_beta:
-                        for beta in _beta_candidates(poset, equiv, alpha):
-                            yield RepBase(poset, equiv, alpha, beta)
-                    else:
-                        yield RepBase(poset, equiv, alpha, None)
+    """Bases ordered by point count, then canonical poset order; each base
+    once (``all_posets`` already lists every poset on 1..max_points points)."""
+    for poset in all_posets(max_points):
+        if need_beta and not poset.is_self_dual:
+            continue
+        equivs = _equivalences_containing(poset)
+        if options.full_e_only:
+            equivs = [tuple([poset.carrier] * poset.n)]
+        for equiv in equivs:
+            alphas = _order_automorphisms(poset, equiv)
+            if options.alpha_id_only:
+                alphas = [tuple(range(poset.n))]
+            for alpha in alphas:
+                if need_beta:
+                    for beta in _beta_candidates(poset, equiv, alpha):
+                        yield RepBase(poset, equiv, alpha, beta)
+                else:
+                    yield RepBase(poset, equiv, alpha, None)
 
 
 def representation_search(alg: FinAlgebra, max_points: int,

@@ -1,3 +1,7 @@
+import random
+
+import numpy as np
+
 from qra import (
     FinAlgebra,
     dual_frame,
@@ -35,6 +39,41 @@ def test_filters_brute_force_on_catalog():
             continue
         alg = entry.base
         assert sorted(gen_prime_filters(alg)) == sorted(brute_force_filters(alg))
+
+
+def _catalog_algebras():
+    for entry in build_catalog():
+        yield entry.base
+        yield from (v.algebra for v in entry.variants)
+
+
+def test_is_gen_prime_filter_matches_the_definition_on_catalog():
+    for alg in _catalog_algebras():
+        n = alg.size
+        leq, meet, join = alg.leq, alg.meet_table, alg.join_table
+        for m in range(1 << n):
+            inside = (m >> np.arange(n)) & 1 == 1
+            pairs = inside[:, None] & inside[None, :]
+            proper = (
+                not (inside[:, None] & leq & ~inside[None, :]).any()  # an upset
+                and inside[meet][pairs].all()  # closed under meet
+                and not (inside[join] & ~inside[:, None] & ~inside[None, :]).any()  # prime
+            )
+            assert is_gen_prime_filter(alg, m) == (m in (0, (1 << n) - 1) or proper), \
+                (alg.name, m)
+
+
+def test_filter_product_matches_the_definition_on_catalog():
+    rng = random.Random(5)
+    for alg in _catalog_algebras():
+        n = alg.size
+        filters = gen_prime_filters(alg)
+        masks = filters + [rng.randrange(1 << n) for _ in range(4)]
+        for f in masks:
+            for g in masks:
+                products = alg.product[np.ix_(list(bits(f)), list(bits(g)))].ravel()
+                want = [h for h in filters if all((h >> int(p)) & 1 for p in products)]
+                assert filter_product(alg, f, g) == want, (alg.name, f, g)
 
 
 def test_filter_unaries_examples(sugihara3):

@@ -12,11 +12,12 @@ from qra.bundled import bundled_frame, bundled_frames, bundled_lookup
 from qra.cli import main
 from qra.algebra import validate_dqra
 from qra.errors import StructuralError
-from qra.filters import PointedFrame
-from qra.frame import frame_iso
+from qra.filters import PointedFrame, priestley_roundtrip
+from qra.frame import frame_iso, roundtrip_algebra
 from qra.morphism import AlgHom
 from qra.represent import RepBase, SearchOptions
 from qra.order import Poset
+from qra.ra import ra_from_atoms
 
 DATA = Path(__file__).parent / "data"
 
@@ -192,7 +193,7 @@ def test_cli_represent_undecided(capsys, monkeypatch):
     assert run_cli("represent", path, "--max-points", "2") == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"] == "undecided"
-    assert (payload["bases_tried"], payload["bases_undecided"]) == (8, 5)
+    assert (payload["bases_tried"], payload["bases_undecided"]) == (7, 5)
 
 
 def test_cli_subreducts(capsys):
@@ -232,6 +233,29 @@ def test_cli_check_bundled_algebras(capsys):
     ]
     assert run_cli("check", "RA13") == 0
     assert capsys.readouterr().out == "DqRA RA13: ok\n"
+
+
+@pytest.mark.parametrize("argv, check, line", [
+    (("roundtrip",), roundtrip_algebra, "algebra round-trip ok"),
+    (("priestley", "--roundtrip"), priestley_roundtrip, "filter-space round-trip ok"),
+])
+def test_cli_roundtrips_on_bundled_names(capsys, argv, check, line):
+    entry = bundled_lookup("D4_2_1_2")
+    assert run_cli(*argv, "D4_2_1_2") == 0
+    algebras = [("DInFL-algebra", entry.base)] + [("DqRA", v.algebra) for v in entry.variants]
+    assert capsys.readouterr().out.splitlines() == [
+        f"{kind} {alg.name}: {line}; witness {list(check(alg))}" for kind, alg in algebras
+    ]
+    assert run_cli(*argv, "RA13") == 0
+    ra13 = ra_from_atoms(bundled_lookup("RA13"))
+    assert capsys.readouterr().out == f"DqRA RA13: {line}; witness {list(check(ra13))}\n"
+
+
+@pytest.mark.parametrize("argv", [("dual",), ("priestley",), ("represent",)])
+def test_cli_other_verbs_reject_bundled_names(capsys, argv):
+    for name in ("D4_1_3", "RA13"):
+        assert run_cli(*argv, name) == 2
+        assert "expects an algebra" in capsys.readouterr().err
 
 
 def test_cli_check_broken_atom_structure_and_unknown_type(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qra import (
@@ -11,6 +12,7 @@ from qra import (
     symmetric_subreduct_check,
     validate_dqra,
 )
+from qra.catalog import build_catalog
 from qra.errors import PreconditionError, StructuralError
 from qra.order import bits
 from qra.ra import (
@@ -115,6 +117,28 @@ def test_closed_subsets_contain_unit_and_are_closed():
             for y in bits(mask):
                 assert (mask >> int(alg.product[x, y])) & 1
                 assert (mask >> int(alg.join_table[x, y])) & 1
+
+
+def brute_force_closed_subsets(alg):
+    """Every subset containing 1 closed under tilde, join and product, found
+    by testing all of them at once against the numpy tables."""
+    n = alg.size
+    masks = np.arange(1 << n)
+    masks = masks[(masks >> alg.one) & 1 == 1]
+    member = (masks[:, None] >> np.arange(n)) & 1 == 1
+    pairs = member[:, :, None] & member[:, None, :]
+    closed = ~(member & ~member[:, alg.tilde]).any(axis=1)
+    for table in (alg.join_table, alg.product):
+        closed &= ~(pairs & ~member[:, table]).any(axis=(1, 2))
+    return masks[closed].tolist()
+
+
+def test_closed_subsets_match_brute_force():
+    algebras = [ra_from_atoms(atom_structure(i), check=False) for i in (1, 13)]
+    for entry in build_catalog():
+        algebras += [entry.base] + [v.algebra for v in entry.variants]
+    for alg in algebras:
+        assert closed_subsets(alg) == brute_force_closed_subsets(alg), alg.name
 
 
 def test_symmetric_ras_have_no_proper_subreducts():
