@@ -6,63 +6,47 @@ empty set and the whole carrier.  On a finite carrier every subset is
 clopen, so the topological side of the duality is discharged and recorded
 as a note; what remains is a doubly-pointed frame whose proper non-empty
 upsets recover the algebra.
+
+On a finite algebra the proper non-empty filters are the principal filters
+up(j) at the join-irreducibles j, the points of the dual frame, so the
+doubly-pointed frame is the dual frame with the empty filter as its bottom
+and the carrier as its top.  ``filter_product`` and ``filter_unaries`` give
+its operations by their definitions, for tests to compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .algebra import FinAlgebra, ValidationReport, join_irreducibles
 from .errors import InternalCheckError, PreconditionError, StructuralError
-from .frame import Frame, upset_algebra, validate_frame
+from .frame import Frame, dual_frame, upset_algebra, validate_frame
 from .iso import check_witness
 from .order import Poset, bits, mask_of, popcount
 
 
-class _Tables(NamedTuple):
-    """An algebra's tables as Python lists, made once per construction so
-    the filter loops never read a numpy scalar."""
-
-    full: int
-    up: tuple[int, ...]
-    meet: list[list[int]]
-    join: list[list[int]]
-    product: list[list[int]]
-    unaries: tuple[list[int], ...]  # tilde, minus and, when present, neg
-
-
-def _tables(alg: FinAlgebra) -> _Tables:
-    unaries = (alg.tilde, alg.minus) + (() if alg.neg is None else (alg.neg,))
-    return _Tables((1 << alg.size) - 1, alg.order_poset.up, alg.meet_table.tolist(),
-                   alg.join_table.tolist(), alg.product.tolist(),
-                   tuple(op.tolist() for op in unaries))
-
-
 def is_gen_prime_filter(alg: FinAlgebra, fmask: int) -> bool:
     """Empty, total, or a proper nonempty prime filter of the lattice."""
-    return _is_gen_prime_filter(_tables(alg), fmask)
+    # answered first: an order that is not a lattice has no meet or join table
+    return fmask in (0, (1 << alg.size) - 1) or _prime_filter_test(alg)(fmask)
 
 
-def _is_gen_prime_filter(tables: _Tables, fmask: int) -> bool:
-    if fmask in (0, tables.full):
-        return True
-    members = list(bits(fmask))
-    for a in members:
-        if tables.up[a] & ~fmask:
+def _prime_filter_test(alg: FinAlgebra):
+    """The generalised prime filter test over the lattice tables as Python
+    lists, read once so the loops never read a numpy scalar."""
+    full, up = (1 << alg.size) - 1, alg.order_poset.up
+    meet, join = alg.meet_table.tolist(), alg.join_table.tolist()
+
+    def test(fmask: int) -> bool:
+        members = list(bits(fmask))
+        if any(up[a] & ~fmask for a in members):
             return False
-    for a in members:
-        row = tables.meet[a]
-        for b in members:
-            if not (fmask >> row[b]) & 1:
-                return False
-    outside = list(bits(tables.full & ~fmask))
-    for a in outside:
-        row = tables.join[a]
-        for b in outside:
-            if (fmask >> row[b]) & 1:
-                return False
-    return True
+        if any(not (fmask >> meet[a][b]) & 1 for a in members for b in members):
+            return False
+        outside = list(bits(full & ~fmask))
+        return not any((fmask >> join[a][b]) & 1 for a in outside for b in outside)
+
+    return test
 
 
 def gen_prime_filters(alg: FinAlgebra) -> list[int]:
@@ -72,27 +56,24 @@ def gen_prime_filters(alg: FinAlgebra) -> list[int]:
     On a finite distributive lattice these are the empty set, the whole
     carrier, and the principal filters at join-irreducible elements.
     """
-    tables = _tables(alg)
-    filters = {0, tables.full}
-    for j in join_irreducibles(alg):
-        filters.add(tables.up[j])
+    up = alg.order_poset.up
+    filters = {0, (1 << alg.size) - 1} | {up[j] for j in join_irreducibles(alg)}
     out = sorted(filters, key=lambda m: (popcount(m), m))
+    test = _prime_filter_test(alg)
     for f in out:
-        if not _is_gen_prime_filter(tables, f):
+        if not test(f):
             raise InternalCheckError(f"candidate {f:b} is not a generalised prime filter")
     return out
 
 
 def filter_unaries(alg: FinAlgebra, fmask: int):
     """(F^~, F^-, F^neg); each is again a generalised prime filter."""
-    return _filter_unaries(_tables(alg), fmask)
-
-
-def _filter_unaries(tables: _Tables, fmask: int):
-    outside = list(bits(tables.full & ~fmask))
-    images = [mask_of(op[a] for a in outside) for op in tables.unaries]
+    outside = list(bits(((1 << alg.size) - 1) & ~fmask))
+    ops = (alg.tilde, alg.minus) + (() if alg.neg is None else (alg.neg,))
+    images = [mask_of(int(op[a]) for a in outside) for op in ops]
+    test = _prime_filter_test(alg)
     for out in images:
-        if not _is_gen_prime_filter(tables, out):
+        if not test(out):
             raise InternalCheckError("negation image of a filter is not a filter")
     f_tilde, f_minus, *f_neg = images
     return f_tilde, f_minus, f_neg[0] if f_neg else None
@@ -101,19 +82,11 @@ def _filter_unaries(tables: _Tables, fmask: int):
 def filter_product(alg: FinAlgebra, fmask: int, gmask: int) -> list[int]:
     """All generalised prime filters containing every product a.b with
     a in F, b in G; upward closed in containment."""
-    return _filter_product(_tables(alg).product, gen_prime_filters(alg), fmask, gmask)
-
-
-def _filter_product(product: list[list[int]], filters: list[int], fmask: int,
-                    gmask: int) -> list[int]:
-    """``filter_product`` over the product table as lists and the already
-    computed ``gen_prime_filters``."""
+    filters = gen_prime_filters(alg)
     need = 0
-    right = list(bits(gmask))
     for a in bits(fmask):
-        row = product[a]
-        for b in right:
-            need |= 1 << row[b]
+        for b in bits(gmask):
+            need |= 1 << int(alg.product[a, b])
     out = [h for h in filters if need & ~h == 0]
     chosen = set(out)
     for h in out:
@@ -163,43 +136,48 @@ def validate_pointed_frame(pf: PointedFrame) -> ValidationReport:
 
 
 def filter_frame(alg: FinAlgebra) -> PointedFrame:
-    """The doubly-pointed frame on the generalised prime filters."""
-    return _filter_frame(alg, gen_prime_filters(alg))
-
-
-def _filter_frame(alg: FinAlgebra, filters: list[int]) -> PointedFrame:
-    """``filter_frame`` over the already computed ``gen_prime_filters(alg)``."""
-    tables = _tables(alg)
+    """The doubly-pointed frame on the generalised prime filters, in
+    ``gen_prime_filters`` order, built from the dual frame: point j becomes
+    up(j), each cell and the identity gain the top, composing with the
+    bottom gives every point, composing the top with any other point gives
+    the top alone (a.0 = 0), and the maps swap the bounds.
+    ``frame.carrier_elements`` lists each point's filter as a bitmask.
+    """
+    filters = gen_prime_filters(alg)
+    dual = dual_frame(alg)
     index = {f: i for i, f in enumerate(filters)}
+    point = [index[alg.order_poset.up[j]] for j in dual.carrier_elements]
     n = len(filters)
-    up = tuple(
-        mask_of(j for j, g in enumerate(filters) if f & ~g == 0) for f in filters
-    )
-    poset = Poset(up)
-    identity = mask_of(i for i, f in enumerate(filters) if (f >> alg.one) & 1)
-    comp = [[0] * n for _ in range(n)]
-    for i, f in enumerate(filters):
-        for j, g in enumerate(filters):
-            comp[i][j] = mask_of(index[h] for h in _filter_product(tables.product, filters, f, g))
+    bottom, top = index[0], index[(1 << alg.size) - 1]
+    everything, top_only = (1 << n) - 1, 1 << top
 
-    def position(f):
-        if f not in index:
-            raise InternalCheckError(
-                "negation image of a filter left the generalised prime filters"
-            )
-        return index[f]
+    def image(mask):
+        return mask_of(point[i] for i in bits(mask)) | top_only
 
-    tilde, minus, neg = [], [], ([] if alg.neg is not None else None)
-    for f in filters:
-        ft, fm, fn = _filter_unaries(tables, f)
-        tilde.append(position(ft))
-        minus.append(position(fm))
-        if neg is not None:
-            neg.append(position(fn))
+    up = [top_only] * n
+    up[bottom] = everything
+    comp = [[top_only] * n for _ in range(n)]
+    for x in range(n):
+        comp[bottom][x] = comp[x][bottom] = everything
+    for i, x in enumerate(point):
+        up[x] = image(dual.poset.up[i])
+        for k, y in enumerate(point):
+            comp[x][y] = image(dual.comp[i][k])
+
+    def carry(op):
+        if op is None:
+            return None
+        out = [0] * n
+        out[bottom], out[top] = top, bottom
+        for i, x in enumerate(point):
+            out[x] = point[op[i]]
+        return out
+
     name = None if alg.name is None else f"filters({alg.name})"
-    frame = Frame(poset, identity, comp, tilde, minus, neg=neg, name=name)
-    full = (1 << alg.size) - 1
-    pf = PointedFrame(frame=frame, bottom=index[0], top=index[full])
+    frame = Frame(Poset(tuple(up)), image(dual.identity), comp, carry(dual.tilde),
+                  carry(dual.minus), neg=carry(dual.neg), name=name)
+    frame.carrier_elements = tuple(filters)
+    pf = PointedFrame(frame=frame, bottom=bottom, top=top)
     rep = validate_pointed_frame(pf)
     if not rep.ok:
         raise InternalCheckError(f"filter frame failed validation: {rep.summary()}")
@@ -225,8 +203,8 @@ def priestley_roundtrip(alg: FinAlgebra) -> list[int]:
     Returns the witness a -> X_a, where X_a collects the filters
     containing a.
     """
-    filters = gen_prime_filters(alg)
-    pf = _filter_frame(alg, filters)
+    pf = filter_frame(alg)
+    filters = pf.frame.carrier_elements
     ups = _proper_upsets(pf)
     back = upset_algebra(pf.frame, ups)
     index = {m: i for i, m in enumerate(ups)}

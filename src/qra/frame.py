@@ -12,6 +12,7 @@ that constructively.
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +24,7 @@ from .algebra import (
     join_irreducibles,
     kappa_map,
 )
-from .errors import InternalCheckError, SignatureError, StructuralError
+from .errors import InternalCheckError, PreconditionError, SignatureError, StructuralError
 from .iso import Structure, check_witness, isomorphisms
 from .order import Poset, bits, mask_of, row_masks
 
@@ -309,6 +310,11 @@ def _positions(sets: np.ndarray, found: np.ndarray, what: str) -> np.ndarray:
     return np.argsort(rank)[query]
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, as the operating system reports them."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
     """The algebra on the listed upsets of the frame, ordered by inclusion.
 
@@ -318,9 +324,15 @@ def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
     whose sets must be distinct.  U.V, the union of comp[x][y] over x in U
     and y in V, is formed in two vectorised stages: over the points y of V,
     then over the points x of U.  Sets are rows of 64-bit words, so the
-    tables are exact for any number of points.
+    tables are exact for any number of points.  A product table larger
+    than physical memory, as word rows and then as int64 positions, raises
+    before anything is allocated.
     """
     n, width = frame.size, max(1, -(-frame.size // 64))
+    need, memory = 8 * (width + 1) * len(ups) ** 2, _physical_memory()
+    if need > memory:
+        raise PreconditionError(f"the product table of {len(ups)} upsets needs {need / 2**30:.1f} "
+                                f"GiB; physical memory is {memory / 2**30:.1f} GiB")
     sets = _words(ups, width)
     member = np.unpackbits(sets.view(np.uint8), axis=1, count=n,
                            bitorder="little").astype(bool)

@@ -311,15 +311,19 @@ def family_criteria(struct: AtomStructure4) -> str:
     the subreduct keeps the pairs where s entails r (12 elements, frame
     poset 1+1+2).  Family B: s below x.y forces both a and r below, and
     a below forces r below, for x, y among r, a+r, a+r+s (8 elements,
-    frame poset 1+3).  Everything else has no proper subreduct.
+    frame poset 1+3).  Everything else has no proper subreduct.  The
+    product of two atom sets is read off the atom table, as the union of
+    the products of their atoms.
     """
-    ra = ra_from_atoms(struct, check=False)
     one, a, r, s = (_ATOM_BIT[t] for t in ATOMS)
 
     def holds(pairs, conditions):
         for x in pairs:
             for y in pairs:
-                p = int(ra.product[x, y])
+                p = 0
+                for i in bits(x):
+                    for j in bits(y):
+                        p |= struct.comp[i][j]
                 for low, forced in conditions:
                     if low & ~p == 0 and forced & ~p != 0:
                         return False

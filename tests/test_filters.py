@@ -8,16 +8,17 @@ from qra import (
     filter_frame,
     filter_product,
     filter_unaries,
-    frame_iso,
     gen_prime_filters,
     priestley_roundtrip,
     space_algebra,
     validate_pointed_frame,
 )
 from qra.catalog import build_catalog
+from qra.enumerate import enumerate_algebras
 from qra.filters import is_gen_prime_filter
 from qra.frame import Frame
 from qra.order import Poset, bits, mask_of
+from qra.ra import builtin_atom_structures, ra_from_atoms
 
 
 def brute_force_filters(alg):
@@ -134,18 +135,17 @@ def test_unbounded_fidelity_on_catalog():
 
 
 def test_stripped_filter_frame_is_the_dual_frame():
-    # dropping the two bounds recovers the dual frame: containment of
-    # principal filters is already the reversed algebra order, so the
-    # orientation carries over as-is
-    for entry in build_catalog():
-        if entry.size > 6:
-            continue
-        alg = entry.variants[0].algebra
+    # dropping the two bounds leaves the dual frame itself, point j of the
+    # dual frame being the filter up(j): containment of principal filters
+    # is already the reversed algebra order
+    for alg in _catalog_algebras():
         pf = filter_frame(alg)
         frame = pf.frame
-        keep = [x for x in range(frame.size) if x not in (pf.bottom, pf.top)]
+        dual = dual_frame(alg)
+        index = {f: x for x, f in enumerate(frame.carrier_elements)}
+        keep = [index[alg.order_poset.up[j]] for j in dual.carrier_elements]
+        assert sorted(keep + [pf.bottom, pf.top]) == list(range(frame.size))
         pos = {x: i for i, x in enumerate(keep)}
-        k = len(keep)
         up = [mask_of(pos[y] for y in keep if frame.poset.leq(x, y)) for x in keep]
         comp = [
             [mask_of(pos[z] for z in bits(frame.comp[x][y]) if z in pos)
@@ -156,7 +156,44 @@ def test_stripped_filter_frame_is_the_dual_frame():
         neg = None if frame.neg is None else [pos[frame.neg[x]] for x in keep]
         identity = mask_of(pos[x] for x in bits(frame.identity) if x in pos)
         stripped = Frame(Poset(tuple(up)), identity, comp, tilde, minus, neg=neg)
-        assert frame_iso(stripped, dual_frame(alg)) is not None, entry.name
+        assert stripped.poset.up == dual.poset.up, alg.name
+        assert stripped.encoding() == dual.encoding(), alg.name
+
+
+def _definition_corpus():
+    yield from _catalog_algebras()
+    for struct in builtin_atom_structures():
+        yield ra_from_atoms(struct, check=False)
+    for signature in ("dinfl", "dqra"):
+        yield from enumerate_algebras(6, signature)
+
+
+def test_filter_frame_matches_the_definitions():
+    for alg in _definition_corpus():
+        pf = filter_frame(alg)
+        frame = pf.frame
+        filters = gen_prime_filters(alg)
+        assert list(frame.carrier_elements) == filters, alg.name
+        index = {f: x for x, f in enumerate(filters)}
+        for x, f in enumerate(filters):
+            assert frame.poset.up[x] == mask_of(
+                y for y, g in enumerate(filters) if f & ~g == 0), (alg.name, x)
+            for y, g in enumerate(filters):
+                assert frame.comp[x][y] == mask_of(
+                    index[h] for h in filter_product(alg, f, g)), (alg.name, x, y)
+            ft, fm, fn = filter_unaries(alg, f)
+            assert (frame.tilde[x], frame.minus[x]) == (index[ft], index[fm]), (alg.name, x)
+            assert frame.neg is None or frame.neg[x] == index[fn], (alg.name, x)
+        assert frame.identity == mask_of(
+            x for x, f in enumerate(filters) if (f >> alg.one) & 1), alg.name
+        assert (pf.bottom, pf.top) == (index[0], index[(1 << alg.size) - 1])
+
+
+def test_empty_and_total_sets_are_filters_of_any_order():
+    # the two-element antichain has no meets or joins to build tables from
+    antichain = FinAlgebra([[1, 0], [0, 1]], [[0, 1], [1, 0]], 0, [1, 0], [1, 0])
+    assert is_gen_prime_filter(antichain, 0)
+    assert is_gen_prime_filter(antichain, 0b11)
 
 
 def test_preimages_of_filters_under_homs():

@@ -12,6 +12,7 @@ from qra import (
     build_dq,
     check_complement_shift,
     classify,
+    complex_algebra,
     embed_search,
     no_finite_rep_filter,
     one_point_base,
@@ -23,7 +24,10 @@ from qra import (
     validate_homomorphism,
     verify_certificate,
 )
+import qra.frame
+from qra import io as qio
 from qra.catalog import build_catalog, catalog_lookup
+from qra.cli import main
 from qra.errors import BudgetExhausted, PreconditionError, StructuralError
 from qra.order import Poset, bits, mask_of
 from qra.represent import dq_frame, dq_zero_relation, iterate_bases
@@ -180,6 +184,24 @@ def test_build_dq_matches_the_definitions_on_all_small_bases():
 def test_build_dq_cap():
     with pytest.raises(PreconditionError):
         build_dq(chain2_base(), cap=3)
+
+
+def test_an_upset_algebra_larger_than_memory_is_refused_before_allocating(
+        monkeypatch, tmp_path, capsys):
+    # the 4-point antichain with full E: 16 pairs and exactly the default cap
+    # of 65,536 upsets, whose product table alone would take 32 GiB
+    monkeypatch.setattr(qra.frame, "_physical_memory", lambda: 8 << 30)
+    poset = Poset.antichain(4)
+    base = RepBase(poset, (poset.carrier,) * 4, range(4), range(4))
+    assert dq_frame(base).poset.count_upsets(cap=1 << 16) == 1 << 16
+    with pytest.raises(PreconditionError, match="physical memory is 8.0 GiB"):
+        build_dq(base)
+    with pytest.raises(PreconditionError, match="physical memory"):
+        complex_algebra(dq_frame(base))
+    path = tmp_path / "dq.frame.json"
+    qio.save(dq_frame(base), path)
+    assert main(["complex", str(path)]) == 2
+    assert "physical memory" in capsys.readouterr().err
 
 
 def test_cyclic_iff_alpha_identity():
