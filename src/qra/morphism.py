@@ -241,44 +241,54 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
 
     Every element is the join of the bottom with the join-irreducibles
     below it, so the search assigns images to these generators, bottom
-    first, trying the elements of b in increasing order, and extends the
-    assignment by joins.  The bottom needs its own image because
-    homomorphisms in this signature do not have to preserve lattice
-    bounds.  A partial assignment must send the earlier generators below
-    (above) the one being placed into the down-set (up-set) of its image;
-    an injective map also reflects the order, so the other earlier
-    generators must land outside them.  Each completed extension is
-    rejected by the early-exit check of ``_preserves``; each map it
-    accepts is validated in full by ``validate_homomorphism`` before it
-    is yielded.  Raises ``BudgetExhausted`` once the search has visited
-    more than ``budget`` nodes.
+    first, and extends the assignment by joins.  The bottom needs its own
+    image because homomorphisms in this signature do not have to preserve
+    lattice bounds.  The allowed images of a generator form one bitmask:
+    the up-sets of the images of the earlier generators below it, meet the
+    down-sets of the images of those above it; an injective map also
+    reflects the order, so the mask leaves out the up-sets (down-sets) of
+    the images of the other earlier generators.  Its elements are tried in
+    increasing order.  At a leaf the image of the unit comes first and a
+    leaf that misses b's unit stops there; otherwise the extension, read
+    from rows of b's join table kept as lists, goes to the early-exit check
+    of ``_preserves``, and each map it accepts is validated in full by
+    ``validate_homomorphism`` before it is yielded.  Raises
+    ``BudgetExhausted`` once the search has visited more than ``budget``
+    nodes, one per partial assignment including the empty one.
     """
     if (a.neg is None) != (b.neg is None):
         raise SignatureError("source and target have different signatures")
     gens = [a.bottom] + [j for j in join_irreducibles(a) if j != a.bottom]
-    # index masks of the earlier generators below and above each generator
-    lower = [mask_of(i for i in range(k) if a.leq[gens[i], j]) for k, j in enumerate(gens)]
-    upper = [mask_of(i for i in range(k) if a.leq[j, gens[i]]) for k, j in enumerate(gens)]
-    joined = [[k for k in range(1, len(gens)) if a.leq[gens[k], x]] for x in range(a.size)]
-    down, up, join = b.order_poset.down, b.order_poset.up, b.join_table
+    m, leq = len(gens), a.leq
+    # the earlier generators below and above each generator, and the others
+    lower = [[i for i in range(k) if leq[gens[i], j]] for k, j in enumerate(gens)]
+    upper = [[i for i in range(k) if leq[j, gens[i]]] for k, j in enumerate(gens)]
+    not_lower = [[i for i in range(k) if not leq[gens[i], j]] for k, j in enumerate(gens)]
+    not_upper = [[i for i in range(k) if not leq[j, gens[i]]] for k, j in enumerate(gens)]
+    joined = [[k for k in range(1, m) if leq[gens[k], x]] for x in range(a.size)]
+    one_joined, b_one = joined[a.one], b.one
+    down, up, carrier = b.order_poset.down, b.order_poset.up, b.order_poset.carrier
+    join_rows = _Rows(b.join_table)
     preserves = _preserves(a, b, injective)
-    image = [0] * len(gens)
+    image = [0] * m
     nodes = 0
-
-    def images(index_mask):
-        return mask_of(image[i] for i in bits(index_mask))
 
     def place(k):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExhausted(f"homomorphism search exceeded {budget} nodes")
-        if k == len(gens):
+        if k == m:
+            acc = bottom = image[0]
+            for i in one_joined:
+                acc = join_rows[acc][image[i]]
+            if acc != b_one:
+                return
             f = []
             for ks in joined:
-                acc = image[0]
+                acc = bottom
                 for i in ks:
-                    acc = int(join[acc, image[i]])
+                    acc = join_rows[acc][image[i]]
                 f.append(acc)
             if not preserves(f):
                 return
@@ -287,19 +297,33 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
                 raise InternalCheckError(f"leaf check accepted a non-homomorphism {hom.map}")
             yield hom
             return
-        below, above = images(lower[k]), images(upper[k])
+        allowed = carrier
+        for i in lower[k]:
+            allowed &= up[image[i]]
+        for i in upper[k]:
+            allowed &= down[image[i]]
         if injective:
-            earlier = (1 << k) - 1
-            not_below, not_above = images(earlier & ~lower[k]), images(earlier & ~upper[k])
-        for v in range(b.size):
-            if below & ~down[v] or above & ~up[v]:
-                continue
-            if injective and (not_below & down[v] or not_above & up[v]):
-                continue
+            for i in not_lower[k]:
+                allowed &= ~up[image[i]]
+            for i in not_upper[k]:
+                allowed &= ~down[image[i]]
+        for v in bits(allowed):
             image[k] = v
             yield from place(k + 1)
 
     return place(0)
+
+
+class _Rows(dict):
+    """Rows of a square table as lists, each converted on first use."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, i):
+        row = self[i] = self.table[i].tolist()
+        return row
 
 
 def enumerate_homs(a: FinAlgebra, b: FinAlgebra, budget: int = 10_000_000) -> list[AlgHom]:

@@ -36,6 +36,10 @@ def popcount(mask: int) -> int:
     return int(mask).bit_count()
 
 
+def _by_size(masks) -> tuple[int, ...]:
+    return tuple(sorted(masks, key=lambda m: (popcount(m), m)))
+
+
 class LatticeTables(NamedTuple):
     """Join and meet tables of a finite order, with -1 where there is none."""
 
@@ -159,7 +163,16 @@ class Poset:
     @cached_property
     def upsets(self) -> tuple[int, ...]:
         """All upward closed subsets, sorted by (size, mask)."""
-        return tuple(sorted(self._grow_upsets(), key=lambda m: (popcount(m), m)))
+        return _by_size(self._grow_upsets())
+
+    def upsets_within(self, cap: int) -> tuple[int, ...] | None:
+        """``upsets`` if there are at most ``cap`` of them, else None, from
+        one growth that stops past ``cap``; a complete list is cached."""
+        found = self._grow_upsets(cap)
+        if len(found) > cap:
+            return None
+        ups = self.__dict__["upsets"] = _by_size(found)
+        return ups
 
     def count_upsets(self, cap: int | None = None) -> int:
         """Number of upsets, abandoning the count once it exceeds ``cap``:
@@ -365,6 +378,12 @@ def all_posets(max_size: int) -> list[Poset]:
     picked among existing downsets the labels follow a linear extension, so
     every isomorphism class is reached; duplicates fall to canonical keys.
     """
+    return list(iter_posets(max_size))
+
+
+def iter_posets(max_size: int):
+    """The posets of ``all_posets(max_size)``, in its order, each size
+    grown only once the smaller ones have all been taken."""
     return _grow_posets(max_size)
 
 
@@ -377,29 +396,33 @@ def posets_with_at_most_upsets(cap: int) -> list[Poset]:
     dropped together with everything that would grow from it.  A poset on
     k points has at least k + 1 upsets, which bounds the growth.
     """
-    return _grow_posets(cap - 1, cap)
+    return list(_grow_posets(cap - 1, cap))
 
 
-def _grow_posets(max_size: int, cap: int | None = None) -> list[Poset]:
-    by_size: dict[int, list[Poset]] = {1: [Poset.chain(1)]}
-    for n in range(2, max_size + 1):
-        seen = {}
-        for smaller in by_size[n - 1]:
-            downsets = {0}
-            for m in range(1 << (n - 1)):
-                if all(smaller.down[i] & ~m == 0 for i in bits(m)):
-                    downsets.add(m)
-            for dset in downsets:
-                up = [smaller.up[i] | (1 << (n - 1) if (dset >> i) & 1 else 0)
-                      for i in range(n - 1)]
-                up.append(1 << (n - 1))
-                cand = Poset(tuple(up))
-                if cap is None or cand.count_upsets(cap) <= cap:
-                    seen.setdefault(cand.canonical_key, cand)
-        by_size[n] = [seen[k] for k in sorted(seen)]
-    out = []
+def _grow_posets(max_size: int, cap: int | None = None):
+    layer = [Poset.chain(1)]
     for n in range(1, max_size + 1):
-        out.extend(by_size.get(n, []))
-    for p in out:
-        p.name = poset_display_name(p)
-    return out
+        if n > 1:
+            layer = _grow_layer(layer, n, cap)
+        for p in layer:
+            p.name = poset_display_name(p)
+        yield from layer
+
+
+def _grow_layer(smaller_posets: list[Poset], n: int, cap: int | None) -> list[Poset]:
+    """The posets on n points, in canonical-key order, grown from those on
+    n - 1 points by a new maximal element."""
+    seen = {}
+    for smaller in smaller_posets:
+        downsets = {0}
+        for m in range(1 << (n - 1)):
+            if all(smaller.down[i] & ~m == 0 for i in bits(m)):
+                downsets.add(m)
+        for dset in downsets:
+            up = [smaller.up[i] | (1 << (n - 1) if (dset >> i) & 1 else 0)
+                  for i in range(n - 1)]
+            up.append(1 << (n - 1))
+            cand = Poset(tuple(up))
+            if cap is None or cand.count_upsets(cap) <= cap:
+                seen.setdefault(cand.canonical_key, cand)
+    return [seen[k] for k in sorted(seen)]

@@ -24,7 +24,7 @@ from .algebra import FinAlgebra, validate_dinfl, validate_dqra
 from .errors import BudgetExhausted, PreconditionError, StructuralError
 from .frame import Frame, upset_algebra
 from .morphism import AlgHom, _hom_search, validate_homomorphism
-from .order import Poset, all_posets, bits, mask_of
+from .order import Poset, bits, iter_posets, mask_of
 
 DEFAULT_UPSET_CAP = 1 << 16
 
@@ -174,16 +174,16 @@ def build_dq(base: RepBase, cap: int = DEFAULT_UPSET_CAP, name=None) -> DqAlgebr
     """The algebra of twisted-order upsets of E under relation composition:
     the complex algebra of ``dq_frame(base)``.
 
-    The carrier size (the number of upsets) is counted before the carrier
-    is materialized and a cap overrun raises with the computed count.
+    The up-sets are grown once, and given up as soon as there are more
+    than ``cap`` of them, before the carrier is materialized; a cap overrun
+    raises.
     """
     frame = dq_frame(base)
-    count = frame.poset.count_upsets(cap=cap)
-    if count > cap:
+    ups = frame.poset.upsets_within(cap)
+    if ups is None:
         raise PreconditionError(
-            f"carrier would have more than {cap} elements (at least {count})"
+            f"carrier would have more than {cap} elements (at least {cap + 1})"
         )
-    ups = frame.poset.upsets
     return DqAlgebra(algebra=upset_algebra(frame, ups, name), base=base,
                      pairs=base.pair_list(), relation_masks=ups)
 
@@ -341,8 +341,9 @@ class SearchOptions:
 
 def iterate_bases(max_points: int, need_beta: bool, options: SearchOptions):
     """Bases ordered by point count, then canonical poset order; each base
-    once (``all_posets`` already lists every poset on 1..max_points points)."""
-    for poset in all_posets(max_points):
+    once (``iter_posets`` lists every poset on 1..max_points points, and
+    grows the posets of a size only when the search reaches it)."""
+    for poset in iter_posets(max_points):
         if need_beta and not poset.is_self_dual:
             continue
         equivs = _equivalences_containing(poset)
@@ -368,8 +369,12 @@ def representation_search(alg: FinAlgebra, max_points: int,
     no-finite-representation filter short-circuits the search when an
     obstruction element exists.  A base whose embedding search runs out of
     ``options.embed_budget`` is counted as undecided and the search moves
-    on to the next base.
+    on to the next base.  Each base's frame is built once, and its up-sets
+    grown once, up to ``options.upset_cap``.  Raises ``PreconditionError``
+    when ``max_points`` is below 1.
     """
+    if max_points < 1:
+        raise PreconditionError(f"max_points must be at least 1, not {max_points}")
     options = options or SearchOptions()
     need_beta = alg.neg is not None
     if options.apply_filter:
@@ -382,24 +387,23 @@ def representation_search(alg: FinAlgebra, max_points: int,
             )
     tried = skipped = undecided = 0
     for base in iterate_bases(max_points, need_beta, options):
-        pairs, tw = twist_order(base)
-        count = tw.count_upsets(cap=options.upset_cap)
-        if count > options.upset_cap:
+        frame = dq_frame(base)
+        ups = frame.poset.upsets_within(options.upset_cap)
+        if ups is None:
             skipped += 1
             continue
-        if count < alg.size:
-            tried += 1
-            continue
-        dq = build_dq(base, cap=options.upset_cap)
         tried += 1
+        if len(ups) < alg.size:
+            continue
+        target = upset_algebra(frame, ups)
         try:
-            hom = embed_search(alg, dq.algebra, budget=options.embed_budget)
+            hom = embed_search(alg, target, budget=options.embed_budget)
         except BudgetExhausted:
             undecided += 1
             continue
         if hom is not None:
             return RepresentationCertificate(
-                base=base, embedding=tuple(hom.map), carrier_size=dq.algebra.size
+                base=base, embedding=tuple(hom.map), carrier_size=target.size
             )
     return ExhaustionReport(
         max_points=max_points, bases_tried=tried, bases_skipped_over_cap=skipped,

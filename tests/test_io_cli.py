@@ -176,6 +176,12 @@ def test_cli_represent(capsys):
     assert payload["result"] == "certificate" and payload["verified"]
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_cli_represent_needs_a_point(capsys, points):
+    assert run_cli("represent", str(DATA / "d2_1_1.algebra.json"), "--max-points", points) == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
 def test_cli_represent_filtered(capsys):
     assert run_cli("represent", str(DATA / "d3_1_1.algebra.json"),
                    "--max-points", "2") == 0

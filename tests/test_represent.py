@@ -25,6 +25,7 @@ from qra import (
     verify_certificate,
 )
 import qra.frame
+import qra.order
 from qra import io as qio
 from qra.catalog import build_catalog, catalog_lookup
 from qra.cli import main
@@ -281,6 +282,31 @@ def test_embed_search_matches_brute_force(sugihara3):
     assert (found is not None) == bool(brute)
     if found is not None:
         assert tuple(found.map) in brute
+
+
+@pytest.mark.parametrize("max_points", [0, -1])
+def test_representation_search_needs_a_point(bool2, max_points):
+    with pytest.raises(PreconditionError, match="at least 1"):
+        representation_search(bool2, max_points)
+
+
+def test_a_search_certifying_at_one_point_grows_no_larger_poset(monkeypatch):
+    grown = []
+    grow_layer = qra.order._grow_layer
+
+    def spy(smaller, n, cap):
+        grown.append(n)
+        return grow_layer(smaller, n, cap)
+
+    monkeypatch.setattr(qra.order, "_grow_layer", spy)
+    alg = catalog_lookup("D2_1_1").variants[0].algebra
+    result = representation_search(alg, 8)
+    assert isinstance(result, RepresentationCertificate)
+    assert result.base.points == 1
+    assert grown == []
+    # the spy sees the growth once a search goes past one point
+    list(iterate_bases(3, True, SearchOptions()))
+    assert grown == [2, 3]
 
 
 def test_representation_search_two_element(bool2):
