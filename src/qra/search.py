@@ -13,10 +13,15 @@ The search fixes an identity upset and an order reversing bijection for
   which unit-propagates like a clause.
 
 Associativity is used as an interval prune while the table is partial and
-becomes the exact check once it is complete.  Only poset automorphisms
-can witness an isomorphism between two frames on the same poset, so a
-candidate is kept exactly when its encoding is minimal in its
-automorphism orbit.
+becomes the exact check once it is complete.  The prune reads the bits set
+true and the bits not yet set false as two 0/1 cubes and forms both
+bracketings of each with one boolean tensor contraction per side, a
+float32 matmul.  Only poset automorphisms can witness an isomorphism
+between two frames on the same poset, so a candidate is kept exactly when
+its encoding is minimal in its automorphism orbit; each relabelling is
+compared component by component and stops at the first difference.
+``SearchStats`` counts nodes, prunes, leaves and calls to the prune with
+the time spent in it.
 
 The relation search does not depend on the signature: a DqRA-frame is a
 DInFL-frame with a compatible negation.  ``search_frames`` therefore runs
@@ -29,7 +34,9 @@ negation filter and the orbit check of each extended encoding.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .errors import BudgetExhausted
 from .frame import Frame, empty_frame
@@ -38,10 +45,23 @@ from .order import Poset, bits
 
 @dataclass
 class SearchStats:
+    """Counters of one search: DFS nodes, pruned children, solved tables,
+    calls to the associativity cut and the time spent in it, and the wall
+    time of the whole search."""
+
     nodes: int = 0
     prunes: int = 0
     leaves: int = 0
+    cuts: int = 0
+    cut_s: float = 0.0
     wall_s: float = 0.0
+
+    def add(self, other: "SearchStats") -> None:
+        """Add another run's counters and cut time; ``wall_s`` is left alone."""
+        for item in fields(self):
+            if item.name != "wall_s":
+                setattr(self, item.name,
+                        getattr(self, item.name) + getattr(other, item.name))
 
 
 @dataclass
@@ -80,8 +100,11 @@ class _BranchSearch:
         self.down = poset.down
         self.up_list = [list(bits(poset.up[x])) for x in range(n)]
         self.down_list = [list(bits(poset.down[x])) for x in range(n)]
-        # members[mask] lists the bit positions of mask, for the hot loops
-        self.members = tuple(tuple(bits(mask)) for mask in range(1 << n))
+        ibits = list(bits(identity))
+        # witness_cells[x]: the (i, x) and the (x, i) cells over identity points i
+        self.witness_cells = [(tuple((i, x) for i in ibits), tuple((x, i) for i in ibits))
+                              for x in range(n)]
+        self.cell_bytes = (n + 7) // 8
         self.t = [[0] * n for _ in range(n)]
         self.f = [[0] * n for _ in range(n)]
         self.solutions: list[tuple[tuple[int, ...], ...]] = []
@@ -127,18 +150,14 @@ class _BranchSearch:
     def _force_identity_witnesses(self) -> bool:
         """Unit-propagate 'some identity point composes x back to x'."""
         t, f = self.t, self.f
-        ibits = list(bits(self.identity))
         changed = True
         while changed:
             changed = False
-            for x in range(self.n):
-                for triples in (
-                    [(i, x) for i in ibits],
-                    [(x, i) for i in ibits],
-                ):
-                    if any((t[a][b] >> x) & 1 for a, b in triples):
+            for x, sides in enumerate(self.witness_cells):
+                for cells in sides:
+                    if any((t[a][b] >> x) & 1 for a, b in cells):
                         continue
-                    open_ = [(a, b) for a, b in triples if not (f[a][b] >> x) & 1]
+                    open_ = [(a, b) for a, b in cells if not (f[a][b] >> x) & 1]
                     if not open_:
                         return False
                     if len(open_) == 1:
@@ -149,33 +168,32 @@ class _BranchSearch:
         return True
 
     def _associativity_cut(self) -> bool:
-        """Interval check of (x o y) o z = x o (y o z); exact when complete."""
-        t, f, carrier, n = self.t, self.f, self.carrier, self.n
-        members = self.members
-        # poss[u][z]: the values z' not yet ruled out of u o z
-        poss = [[carrier & ~cell for cell in row] for row in f]
-        for x in range(n):
-            tx, px = t[x], poss[x]
-            for y in range(n):
-                ty, py = t[y], poss[y]
-                true_xy = members[tx[y]]
-                poss_xy = members[px[y]]
-                for z in range(n):
-                    lo_l = 0
-                    for u in true_xy:
-                        lo_l |= t[u][z]
-                    hi_l = 0
-                    for u in poss_xy:
-                        hi_l |= poss[u][z]
-                    lo_r = 0
-                    for v in members[ty[z]]:
-                        lo_r |= tx[v]
-                    hi_r = 0
-                    for v in members[py[z]]:
-                        hi_r |= px[v]
-                    if lo_l & ~hi_r or lo_r & ~hi_l:
-                        return False
-        return True
+        """Interval check of (x o y) o z = x o (y o z); exact when complete.
+
+        ``lo[x, y, w]`` says w is set in x o y and ``hi[x, y, w]`` that it
+        is not ruled out.  With ``left(a)[x, y, z, w] = OR_u a[x, y, u] and
+        a[u, z, w]`` and ``right(a)[x, y, z, w] = OR_v a[y, z, v] and
+        a[x, v, w]``, the node is cut exactly when ``left(lo)`` is not
+        within ``right(hi)`` or ``right(lo)`` is not within ``left(hi)``.
+        Each side is one float32 matmul over the stacked ``lo``/``hi``
+        cubes; an entry counts at most n witnesses, so it is exact.
+        """
+        start = time.perf_counter()
+        n, width = self.n, self.cell_bytes
+        packed = b"".join([cell.to_bytes(width, "little")
+                           for table in (self.t, self.f) for row in table for cell in row])
+        cube = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+        cube = cube.reshape(2, n, n, 8 * width)[..., :n].astype(np.float32)
+        cube[1] = 1.0 - cube[1]  # hi: the complement of the false bits
+        rows = cube.reshape(2, n * n, n)
+        # left[s, x, y, z, w], s = lo, hi; right comes out as [s, y, z, x, w]
+        left = (np.matmul(rows, cube.reshape(2, n, n * n)) > 0).reshape(2, n, n, n, n)
+        right = np.matmul(rows, cube.transpose(0, 2, 1, 3).reshape(2, n, n * n)) > 0
+        right = right.reshape(2, n, n, n, n).transpose(0, 3, 1, 2, 4)
+        ok = not ((left[0] > right[1]).any() or (right[0] > left[1]).any())
+        self.stats.cuts += 1
+        self.stats.cut_s += time.perf_counter() - start
+        return ok
 
     def _snapshot(self):
         return [row[:] for row in self.t], [row[:] for row in self.f]
@@ -251,8 +269,10 @@ def _neg_compatible(comp, tilde, minus, neg, n) -> bool:
     return True
 
 
-def _relabel_encoding(poset, perm, identity, tilde, comp, neg):
-    n = poset.n
+def _relabelled_components(perm, identity, tilde, comp, neg, n):
+    """Pairs (component relabelled by perm, own component) of an encoding,
+    in its comparison order: identity, tilde, neg, then the comp cells
+    row by row."""
     inv = [0] * n
     for i, p in enumerate(perm):
         inv[p] = i
@@ -263,20 +283,28 @@ def _relabel_encoding(poset, perm, identity, tilde, comp, neg):
             out |= 1 << perm[i]
         return out
 
-    ident2 = move(identity)
-    tilde2 = tuple(perm[tilde[inv[x]]] for x in range(n))
-    comp2 = tuple(move(comp[inv[x]][inv[y]]) for x in range(n) for y in range(n))
-    neg2 = None if neg is None else tuple(perm[neg[inv[x]]] for x in range(n))
-    return (ident2, tilde2, neg2 if neg2 is not None else (), comp2)
+    yield move(identity), identity
+    for x in range(n):
+        yield perm[tilde[inv[x]]], tilde[x]
+    if neg is not None:
+        for x in range(n):
+            yield perm[neg[inv[x]]], neg[x]
+    for x in range(n):
+        row = comp[inv[x]]
+        for y in range(n):
+            yield move(row[inv[y]]), comp[x][y]
 
 
 def _is_orbit_minimal(poset, identity, tilde, comp, neg) -> bool:
-    mine = (identity, tuple(tilde), () if neg is None else tuple(neg),
-            tuple(cell for row in comp for cell in row))
+    """No automorphism relabels the encoding to a lexicographically smaller
+    one; each relabelling stops at the first component that differs."""
     # qra.iso lists the automorphisms in lexicographic order, identity first
     for g in poset.automorphisms[1:]:
-        if _relabel_encoding(poset, g, identity, tilde, comp, neg) < mine:
-            return False
+        for new, own in _relabelled_components(g, identity, tilde, comp, neg, poset.n):
+            if new != own:
+                if new < own:
+                    return False
+                break
     return True
 
 
@@ -432,9 +460,7 @@ def search_frames(poset: Poset, signatures=SIGNATURES,
                                     deadline))
                     for branch in todo)
     for idx, (found, branch_stats) in enumerate(outcomes, first_branch):
-        stats.nodes += branch_stats.nodes
-        stats.prunes += branch_stats.prunes
-        stats.leaves += branch_stats.leaves
+        stats.add(branch_stats)
         if found is None or (max_nodes is not None and stats.nodes > max_nodes):
             stats.wall_s = time.monotonic() - start
             checkpoint = {

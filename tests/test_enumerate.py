@@ -142,6 +142,9 @@ def test_parallel_jobs_match_sequential():
     seq = enumerate_frames(poset, "dqra")
     par = enumerate_frames(poset, "dqra", jobs=2)
     assert [f.encoding() for f in par.frames] == [f.encoding() for f in seq.frames]
+    counters = [(r.stats.nodes, r.stats.prunes, r.stats.leaves, r.stats.cuts)
+                for r in (seq, par)]
+    assert counters[0] == counters[1] and seq.stats.cuts > 0
 
 
 def test_count_frames_matches_enumerate_frames():
