@@ -2,24 +2,29 @@
 
 The search fixes an identity upset and an order reversing bijection for
 ``tilde`` (its inverse is ``minus``), then fills the ternary relation
-``z in x o y`` bit by bit.  Three families of facts propagate eagerly:
+``z in x o y`` bit by bit.  Three families of facts propagate eagerly,
+each kept only where no other one already forces it:
 
-* monotonicity: the relation is downward closed in both arguments and
-  upward closed in the value slot;
-* the rotation law links each triple to an orbit of up to ``3k`` triples
-  that must all agree, so one decision settles the whole orbit;
-* the identity law pins every cell in an identity row or column to a
-  subset of a principal upset and demands at least one witness per point,
-  which unit-propagates like a clause.
+* the rotation law ``z~ in x o y <=> y- in z o x`` links each triple to
+  an orbit of up to ``3k`` triples that must all agree, so one decision
+  settles the whole orbit;
+* monotonicity in the value slot: ``x o y`` is an up-set.  With the
+  rotation law, whose maps reverse the order, this gives downward
+  closure in both arguments;
+* the identity law pins every cell ``i o x`` over an identity point
+  ``i`` to a subset of the principal upset of ``x`` and demands a
+  witness ``x in i o x`` for every ``x``, which unit-propagates like a
+  clause.  The rotation law carries both onto the cells ``x o i``.
 
 Associativity is used as an interval prune while the table is partial and
 becomes the exact check once it is complete.  The prune reads the bits set
-true and the bits not yet set false as two 0/1 cubes and forms both
-bracketings of each with one boolean tensor contraction per side, a
-float32 matmul.  Only poset automorphisms can witness an isomorphism
-between two frames on the same poset, so a candidate is kept exactly when
-its encoding is minimal in its automorphism orbit; each relabelling is
-compared component by component and stops at the first difference.
+true and the bits not yet set false as two 0/1 cubes and forms one
+bracketing of each with one boolean tensor contraction, a float32 matmul;
+the rotation law makes the other bracketing redundant.  Only poset
+automorphisms can witness an isomorphism between two frames on the same
+poset, so a candidate is kept exactly when its encoding is minimal in its
+automorphism orbit; each relabelling is compared component by component
+and stops at the first difference.
 ``SearchStats`` counts nodes, prunes, leaves and calls to the prune with
 the time spent in it.
 
@@ -98,12 +103,7 @@ class _BranchSearch:
         n = self.n
         self.up = poset.up
         self.down = poset.down
-        self.up_list = [list(bits(poset.up[x])) for x in range(n)]
-        self.down_list = [list(bits(poset.down[x])) for x in range(n)]
-        ibits = list(bits(identity))
-        # witness_cells[x]: the (i, x) and the (x, i) cells over identity points i
-        self.witness_cells = [(tuple((i, x) for i in ibits), tuple((x, i) for i in ibits))
-                              for x in range(n)]
+        self.identity_points = list(bits(identity))
         self.cell_bytes = (n + 7) // 8
         self.t = [[0] * n for _ in range(n)]
         self.f = [[0] * n for _ in range(n)]
@@ -112,59 +112,40 @@ class _BranchSearch:
     # -- propagation ---------------------------------------------------
 
     def _assign(self, x, y, z, value) -> bool:
-        """Set one bit and close under rotation and monotonicity."""
-        minus, up, down = self.minus, self.up, self.down
-        t, f = self.t, self.f
-        stack = [(x, y, z, value)]
+        """Set one bit and close under rotation and value-slot monotonicity:
+        a true bit sets its up-set in the cell, a false bit its down-set."""
+        minus = self.minus
+        table, other = (self.t, self.f) if value else (self.f, self.t)
+        cone = self.up if value else self.down
+        stack = [(x, y, z)]
         while stack:
-            a, b, c, val = stack.pop()
-            bit = 1 << c
-            if val:
-                if f[a][b] & bit:
-                    return False
-                if t[a][b] & bit:
-                    continue
-                t[a][b] |= bit
-                stack.append((minus[c], a, minus[b], True))
-                for a2 in self.down_list[a]:
-                    for b2 in self.down_list[b]:
-                        add = up[c] & ~t[a2][b2]
-                        if add:
-                            for c2 in bits(add):
-                                stack.append((a2, b2, c2, True))
-            else:
-                if t[a][b] & bit:
-                    return False
-                if f[a][b] & bit:
-                    continue
-                f[a][b] |= bit
-                stack.append((minus[c], a, minus[b], False))
-                for a2 in self.up_list[a]:
-                    for b2 in self.up_list[b]:
-                        add = down[c] & ~f[a2][b2]
-                        if add:
-                            for c2 in bits(add):
-                                stack.append((a2, b2, c2, False))
+            a, b, c = stack.pop()
+            new = cone[c] & ~table[a][b]
+            if not new:
+                continue
+            if new & other[a][b]:
+                return False
+            table[a][b] |= new
+            stack.extend((minus[w], a, minus[b]) for w in bits(new))
         return True
 
     def _force_identity_witnesses(self) -> bool:
-        """Unit-propagate 'some identity point composes x back to x'."""
-        t, f = self.t, self.f
+        """Unit-propagate 'x lies in i o x for some identity point i'; the
+        rotation law carries the clause of x onto 'x- in x- o i'."""
+        t, f, points = self.t, self.f, self.identity_points
         changed = True
         while changed:
             changed = False
-            for x, sides in enumerate(self.witness_cells):
-                for cells in sides:
-                    if any((t[a][b] >> x) & 1 for a, b in cells):
-                        continue
-                    open_ = [(a, b) for a, b in cells if not (f[a][b] >> x) & 1]
-                    if not open_:
+            for x in range(self.n):
+                if any((t[i][x] >> x) & 1 for i in points):
+                    continue
+                open_ = [i for i in points if not (f[i][x] >> x) & 1]
+                if not open_:
+                    return False
+                if len(open_) == 1:
+                    if not self._assign(open_[0], x, x, True):
                         return False
-                    if len(open_) == 1:
-                        a, b = open_[0]
-                        if not self._assign(a, b, x, True):
-                            return False
-                        changed = True
+                    changed = True
         return True
 
     def _associativity_cut(self) -> bool:
@@ -174,34 +155,29 @@ class _BranchSearch:
         is not ruled out.  With ``left(a)[x, y, z, w] = OR_u a[x, y, u] and
         a[u, z, w]`` and ``right(a)[x, y, z, w] = OR_v a[y, z, v] and
         a[x, v, w]``, the node is cut exactly when ``left(lo)`` is not
-        within ``right(hi)`` or ``right(lo)`` is not within ``left(hi)``.
-        Each side is one float32 matmul over the stacked ``lo``/``hi``
-        cubes; an entry counts at most n witnesses, so it is exact.
+        within ``right(hi)``.  Each side is one float32 matmul; an entry
+        counts at most n witnesses, so it is exact.
+
+        Lemma: rotating the factors of a rotation-closed ``a`` gives
+        ``left(a)[x, y, z, w] = right(a)[w-, x, y, z-]``, and the same with
+        ``left`` and ``right`` swapped; ``lo`` and ``hi`` are rotation-closed,
+        so the other half, ``right(lo)`` within ``left(hi)``, adds nothing.
         """
         start = time.perf_counter()
         n, width = self.n, self.cell_bytes
         packed = b"".join([cell.to_bytes(width, "little")
                            for table in (self.t, self.f) for row in table for cell in row])
-        cube = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-        cube = cube.reshape(2, n, n, 8 * width)[..., :n].astype(np.float32)
-        cube[1] = 1.0 - cube[1]  # hi: the complement of the false bits
-        rows = cube.reshape(2, n * n, n)
-        # left[s, x, y, z, w], s = lo, hi; right comes out as [s, y, z, x, w]
-        left = (np.matmul(rows, cube.reshape(2, n, n * n)) > 0).reshape(2, n, n, n, n)
-        right = np.matmul(rows, cube.transpose(0, 2, 1, 3).reshape(2, n, n * n)) > 0
-        right = right.reshape(2, n, n, n, n).transpose(0, 3, 1, 2, 4)
-        ok = not ((left[0] > right[1]).any() or (right[0] > left[1]).any())
+        unpacked = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+        lo, ruled_out = unpacked.reshape(2, n, n, 8 * width)[..., :n].astype(np.float32)
+        hi = 1.0 - ruled_out
+        left = np.matmul(lo.reshape(n * n, n), lo.reshape(n, n * n)) > 0
+        # right(hi) comes out as [y, z, x, w]
+        right = np.matmul(hi.reshape(n * n, n), hi.transpose(1, 0, 2).reshape(n, n * n)) > 0
+        right = right.reshape(n, n, n, n).transpose(2, 0, 1, 3)
+        ok = not (left.reshape(n, n, n, n) > right).any()
         self.stats.cuts += 1
         self.stats.cut_s += time.perf_counter() - start
         return ok
-
-    def _snapshot(self):
-        return [row[:] for row in self.t], [row[:] for row in self.f]
-
-    def _restore(self, snap):
-        ts, fs = snap
-        self.t = [row[:] for row in ts]
-        self.f = [row[:] for row in fs]
 
     def _next_undecided(self):
         for x in range(self.n):
@@ -214,23 +190,12 @@ class _BranchSearch:
     def run(self) -> list[tuple[tuple[int, ...], ...]]:
         if self.identity and not self.poset.is_upset(self.identity):
             return []
-        ok = True
-        for i in bits(self.identity):
-            for x in range(self.n):
-                blocked = self.carrier & ~self.up[x]
-                for y in bits(blocked):
-                    if not self._assign(i, x, y, False) or not self._assign(
-                        x, i, y, False
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            ok = self._force_identity_witnesses() and self._associativity_cut()
-        if ok:
+        # i o x lies in the principal upset of x; the rotation law carries
+        # the blocked cells onto x o i
+        ok = all(self._assign(i, x, y, False)
+                 for i in self.identity_points for x in range(self.n)
+                 for y in bits(self.carrier & ~self.up[x]))
+        if ok and self._force_identity_witnesses() and self._associativity_cut():
             self._dfs()
         return self.solutions
 
@@ -244,8 +209,9 @@ class _BranchSearch:
             self.solutions.append(tuple(tuple(row) for row in self.t))
             return
         x, y, z = pick
+        t, f = self.t, self.f
         for value in (True, False):
-            snap = self._snapshot()
+            self.t, self.f = [row[:] for row in t], [row[:] for row in f]
             if (
                 self._assign(x, y, z, value)
                 and self._force_identity_witnesses()
@@ -254,7 +220,7 @@ class _BranchSearch:
                 self._dfs()
             else:
                 self.stats.prunes += 1
-            self._restore(snap)
+        self.t, self.f = t, f
 
 
 def _neg_compatible(comp, tilde, minus, neg, n) -> bool:

@@ -1,16 +1,21 @@
-"""The frame search's associativity cut against a plain-loop reference.
+"""The frame search's kernel against plain-loop references.
 
 ``reference_cut`` is the interval test written as loops over (x, y, z):
 a node is cut when some value is forced into (x o y) o z that x o (y o z)
-can no longer take, or the other way round.  The search's kernel must
-give the same verdict on every state the DFS hands it and on random
-states, and the census search must visit the recorded number of nodes.
+can no longer take, or the other way round.  ``reference_propagate`` closes
+under the rotation law, monotonicity in all three slots and both sides of
+the identity law.  The kernel keeps one half of the cut, monotonicity in
+the value slot and one side of the identity law, which the rotation law
+makes equivalent on the rotation-closed states it works on.  It must give
+the same verdicts and fixpoints as the references on every state the DFS
+hands it and on random rotation-closed states, and the census search must
+visit the recorded number of nodes.
 """
 
 import random
 
 from qra.order import Poset, bits, posets_with_at_most_upsets
-from qra.search import SearchStats, _BranchSearch, search_frames
+from qra.search import SearchStats, _BranchSearch, search_branches, search_frames
 
 # (nodes, prunes, leaves, DInFL frames, DqRA frames) of search_frames on
 # every poset with at most 8 up-sets, keyed by its up-set masks
@@ -73,6 +78,170 @@ def reference_cut(t, f, carrier, n) -> bool:
     return True
 
 
+def rotation_closure(triples, minus) -> set:
+    """The triples (x, y, z), read 'z in x o y', closed under the rotation
+    (x, y, z) -> (z-, x, y-)."""
+    closed, stack = set(), list(triples)
+    while stack:
+        triple = stack.pop()
+        if triple not in closed:
+            closed.add(triple)
+            x, y, z = triple
+            stack.append((minus[z], x, minus[y]))
+    return closed
+
+
+def table_of(triples, n):
+    table = [[0] * n for _ in range(n)]
+    for x, y, z in triples:
+        table[x][y] |= 1 << z
+    return table
+
+
+def random_rotation_closed(rng, n, minus, rate):
+    triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)
+               if rng.random() < rate]
+    return rotation_closure(triples, minus)
+
+
+def random_tilde(rng, n):
+    tilde = list(range(n))
+    rng.shuffle(tilde)
+    return tilde, [tilde.index(i) for i in range(n)]
+
+
+def test_rotation_turns_one_bracketing_into_the_other():
+    rng = random.Random(5)
+    for n in range(1, 8):
+        for _ in range(12):
+            _, minus = random_tilde(rng, n)
+            a = table_of(random_rotation_closed(rng, n, minus, rng.random() * 0.3), n)
+            # left[x][y][z], right[x][y][z]: the masks of w
+            left = [[[0] * n for _ in range(n)] for _ in range(n)]
+            right = [[[0] * n for _ in range(n)] for _ in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    for z in range(n):
+                        for u in bits(a[x][y]):
+                            left[x][y][z] |= a[u][z]
+                        for v in bits(a[y][z]):
+                            right[x][y][z] |= a[x][v]
+            for x in range(n):
+                for y in range(n):
+                    for z in range(n):
+                        for w in range(n):
+                            mw, mz = minus[w], minus[z]
+                            assert (left[x][y][z] >> w) & 1 == (right[mw][x][y] >> mz) & 1
+                            assert (right[x][y][z] >> w) & 1 == (left[mw][x][y] >> mz) & 1
+
+
+def reference_assign(poset, minus, t, f, x, y, z, value) -> bool:
+    """Set one bit and close t and f in place under the rotation law and
+    monotonicity in all three slots; False on a conflict."""
+    stack = [(x, y, z)]
+    table, other = (t, f) if value else (f, t)
+    # true bits: down in both arguments, up in the value; false bits dually
+    args, values = (poset.down, poset.up) if value else (poset.up, poset.down)
+    while stack:
+        a, b, c = stack.pop()
+        if (other[a][b] >> c) & 1:
+            return False
+        if (table[a][b] >> c) & 1:
+            continue
+        table[a][b] |= 1 << c
+        stack.append((minus[c], a, minus[b]))
+        stack.extend((a2, b2, c2) for a2 in bits(args[a])
+                     for b2 in bits(args[b]) for c2 in bits(values[c]))
+    return True
+
+
+def reference_witnesses(poset, identity, minus, t, f) -> bool:
+    """Unit-propagate 'x in i o x' and 'x in x o i' for some identity
+    point i, for every x; False on a conflict."""
+    changed = True
+    while changed:
+        changed = False
+        for x in range(poset.n):
+            for cells in ([(i, x) for i in bits(identity)],
+                          [(x, i) for i in bits(identity)]):
+                if any((t[a][b] >> x) & 1 for a, b in cells):
+                    continue
+                open_ = [(a, b) for a, b in cells if not (f[a][b] >> x) & 1]
+                if not open_:
+                    return False
+                if len(open_) == 1:
+                    if not reference_assign(poset, minus, t, f, *open_[0], x, True):
+                        return False
+                    changed = True
+    return True
+
+
+def reference_propagate(poset, identity, minus, t, f, x, y, z, value) -> bool:
+    return (reference_assign(poset, minus, t, f, x, y, z, value)
+            and reference_witnesses(poset, identity, minus, t, f))
+
+
+def reference_root(poset, identity, minus):
+    """The tables once the cells i o x and x o i outside the principal
+    upset of x are false and the witnesses propagated; None on a conflict."""
+    n = poset.n
+    t, f = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for i in bits(identity):
+        for x in range(n):
+            for y in bits(poset.carrier & ~poset.up[x]):
+                for a, b in ((i, x), (x, i)):
+                    if not reference_assign(poset, minus, t, f, a, b, y, False):
+                        return None
+    return (t, f) if reference_witnesses(poset, identity, minus, t, f) else None
+
+
+def kernel_root(poset, identity, tilde):
+    """The searcher and its tables as ``run`` hands them to the first cut;
+    None when propagation failed before it."""
+    searcher = _BranchSearch(poset, identity, tilde, SearchStats(), None)
+    reached = []
+
+    def stop():
+        reached.append(([row[:] for row in searcher.t], [row[:] for row in searcher.f]))
+        return False
+
+    searcher._associativity_cut = stop
+    searcher.run()
+    return searcher, (reached[0] if reached else None)
+
+
+def test_propagation_matches_reference_on_random_walks():
+    rng = random.Random(17)
+    verdicts = set()
+    for poset in posets_with_at_most_upsets(8):
+        n = poset.n
+        for identity, tilde in search_branches(poset):
+            searcher, root = kernel_root(poset, identity, tilde)
+            minus = searcher.minus
+            assert root == reference_root(poset, identity, minus), (poset.up, identity, tilde)
+            if root is None:
+                continue
+            for _ in range(5):
+                t, f = [row[:] for row in root[0]], [row[:] for row in root[1]]
+                while True:
+                    cells = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                             if not ((t[x][y] | f[x][y]) >> z) & 1]
+                    if not cells:
+                        break
+                    x, y, z = rng.choice(cells)
+                    value = rng.random() < 0.5
+                    ref_t, ref_f = [row[:] for row in t], [row[:] for row in f]
+                    ok = reference_propagate(poset, identity, minus, ref_t, ref_f, x, y, z, value)
+                    searcher.t, searcher.f = [row[:] for row in t], [row[:] for row in f]
+                    assert ok == (searcher._assign(x, y, z, value)
+                                  and searcher._force_identity_witnesses())
+                    verdicts.add(ok)
+                    if ok:
+                        assert (searcher.t, searcher.f) == (ref_t, ref_f)
+                        t, f = ref_t, ref_f
+    assert verdicts == {True, False}
+
+
 def test_kernel_matches_reference_on_every_search_state(monkeypatch):
     kernel = _BranchSearch._associativity_cut
     verdicts = []
@@ -94,19 +263,17 @@ def test_kernel_matches_reference_on_every_search_state(monkeypatch):
 def test_kernel_matches_reference_on_random_states():
     rng = random.Random(13)
     for n in range(1, 10):
-        searcher = _BranchSearch(Poset.antichain(n), 1, range(n), SearchStats(), None)
-        full = searcher.carrier
         verdicts = set()
         for _ in range(120):
+            tilde, minus = random_tilde(rng, n)
+            searcher = _BranchSearch(Poset.antichain(n), 1, tilde, SearchStats(), None)
             # sparse to dense tables, so both verdicts occur past one point
-            t_rate, f_rate = rng.random() * 0.6, rng.random() * 0.6
-            t = [[sum(1 << w for w in range(n) if rng.random() < t_rate)
-                  for _ in range(n)] for _ in range(n)]
-            f = [[sum(1 << w for w in range(n) if rng.random() < f_rate) & full & ~cell
-                  for cell in row] for row in t]
+            true = random_rotation_closed(rng, n, minus, rng.random() * 0.3)
+            false = random_rotation_closed(rng, n, minus, rng.random() * 0.3) - true
+            t, f = table_of(true, n), table_of(false, n)
             searcher.t, searcher.f = t, f
             ok = searcher._associativity_cut()
-            assert ok == reference_cut(t, f, full, n), (n, t, f)
+            assert ok == reference_cut(t, f, searcher.carrier, n), (n, tilde, t, f)
             verdicts.add(ok)
         assert verdicts == ({True} if n == 1 else {True, False}), n
     assert searcher.cell_bytes == 2
