@@ -10,13 +10,26 @@ all tables are immutable after construction.
 Validation is exhaustive: every law holds for all tuples exactly when the
 report has no failure for it, and each failure carries a witness tuple.
 One code path serves every carrier size.  Three laws are decided through
-the join-irreducibles, which in a finite lattice generate every element
-by joins (the bottom is the empty join): distributivity as "every
-join-irreducible is join-prime", residuation as a Galois connection
-(unit, counit and monotonicity on the cover pairs), and associativity,
-once residuation holds, on the join-irreducible rows only, because right
-multiplication then preserves joins.  The checks are vectorised with
-numpy; the 3,432-element Dq(E) of :mod:`qra.represent` validates.
+the irreducibles, by two lemmas.
+
+1. Let J be the elements that are not the least upper bound of the
+   elements strictly below them (in a lattice, the join-irreducibles),
+   and key[a] = J ∩ ↓a (``Poset.down_keys``).  By induction on height,
+   every element of a finite poset is the least upper bound of J ∩ ↓a,
+   the bottom of the empty set; so a <= b iff key[a] is within key[b].
+   Distributivity is "every j in J is join-prime", which is one test
+   over word rows: key[a join b] = key[a] | key[b] for all a and b.
+2. Residuation makes x -> xy and y -> xy preserve every join, the empty
+   one included, so (ab)c and a(bc) preserve joins in each argument
+   separately, and by lemma 1 they agree everywhere iff they agree on
+   J x J x J.  Residuation itself is a Galois connection: monotonicity
+   on the cover pairs, and then, by lemma 1 and its dual, the units at J
+   and the counits at the meet-irreducibles.
+
+Only when the distributivity or associativity test fails are the
+join-irreducibles (or their rows) scanned one by one, for witnesses in
+the order they have always been reported.  The checks are vectorised
+with numpy; the 3,432-element Dq(E) of :mod:`qra.represent` validates.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from .errors import (
     StructuralError,
 )
 from .iso import Structure, isomorphisms
-from .order import Poset, bits
+from .order import Poset, bits, row_blocks
 
 MAX_WITNESSES = 5
 
@@ -87,9 +100,16 @@ def _total_table(table: np.ndarray, what: str) -> np.ndarray:
 
 
 class FinAlgebra:
-    """A finite algebra in the DInFL / DqRA signature, given by tables."""
+    """A finite algebra in the DInFL / DqRA signature, given by tables.
+
+    ``leq`` is the order matrix, or a :class:`Poset` whose relation and
+    derived tables the algebra then shares.
+    """
 
     def __init__(self, leq, product, one, tilde, minus, neg=None, name=None):
+        if isinstance(leq, Poset):  # fills the cached order_poset
+            self.__dict__["order_poset"] = leq
+            leq = leq.relation
         leq = np.asarray(leq, dtype=bool)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise StructuralError("order matrix must be square")
@@ -175,15 +195,12 @@ class FinAlgebra:
 
     def with_neg(self, neg, name=None) -> "FinAlgebra":
         return FinAlgebra(
-            self.leq, self.product, self.one, self.tilde, self.minus,
+            self.order_poset, self.product, self.one, self.tilde, self.minus,
             neg=neg, name=name or self.name,
         )
 
     def without_neg(self, name=None) -> "FinAlgebra":
-        return FinAlgebra(
-            self.leq, self.product, self.one, self.tilde, self.minus,
-            neg=None, name=name or self.name,
-        )
+        return self.with_neg(None, name)
 
     def relabel(self, perm, name=None) -> "FinAlgebra":
         """Transport all tables along the bijection i -> perm[i]."""
@@ -218,8 +235,18 @@ def _mismatches(lhs: np.ndarray, rhs: np.ndarray):
     return _witnesses(lhs != rhs)
 
 
+def _join_prime(alg: FinAlgebra) -> bool:
+    """Whether every join-irreducible j is join-prime, as one test over the
+    word rows key[a] = J ∩ ↓a: j <= a join b implies j <= a or j <= b for
+    every j in J exactly when key[a join b] = key[a] | key[b]."""
+    keys, join = alg.order_poset.down_keys, alg.join_table
+    return all(np.array_equal(keys[join[rows]], keys[rows, None, :] | keys[None, :, :])
+               for rows in row_blocks(alg.size, alg.size * keys.shape[1]))
+
+
 def _join_prime_failures(leq: np.ndarray, join: np.ndarray, j: int) -> np.ndarray:
-    """[a, b] is True where j <= a join b although j is below neither a nor b."""
+    """[a, b] is True where j <= a join b although j is below neither a nor b;
+    the witness scan behind a failed ``_join_prime``."""
     lj = leq[j]
     return lj[join] & ~(lj[:, None] | lj[None, :])
 
@@ -241,26 +268,37 @@ def _adjoint(alg: FinAlgebra, rres: np.ndarray, lres_cb: np.ndarray) -> bool:
     ``x -> x.b`` and ``c -> c/b`` (and ``x -> a.x``, ``c -> a\\c``) form a
     Galois connection exactly when both maps are monotone and the unit and
     counit inequalities hold.  Monotonicity is checked on the cover pairs
-    ``(a0, a)``, whose transitive closure is the order.
+    ``(a0, a)``, whose transitive closure is the order.  Given it, the
+    units need checking only at the elements J of ``Poset.join_irreducibles``
+    and the counits only at M: every a is the least upper bound of J ∩ ↓a,
+    and j <= g(f(j)) <= g(f(a)) for each j there, so a <= g(f(a)); dually
+    f(g(c)) <= f(g(m)) <= m for every m in M ∩ ↑c gives f(g(c)) <= c.
     """
-    n, leq, prod = alg.size, alg.leq, alg.product
+    n, prod, poset = alg.size, alg.product, alg.order_poset
+    below = alg.leq.ravel()
+
+    def leq(x, y):
+        return below[x.astype(np.intp) * n + y].all()
+
     rows = np.arange(n)
+    j = np.array(poset.join_irreducibles, dtype=np.intp)
+    m = np.array(poset.meet_irreducibles, dtype=np.intp)
     if not (
-        leq[rows[:, None], rres[prod, rows[None, :]]].all()  # a <= ab/b
-        and leq[prod[rres, rows[None, :]], rows[:, None]].all()  # (c/b)b <= c
-        and leq[rows[None, :], lres_cb[prod, rows[:, None]]].all()  # b <= a\ab
-        and leq[prod[rows[None, :], lres_cb], rows[:, None]].all()  # a(a\c) <= c
+        leq(j[:, None], rres[prod[j], rows])  # j <= jb/b
+        and leq(prod[rres[m], rows], m[:, None])  # (m/b)b <= m
+        and leq(j, lres_cb[prod[:, j], rows[:, None]])  # j <= a\aj
+        and leq(prod[rows, lres_cb[m]], m[:, None])  # a(a\m) <= m
     ):
         return False
-    covers = [(a0, a) for a, low in enumerate(alg.order_poset.lower_covers) for a0 in bits(low)]
+    covers = [(a0, a) for a, low in enumerate(poset.lower_covers) for a0 in bits(low)]
     covers = np.array(covers, dtype=np.intp).reshape(-1, 2)
-    # blocks of n cover pairs: no gather is larger than the n x n ones above
-    for lo, hi in (block.T for block in np.split(covers, range(n, len(covers), n))):
+    for block in row_blocks(len(covers), n):
+        lo, hi = covers[block].T
         if not (
-            leq[prod[lo], prod[hi]].all()
-            and leq[prod[:, lo], prod[:, hi]].all()
-            and leq[rres[lo], rres[hi]].all()
-            and leq[lres_cb[lo], lres_cb[hi]].all()
+            leq(prod[lo], prod[hi])
+            and leq(prod[:, lo], prod[:, hi])
+            and leq(rres[lo], rres[hi])
+            and leq(lres_cb[lo], lres_cb[hi])
         ):
             return False
     return True
@@ -280,9 +318,7 @@ def validate_dinfl(alg: FinAlgebra) -> ValidationReport:
     antisym = leq & leq.T & ~np.eye(n, dtype=bool)
     for i, j in _witnesses(antisym):
         rep.add("order_antisymmetric", (i, j))
-    # float32 path counts cannot wrap, and any positive count stays positive
-    leq_f = leq.astype(np.float32)
-    for i, j in _witnesses(((leq_f @ leq_f) > 0) & ~leq):
+    for i, j in alg.order_poset.intransitive_pairs[:MAX_WITNESSES].tolist():
         rep.add("order_transitive", (i, j))
     if not rep.ok:
         return rep
@@ -295,7 +331,7 @@ def validate_dinfl(alg: FinAlgebra) -> ValidationReport:
                 rep.add(law, (i, j))
     lattice_ok = not missing.any()
     jirr = _one_lower_cover(alg)
-    if lattice_ok:
+    if lattice_ok and not _join_prime(alg):
         # a finite lattice is distributive iff every join-irreducible is
         # join-prime; a failing (j, a, b) is a counterexample, since then
         # j meet (a join b) = j properly exceeds (j meet a) join (j meet b)
@@ -305,11 +341,14 @@ def validate_dinfl(alg: FinAlgebra) -> ValidationReport:
 
     rres, lres_cb = _residuals(alg)
     residuated = _adjoint(alg, rres, lres_cb)
-    # Residuation makes x -> xb preserve every join, the empty one included,
-    # so a -> (ab)c and a -> a(bc) both preserve joins; in a finite lattice
-    # every element is the join of the join-irreducibles below it, so the two
-    # agree everywhere iff they agree on the join-irreducibles.
-    for a in jirr if lattice_ok and residuated else range(n):
+    # lemma 2 of the module docstring: with residuation, associativity on
+    # J x J x J; the rows of J are scanned only for witnesses
+    rows = range(n)
+    if lattice_ok and residuated:
+        j = np.array(jirr, dtype=np.intp)
+        pj = prod[np.ix_(j, j)]
+        rows = [] if np.array_equal(prod[pj[:, :, None], j], prod[j[:, None, None], pj]) else jirr
+    for a in rows:
         for b, c in _mismatches(prod[prod[a]], prod[a][prod]):
             rep.add("monoid_associative", (a, b, c))
     ident = np.arange(n)
@@ -474,12 +513,13 @@ def classify(alg: FinAlgebra) -> AlgebraFlags:
 def join_irreducibles(alg: FinAlgebra) -> list[int]:
     """Elements with exactly one lower cover, verified join-prime."""
     out = _one_lower_cover(alg)
-    for j in out:
-        if _join_prime_failures(alg.leq, alg.join_table, j).any():
-            raise PreconditionError(
-                f"element {j} is join-irreducible but not join-prime; "
-                "the lattice is not distributive"
-            )
+    if out and not _join_prime(alg):
+        for j in out:
+            if _join_prime_failures(alg.leq, alg.join_table, j).any():
+                raise PreconditionError(
+                    f"element {j} is join-irreducible but not join-prime; "
+                    "the lattice is not distributive"
+                )
     return out
 
 

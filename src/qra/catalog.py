@@ -154,7 +154,7 @@ def _diagram_algebra(name, covers, labels, styles):
     poset, names, equations = _parse_entry(name, covers, labels)
     prod = _deduce_products(name, poset, names, equations, styles)
     tilde, minus = _negations_from_zero(name, poset, prod, names["0"])
-    alg = FinAlgebra(poset.matrix(), prod, names["1"], tilde, minus, name=name)
+    alg = FinAlgebra(poset, prod, names["1"], tilde, minus, name=name)
     rep = validate_dinfl(alg)
     if not rep.ok:
         raise InternalCheckError(f"{name}: reconstruction failed validation: {rep.summary()}")

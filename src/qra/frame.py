@@ -12,7 +12,6 @@ that constructively.
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 
 import numpy as np
@@ -24,9 +23,9 @@ from .algebra import (
     join_irreducibles,
     kappa_map,
 )
-from .errors import InternalCheckError, PreconditionError, SignatureError, StructuralError
+from .errors import InternalCheckError, SignatureError, StructuralError
 from .iso import Structure, check_witness, isomorphisms
-from .order import Poset, bits, mask_of, row_masks
+from .order import Poset, RowIndex, bits, check_memory, mask_of, row_masks
 
 
 class Frame:
@@ -284,35 +283,13 @@ def _union_over(member: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(rows, axis=1, where=where)
 
 
-def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The position of each query in the sorted distinct keys, or -1."""
-    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
-    return np.where(keys[at] == queries, at, -1)
-
-
 def _positions(sets: np.ndarray, found: np.ndarray, what: str) -> np.ndarray:
     """The index of each word row of ``found`` among the distinct word rows
-    ``sets``.  Rows are matched a word at a time: the rank of a prefix and
-    of the next word give the rank of the longer prefix, so keys stay below
-    len(sets) ** 2 whatever the number of words."""
-    rank = np.zeros(len(sets), dtype=np.int64)
-    query = np.zeros(found.shape[:-1], dtype=np.int64)
-    for w in range(sets.shape[1]):
-        words = np.unique(sets[:, w])
-        word = _find(words, found[..., w])
-        rank = rank * len(words) + np.searchsorted(words, sets[:, w])
-        query = np.where((query < 0) | (word < 0), -1, query * len(words) + word)
-        if w:
-            prefixes = np.unique(rank)
-            rank, query = np.searchsorted(prefixes, rank), _find(prefixes, query)
-    if (query < 0).any():
+    ``sets``; a row not among them is an internal error."""
+    at = RowIndex(sets).find(found)
+    if (at < 0).any():
         raise InternalCheckError(f"{what} left the upsets of the algebra")
-    return np.argsort(rank)[query]
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory, as the operating system reports them."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return at
 
 
 def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
@@ -329,10 +306,7 @@ def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
     before anything is allocated.
     """
     n, width = frame.size, max(1, -(-frame.size // 64))
-    need, memory = 8 * (width + 1) * len(ups) ** 2, _physical_memory()
-    if need > memory:
-        raise PreconditionError(f"the product table of {len(ups)} upsets needs {need / 2**30:.1f} "
-                                f"GiB; physical memory is {memory / 2**30:.1f} GiB")
+    check_memory(8 * (width + 1) * len(ups) ** 2, f"the product table of {len(ups)} upsets")
     sets = _words(ups, width)
     member = np.unpackbits(sets.view(np.uint8), axis=1, count=n,
                            bitorder="little").astype(bool)

@@ -2,18 +2,22 @@
 
 Elements are ``0..n-1`` and subsets are Python ints used as bitmasks, so
 upset/downset manipulation is single word operations for every carrier
-size this package meets in practice.
+size this package meets in practice.  The n x n tables derived from an
+order (covers, joins and meets) are computed with numpy: covers from the
+strict order with no two-step path, joins and meets by looking up
+irreducible keys (see ``Poset.lattice``).
 """
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import PreconditionError, StructuralError
 from .iso import Structure, isomorphisms
 
 
@@ -59,14 +63,131 @@ def row_masks(matrix) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
-def _covers(up, down) -> tuple[int, ...]:
-    """covers[i] = bitmask of the elements covering i, for the order with
-    these up-set and down-set masks; swapping them gives lower covers."""
+def _physical_memory() -> int:
+    """Bytes of physical memory, as the operating system reports them."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(need: int, what: str):
+    """Raise ``PreconditionError`` before ``what`` allocates ``need`` bytes
+    when that is more than the physical memory."""
+    memory = _physical_memory()
+    if need > memory:
+        raise PreconditionError(f"{what} needs {need / 2**30:.1f} GiB; "
+                                f"physical memory is {memory / 2**30:.1f} GiB")
+
+
+#: cells in one block of an n x n computation, so temporaries stay small
+BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(rows: int, cells_per_row: int):
+    """Slices of ``range(rows)`` with at most ``BLOCK_CELLS`` cells each
+    (at least one row)."""
+    step = max(1, BLOCK_CELLS // max(1, cells_per_row))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _matrix(masks, n: int) -> np.ndarray:
+    """The boolean matrix whose row i has the bits of ``masks[i]``."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n,
+                         bitorder="little").view(bool)
+
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The position of the last copy of each query in the sorted keys, or -1."""
+    at = keys.searchsorted(queries, "right") - 1
+    return np.where(keys[at] == queries, at, -1)
+
+
+class RowIndex:
+    """Exact lookup of word rows among the rows of a table; a row listed
+    more than once is found at its last index.
+
+    Rows are matched a word at a time: the rank of a prefix and the
+    position of the next word among the sorted values of that word give
+    the rank of the longer prefix, so ranks stay below len(rows) ** 2
+    whatever the number of words.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.steps = []  # per word: its sorted values, then the sorted prefix ranks
+        rank = 0
+        for w, column in enumerate(rows.T):
+            words = np.sort(column)
+            rank = rank * len(words) + words.searchsorted(column, "right") - 1
+            prefixes = None
+            if w:
+                prefixes = np.sort(rank)
+                rank = prefixes.searchsorted(rank, "right") - 1
+            self.steps.append((words, prefixes))
+        # a query found nowhere has position -1, which reads the -1 at the end
+        self.order = np.full(len(rows) + 1, -1)
+        self.order[:-1] = rank.argsort(kind="stable")
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """The index of each word row of ``queries`` (last axis) among the
+        rows, or -1."""
+        query = None
+        for w, (words, prefixes) in enumerate(self.steps):
+            word = _find(words, queries[..., w])
+            if w:
+                query = _find(prefixes, np.where(word < 0, -1, query * len(words) + word))
+            else:
+                query = word
+        return self.order[query]
+
+
+def _irreducibles(masks, lower) -> tuple[int, ...]:
+    """The elements that are not the least upper bound of the elements
+    strictly below them, for the order whose up-sets are ``masks`` and
+    lower covers ``lower``: those where the common upper bounds of the
+    lower covers (every element, if there are none) are more than the
+    up-set.  With down-sets and upper covers, the dual."""
+    carrier = (1 << len(masks)) - 1
     out = []
-    for i, mask in enumerate(up):
-        strict = mask ^ (1 << i)
-        out.append(mask_of(j for j in bits(strict) if (strict & down[j]) == 1 << j))
+    for a, low in enumerate(lower):
+        bound = carrier
+        while low:
+            c = low & -low
+            bound &= masks[c.bit_length() - 1]
+            low ^= c
+        if bound != masks[a]:
+            out.append(a)
     return tuple(out)
+
+
+def _keys(relation: np.ndarray, irr) -> np.ndarray:
+    """Row a is the set of positions k with ``relation[a, irr[k]]``, as
+    little-endian 64-bit words."""
+    member = np.zeros((len(relation), 64 * max(1, -(-len(irr) // 64))), dtype=bool)
+    member[:, :len(irr)] = relation[:, irr]
+    return np.packbits(member, axis=1, bitorder="little").view("<u8")
+
+
+def _key_table(keys: np.ndarray) -> np.ndarray:
+    """The read-only table of the element keyed ``keys[a] & keys[b]``, -1
+    where there is none."""
+    n, width = keys.shape
+    index = RowIndex(keys)
+    table = np.empty((n, n), dtype=np.int32)
+    # the table is symmetric: a block of rows is looked up from its
+    # diagonal on and mirrored into the same columns
+    for rows in row_blocks(n, n * width):
+        half = index.find(keys[rows, None, :] & keys[None, rows.start:, :])
+        table[rows, rows.start:] = half
+        table[rows.start:, rows] = half.T
+    table.setflags(write=False)
+    return table
+
+
+class _PathFacts(NamedTuple):
+    covers: tuple[int, ...]
+    lower_covers: tuple[int, ...]
+    is_partial_order: bool
+    intransitive: np.ndarray
 
 
 class Poset:
@@ -89,8 +210,13 @@ class Poset:
         if any(len(row) != n for row in matrix):
             raise StructuralError("order matrix is not square")
         leq = np.asarray(matrix, dtype=bool).reshape(n, n)
+        if leq.flags.writeable:
+            leq = leq.copy()
+            leq.setflags(write=False)
         poset = cls(row_masks(leq), name=name)
-        poset.__dict__["down"] = row_masks(leq.T)  # fills the cached property
+        # fill the cached properties
+        poset.__dict__["down"] = row_masks(leq.T)
+        poset.__dict__["relation"] = leq
         if check:
             poset.check_partial_order()
         return poset
@@ -129,6 +255,13 @@ class Poset:
             mask_of(j for j in range(self.n) if (self.up[j] >> i) & 1)
             for i in range(self.n)
         )
+
+    @cached_property
+    def relation(self) -> np.ndarray:
+        """The read-only boolean matrix with ``i <= j`` at ``[i, j]``."""
+        leq = _matrix(self.up, self.n)
+        leq.setflags(write=False)
+        return leq
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
@@ -181,31 +314,103 @@ class Poset:
         return count if cap is None else min(count, cap + 1)
 
     @cached_property
+    def _paths(self) -> "_PathFacts":
+        """Covers and the order laws from one count of the two-step paths
+        i -> k -> j through a third element k.  Counts are float32 sums
+        of at most n ones, so they are exact."""
+        n, leq = self.n, self.relation
+        check_memory(12 * n * n, f"the cover relation of {n} elements")
+        strict = leq.astype(np.float32)
+        strict.flat[::n + 1] = 0
+        paths = strict @ strict > 0
+        reflexive = leq.diagonal()
+        # an element that is not below itself covers nothing and is covered
+        # by nothing
+        cover = (strict > 0) & ~paths & reflexive[:, None] & reflexive
+        # a pair joined by a two-step path but not related; no other pair
+        # (i, k, j) with k in {i, j} can break transitivity
+        intransitive = np.argwhere(paths & ~leq)
+        is_order = bool(reflexive.all() and not paths.diagonal().any() and not len(intransitive))
+        return _PathFacts(row_masks(cover), row_masks(cover.T), is_order, intransitive)
+
+    @property
     def covers(self) -> tuple[int, ...]:
         """covers[i] = bitmask of elements covering i."""
-        return _covers(self.up, self.down)
+        return self._paths.covers
 
-    @cached_property
+    @property
     def lower_covers(self) -> tuple[int, ...]:
         """lower_covers[i] = bitmask of elements covered by i."""
-        return _covers(self.down, self.up)
+        return self._paths.lower_covers
+
+    @property
+    def is_partial_order(self) -> bool:
+        """Whether the relation is reflexive, antisymmetric and transitive."""
+        return self._paths.is_partial_order
+
+    @property
+    def intransitive_pairs(self) -> np.ndarray:
+        """The pairs (i, j), in row-major order, with i <= k <= j for some
+        k but not i <= j."""
+        return self._paths.intransitive
+
+    @cached_property
+    def join_irreducibles(self) -> tuple[int, ...]:
+        """The elements J that are not the least upper bound of the
+        elements strictly below them; in a lattice, the join-irreducibles
+        (the elements with exactly one lower cover).  Every element when
+        the relation is not a partial order, so that the keys built on J
+        are the whole down-sets there."""
+        if not self.is_partial_order:
+            return tuple(range(self.n))
+        return _irreducibles(self.up, self.lower_covers)
+
+    @cached_property
+    def meet_irreducibles(self) -> tuple[int, ...]:
+        """The elements M that are not the greatest lower bound of the
+        elements strictly above them, the dual of ``join_irreducibles``."""
+        if not self.is_partial_order:
+            return tuple(range(self.n))
+        return _irreducibles(self.down, self.covers)
+
+    @cached_property
+    def down_keys(self) -> np.ndarray:
+        """Row a is J ∩ ↓a, bit k for ``join_irreducibles[k]``, as 64-bit
+        words."""
+        return _keys(self.relation.T, self.join_irreducibles)
+
+    @cached_property
+    def up_keys(self) -> np.ndarray:
+        """Row a is M ∩ ↑a, the dual of ``down_keys``."""
+        return _keys(self.relation, self.meet_irreducibles)
 
     @cached_property
     def lattice(self) -> LatticeTables:
-        """Join and meet tables, bottom and top, filled in one pass over the
-        pairs; -1 marks a missing one.  The tables are read-only."""
-        n, up, down = self.n, self.up, self.down
-        uppers = {m: i for i, m in enumerate(up)}
-        lowers = {m: i for i, m in enumerate(down)}
-        join = np.empty((n, n), dtype=np.int32)
-        meet = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            join[i, i:] = join[i:, i] = [uppers.get(up[i] & u, -1) for u in up[i:]]
-            meet[i, i:] = meet[i:, i] = [lowers.get(down[i] & d, -1) for d in down[i:]]
-        join.setflags(write=False)
-        meet.setflags(write=False)
-        return LatticeTables(join, meet, uppers.get(self.carrier, -1),
-                             lowers.get(self.carrier, -1))
+        """Join and meet tables, bottom and top; -1 marks a missing one.
+        The tables are read-only.
+
+        Let J be the elements that are not the least upper bound of the
+        elements strictly below them.  By induction on height, every
+        element a of a finite poset is the least upper bound of J ∩ ↓a:
+        either a is in J and the greatest element of that set, or a is
+        the least upper bound of the elements strictly below it, each of
+        which is the least upper bound of the part of J ∩ ↓a below it.
+        So a <= b exactly when J ∩ ↓a is within J ∩ ↓b, and c is the meet
+        of a and b exactly when J ∩ ↓c = J ∩ ↓a ∩ J ∩ ↓b: every j in the
+        intersection is a lower bound of a and b, hence below their meet.
+        Each meet is therefore an exact lookup of ``key[a] & key[b]``
+        among the keys, -1 where there is none; joins are the same with
+        the up-sets.  This holds in every finite poset, lattice or not.
+        On a relation that is not a partial order the keys are the whole
+        down-sets (up-sets), so the lookup compares the sets themselves;
+        a set shared by several elements names the last of them, and so
+        do the bottom (the element below everything) and the top.
+        """
+        n = self.n
+        check_memory(8 * n * n, f"the join and meet tables of {n} elements")
+        ends = [max((i for i, m in enumerate(masks) if m == self.carrier), default=-1)
+                for masks in (self.up, self.down)]
+        return LatticeTables(_key_table(self.up_keys), _key_table(self.down_keys), *ends)
 
     def _profile(self) -> tuple:
         """Iterated degree profile, an isomorphism invariant per element."""

@@ -6,6 +6,13 @@ no join-prime test, no adjunction, no restriction to join-irreducible rows.
 It covers transitivity, distributivity, associativity and both directions
 of the residuation biconditional; the tests compare the set of these laws
 that the validator reports violated with the set the reference finds.
+
+A second reference keeps the validator as it was before distributivity
+became one test over word rows, associativity a test on J x J x J, and the
+unit and counit checks of the adjunction were cut down to the
+irreducibles: a join-prime scan per join-irreducible, a row loop per
+element of the associativity domain and the adjunction over every pair.
+Full reports, witnesses in order, are compared with it.
 """
 
 import random
@@ -14,8 +21,20 @@ import numpy as np
 import pytest
 
 from qra import FinAlgebra, Poset, RepBase, build_dq, derived_ops, validate_dinfl, validate_dqra
+from qra.algebra import (
+    ValidationReport,
+    _join_prime_failures,
+    _mismatches,
+    _one_lower_cover,
+    _residuals,
+    _residuation_witnesses,
+    _witnesses,
+    plus_table,
+)
 from qra.catalog import build_catalog, catalog_lookup
-from qra.errors import InternalCheckError
+from qra.errors import InternalCheckError, PreconditionError
+from qra.frame import Frame, complex_algebra
+from qra.order import all_posets, bits
 
 COVERED = {
     "order_transitive", "lattice_distributive", "monoid_associative",
@@ -60,6 +79,126 @@ def reference_laws(alg: FinAlgebra) -> set[str]:
     if any(leq[p[a][b]][c] != leq[b][t[p[m[c]][a]]] for a in R for b in R for c in R):
         out.add("residuation_left")
     return out
+
+
+def reference_adjoint(alg: FinAlgebra, rres, lres_cb) -> bool:
+    """The adjunction with unit and counit checked at every pair."""
+    n, leq, prod = alg.size, alg.leq, alg.product
+    rows = np.arange(n)
+    if not (
+        leq[rows[:, None], rres[prod, rows[None, :]]].all()  # a <= ab/b
+        and leq[prod[rres, rows[None, :]], rows[:, None]].all()  # (c/b)b <= c
+        and leq[rows[None, :], lres_cb[prod, rows[:, None]]].all()  # b <= a\ab
+        and leq[prod[rows[None, :], lres_cb], rows[:, None]].all()  # a(a\c) <= c
+    ):
+        return False
+    for a, low in enumerate(alg.order_poset.lower_covers):
+        for a0 in bits(low):
+            if not (
+                leq[prod[a0], prod[a]].all()
+                and leq[prod[:, a0], prod[:, a]].all()
+                and leq[rres[a0], rres[a]].all()
+                and leq[lres_cb[a0], lres_cb[a]].all()
+            ):
+                return False
+    return True
+
+
+def reference_validate_dinfl(alg: FinAlgebra) -> ValidationReport:
+    """validate_dinfl with a join-prime scan per join-irreducible and an
+    associativity row loop over every join-irreducible (every element
+    without a lattice or residuation)."""
+    rep = ValidationReport(subject=alg.name or "algebra")
+    rep.notes.append("finite carrier: complete and perfect hold automatically")
+    n, leq, prod = alg.size, alg.leq, alg.product
+    if not leq.diagonal().all():
+        for (i,) in _witnesses(~leq.diagonal()):
+            rep.add("order_reflexive", (i,))
+    for i, j in _witnesses(leq & leq.T & ~np.eye(n, dtype=bool)):
+        rep.add("order_antisymmetric", (i, j))
+    leq_f = leq.astype(np.float32)
+    for i, j in _witnesses(((leq_f @ leq_f) > 0) & ~leq):
+        rep.add("order_transitive", (i, j))
+    if not rep.ok:
+        return rep
+    lat = alg.order_poset.lattice
+    missing = np.triu((lat.join < 0) | (lat.meet < 0), 1)
+    for i, j in np.argwhere(missing).tolist():
+        for law, table in (("lattice_join_exists", lat.join), ("lattice_meet_exists", lat.meet)):
+            if table[i, j] < 0:
+                rep.add(law, (i, j))
+    lattice_ok = not missing.any()
+    jirr = _one_lower_cover(alg)
+    if lattice_ok:
+        for j in jirr:
+            for a, b in _witnesses(_join_prime_failures(leq, alg.join_table, j)):
+                rep.add("lattice_distributive", (j, a, b))
+    rres, lres_cb = _residuals(alg)
+    residuated = reference_adjoint(alg, rres, lres_cb)
+    for a in jirr if lattice_ok and residuated else range(n):
+        for b, c in _mismatches(prod[prod[a]], prod[a][prod]):
+            rep.add("monoid_associative", (a, b, c))
+    ident = np.arange(n)
+    for (a,) in _witnesses(prod[alg.one] != ident):
+        rep.add("monoid_unit_left", (a,))
+    for (a,) in _witnesses(prod[:, alg.one] != ident):
+        rep.add("monoid_unit_right", (a,))
+    tilde, minus = alg.tilde, alg.minus
+    for (a,) in _witnesses(minus[tilde] != ident):
+        rep.add("linear_negation_inverse", (a,))
+    for (a,) in _witnesses(tilde[minus] != ident):
+        rep.add("linear_negation_inverse", (a,))
+    for a, b in _witnesses(leq != leq[np.ix_(tilde, tilde)].T):
+        rep.add("linear_negation_antitone", (a, b))
+    for a, b in _witnesses(leq != leq[np.ix_(minus, minus)].T):
+        rep.add("linear_negation_antitone", (a, b))
+    if not residuated:
+        _residuation_witnesses(rep, alg, rres, lres_cb)
+    if lattice_ok:
+        if tilde[alg.one] == minus[alg.one]:
+            lz = leq[:, int(tilde[alg.one])]
+            for a, b in _witnesses(leq != lz[prod[np.ix_(np.arange(n), tilde)]]):
+                rep.add("semiring_reformulation", (a, b))
+            for a, b in _witnesses(leq != lz[prod[minus]].T):
+                rep.add("semiring_reformulation", (a, b))
+            lhs = minus[alg.join_table[np.ix_(tilde, tilde)]]
+            for a, b in _witnesses(alg.meet_table != lhs):
+                rep.add("meet_from_join_negation", (a, b))
+        else:
+            rep.add("zero_agreement", (int(tilde[alg.one]), int(minus[alg.one])))
+    return rep
+
+
+def reference_validate(alg: FinAlgebra) -> ValidationReport:
+    """``reference_validate_dinfl`` plus, for a DqRA, the De Morgan laws."""
+    rep = reference_validate_dinfl(alg)
+    if alg.neg is None:
+        return rep
+    neg, ident = alg.neg, np.arange(alg.size)
+    for (a,) in _witnesses(neg[neg] != ident):
+        rep.add("neg_involution", (a,))
+    try:
+        meet, join = alg.meet_table, alg.join_table
+    except PreconditionError:
+        return rep
+    for a, b in _witnesses(neg[meet] != join[np.ix_(neg, neg)]):
+        rep.add("de_morgan_meet", (a, b))
+    for a, b in _witnesses(neg[alg.product] != plus_table(alg)[np.ix_(neg, neg)]):
+        rep.add("de_morgan_product", (a, b))
+    return rep
+
+
+def fresh(alg: FinAlgebra) -> FinAlgebra:
+    """The same tables with nothing derived from them cached yet."""
+    return FinAlgebra(np.array(alg.leq), np.array(alg.product), alg.one, alg.tilde, alg.minus,
+                      neg=alg.neg, name=alg.name)
+
+
+def assert_report_matches_loops(alg: FinAlgebra):
+    rep = validate_dqra(alg) if alg.neg is not None else validate_dinfl(alg)
+    want = reference_validate(fresh(alg))
+    assert (rep.ok, rep.laws_violated(), rep.failures) == (
+        want.ok, want.laws_violated(), want.failures), alg.name
 
 
 def assert_matches_reference(alg: FinAlgebra):
@@ -189,3 +328,49 @@ def test_transitivity_counts_do_not_wrap(middles):
     assert rep.failures == [("order_transitive", (0, n - 1))]
     if middles <= 8:
         assert reference_laws(alg) == {"order_transitive"}
+
+
+def test_reports_match_the_loops_on_the_catalogue_and_mutants():
+    rng = random.Random(15)
+    for entry in build_catalog():
+        for alg in [entry.base] + [v.algebra for v in entry.variants]:
+            assert_report_matches_loops(alg)
+            if alg.size > 1:
+                for mutant in mutants(alg, rng, ("cell", "cells", "tilde", "order")):
+                    assert_report_matches_loops(mutant)
+
+
+def test_reports_match_the_loops_on_every_order_of_five_points():
+    # lattices among them include the non-distributive M3 and N5; the
+    # filler product is not residuated, so every row is checked
+    for poset in all_posets(5):
+        n = poset.n
+        for neg in (None, list(range(n))):
+            alg = FinAlgebra(np.array(poset.matrix(), dtype=bool), np.zeros((n, n), dtype=int),
+                             0, list(range(n)), list(range(n)), neg=neg, name=repr(poset))
+            assert_report_matches_loops(alg)
+
+
+def test_reports_match_the_loops_on_dq_above_64_elements_and_its_mutants():
+    k = 4
+    chain = Poset.chain(k)
+    base = RepBase(chain, tuple([chain.carrier] * k), tuple(range(k)), tuple(reversed(range(k))))
+    alg = build_dq(base, name="chain4").algebra
+    assert_report_matches_loops(alg)
+    for mutant in mutants(alg, random.Random(71), ("cell", "cells", "tilde", "order") * 2):
+        assert_report_matches_loops(mutant)
+
+
+def test_associativity_failing_although_residuation_holds():
+    # the complex algebra of a two-point frame whose composition is closed
+    # under rotation but not associative: residuation holds, so the J x J x J
+    # test decides associativity, and its failure sends the scan to the rows
+    # of J for witnesses, where c ranges over every element
+    frame = Frame(Poset.antichain(2), 0b01, [[0, 0b10], [0b10, 0b01]], [0, 1], [0, 1])
+    alg = complex_algebra(frame)
+    rep = validate_dinfl(alg)
+    assert not {"residuation_right", "residuation_left"} & set(rep.laws_violated())
+    assert reference_laws(alg) == {"monoid_associative"}
+    assert [w for law, w in rep.failures if law == "monoid_associative"] == [
+        (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3), (1, 3, 2)]
+    assert_report_matches_loops(alg)

@@ -8,6 +8,12 @@ the join (meet) of two strictly smaller (larger) elements.  The tests run
 over every poset on at most five points and its up-set lattice, over the
 70-element Dq(E) of the 4-chain and over a random 130-point order, so the
 row-to-bitmask conversion crosses 64-bit word boundaries.
+
+``reference_lattice_by_masks`` keeps the lattice tables as they were
+computed before the irreducible keys: a dictionary lookup of the
+intersection of two up-sets (down-sets) among the up-sets (down-sets),
+pair by pair.  It reads the masks literally, so it also pins the tables of
+relations that are not partial orders.
 """
 
 import itertools
@@ -16,6 +22,7 @@ import random
 import numpy as np
 import pytest
 
+import qra.order
 from qra import FinAlgebra, Poset, RepBase, build_dq, join_irreducibles, meet_irreducibles
 from qra.errors import PreconditionError
 from qra.order import all_posets
@@ -62,6 +69,35 @@ def ref_lattice(leq):
     join = [[least([u for u in R if leq[a][u] and leq[b][u]]) for b in R] for a in R]
     meet = [[greatest([d for d in R if leq[d][a] and leq[d][b]]) for b in R] for a in R]
     return join, meet, ref_extreme(leq, True), ref_extreme(leq, False)
+
+
+def reference_lattice_by_masks(poset):
+    """Join and meet tables with -1 where none exists, bottom and top, by
+    looking up each intersection of up-sets (down-sets) among the up-sets
+    (down-sets); a mask listed twice names its last element."""
+    n, up, down = poset.n, poset.up, poset.down
+    uppers = {m: i for i, m in enumerate(up)}
+    lowers = {m: i for i, m in enumerate(down)}
+    join = np.empty((n, n), dtype=np.int32)
+    meet = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        join[i, i:] = join[i:, i] = [uppers.get(up[i] & u, -1) for u in up[i:]]
+        meet[i, i:] = meet[i:, i] = [lowers.get(down[i] & d, -1) for d in down[i:]]
+    full = (1 << n) - 1
+    return join, meet, uppers.get(full, -1), lowers.get(full, -1)
+
+
+def assert_lattice_by_masks(poset):
+    join, meet, bottom, top = reference_lattice_by_masks(poset)
+    lat = poset.lattice
+    assert np.array_equal(lat.join, join) and np.array_equal(lat.meet, meet)
+    assert (lat.bottom, lat.top) == (bottom, top)
+
+
+def chain_dq(k):
+    chain = Poset.chain(k)
+    base = RepBase(chain, tuple([chain.carrier] * k), tuple(range(k)), tuple(reversed(range(k))))
+    return build_dq(base).algebra
 
 
 def ref_irreducibles(leq, join, meet):
@@ -190,3 +226,64 @@ def test_order_layer_past_one_machine_word():
     rng.shuffle(perm)
     leq = rel[np.ix_(perm, perm)].tolist()
     check_order_layer(leq, lattice_expected=False)
+
+
+def test_lattice_tables_match_the_mask_lookup_on_large_lattices():
+    for k, size, width in ((5, 252, 1), (6, 924, 1)):
+        alg = chain_dq(k)
+        assert alg.size == size
+        poset = Poset.from_matrix(alg.leq, check=False)
+        assert poset.down_keys.shape == (size, width)
+        assert_lattice_by_masks(poset)
+    # the Boolean lattice 2^9: the 9 atoms are its join-irreducibles
+    subsets = np.arange(1 << 9)
+    boolean = Poset.from_matrix((subsets[:, None] & ~subsets[None, :]) == 0)
+    assert boolean.join_irreducibles == tuple(1 << i for i in range(9))
+    assert_lattice_by_masks(boolean)
+    assert (boolean.lattice.join == subsets[:, None] | subsets[None, :]).all()
+    # a 70-chain has 69 join-irreducibles: keys of two 64-bit words
+    chain = Poset.chain(70)
+    assert chain.down_keys.shape == (70, 2) and chain.up_keys.shape == (70, 2)
+    assert_lattice_by_masks(chain)
+    assert (chain.lattice.meet == np.minimum.outer(np.arange(70), np.arange(70))).all()
+
+
+def test_lattice_tables_match_the_mask_lookup_on_relations_that_are_not_orders():
+    # not reflexive, not antisymmetric (equal up-sets: the last one names
+    # a join), not transitive; the keys are then the whole up- and down-sets
+    rng = random.Random(90)
+    seen = set()
+    for trial in range(120):
+        n = rng.randint(2, 9)
+        rel = np.array([[rng.random() < 0.45 for _ in range(n)] for _ in range(n)])
+        if trial % 3:
+            np.fill_diagonal(rel, True)
+        if trial % 4 == 0:
+            rel[1] = rel[0]
+            rel[:, 1] = rel[:, 0]
+        poset = Poset.from_matrix(rel, check=False)
+        seen.add((poset.is_partial_order, len(set(poset.up)) < n))
+        if not poset.is_partial_order:
+            assert poset.join_irreducibles == tuple(range(n))
+        assert_lattice_by_masks(poset)
+    assert (False, True) in seen and (False, False) in seen
+
+
+def test_order_tables_larger_than_memory_are_refused_before_allocating(monkeypatch):
+    alg = chain_dq(6)
+    assert alg.size == 924
+    cells = 924 * 924
+    poset = Poset.from_matrix(alg.leq, check=False)
+    poset.lower_covers
+    # join and meet tables: 8 bytes a pair
+    monkeypatch.setattr(qra.order, "_physical_memory", lambda: 8 * cells - 1)
+    with pytest.raises(PreconditionError, match="join and meet tables of 924 elements"):
+        poset.lattice
+    with pytest.raises(PreconditionError, match="physical memory"):
+        FinAlgebra(alg.leq, alg.product, alg.one, alg.tilde, alg.minus).join_table
+    # the cover step: 12 bytes a pair
+    monkeypatch.setattr(qra.order, "_physical_memory", lambda: 12 * cells - 1)
+    with pytest.raises(PreconditionError, match="cover relation of 924 elements"):
+        Poset.from_matrix(alg.leq, check=False).covers
+    monkeypatch.setattr(qra.order, "_physical_memory", lambda: 12 * cells)
+    assert Poset.from_matrix(alg.leq, check=False).lattice.bottom == alg.bottom

@@ -191,7 +191,7 @@ def test_an_upset_algebra_larger_than_memory_is_refused_before_allocating(
         monkeypatch, tmp_path, capsys):
     # the 4-point antichain with full E: 16 pairs and exactly the default cap
     # of 65,536 upsets, whose product table alone would take 32 GiB
-    monkeypatch.setattr(qra.frame, "_physical_memory", lambda: 8 << 30)
+    monkeypatch.setattr(qra.order, "_physical_memory", lambda: 8 << 30)
     poset = Poset.antichain(4)
     base = RepBase(poset, (poset.carrier,) * 4, range(4), range(4))
     assert dq_frame(base).poset.count_upsets(cap=1 << 16) == 1 << 16
@@ -426,8 +426,8 @@ def test_filter_flags_on_catalog():
 
 @pytest.mark.stretch
 def test_seven_chain_dq_validates():
-    # 3,432 elements; associativity is checked on the 49 join-irreducible
-    # rows; about 28 s at 490 MB peak RSS on a 2-vCPU host
+    # 3,432 elements; associativity is checked on J x J x J for the 49
+    # join-irreducibles; about 7 s at 430 MB peak RSS on a 2-vCPU host
     k = 7
     chain = Poset.chain(k)
     base = RepBase(chain, tuple([chain.carrier] * k), tuple(range(k)), tuple(reversed(range(k))))
