@@ -9,8 +9,8 @@ all tables are immutable after construction.
 
 Validation is exhaustive: every law holds for all tuples exactly when the
 report has no failure for it, and each failure carries a witness tuple.
-One code path serves every carrier size.  Three laws are decided through
-the irreducibles, by two lemmas.
+One code path serves every carrier size.  Most laws are decided through
+the irreducibles, or through the cover pairs, by three lemmas.
 
 1. Let J be the elements that are not the least upper bound of the
    elements strictly below them (in a lattice, the join-irreducibles),
@@ -25,11 +25,29 @@ the irreducibles, by two lemmas.
    J x J x J.  Residuation itself is a Galois connection: monotonicity
    on the cover pairs, and then, by lemma 1 and its dual, the units at J
    and the counits at the meet-irreducibles.
+3. A permutation f of a finite poset that reverses every cover pair
+   reverses the order, and then maps the related pairs injectively,
+   so onto, themselves: a <= b iff f(b) <= f(a), an anti-isomorphism,
+   which turns meets into joins and joins into meets, the empty ones
+   included.  So the linear negations are order-reversing
+   (``linear_negation_antitone``) iff they reverse every cover pair,
+   and, in a lattice, neg(a meet b) = neg a join neg b for all a and b
+   (``de_morgan_meet``) iff neg does (the law with a <= b gives
+   neg b <= neg a).  If ~ is an anti-isomorphism and minus undoes it,
+   then a meet b = -(~a join ~b) (``meet_from_join_negation``).  Let
+   the order be a lattice on which the product is residuated, and let
+   ~, - and neg be anti-isomorphisms.  Then the De Morgan product law
+   (Dp) neg(ab) = neg a + neg b, with x + y = -(~y . ~x), holds iff it
+   holds on J x J: the product preserves joins in each argument, so
+   both sides turn joins in a into meets, and likewise in b, and by
+   lemma 1 each side at (a, b) is the meet of its values at the pairs
+   of J ∩ ↓a and J ∩ ↓b.
 
-Only when the distributivity or associativity test fails are the
-join-irreducibles (or their rows) scanned one by one, for witnesses in
-the order they have always been reported.  The checks are vectorised
-with numpy; the 3,432-element Dq(E) of :mod:`qra.represent` validates.
+Only when one of these tests or a premise fails are the join-irreducibles
+(or their rows, or the whole table) scanned, for witnesses in the order
+they have always been reported.  The checks are vectorised with numpy,
+and the n x n ones run a block of rows at a time (``order.row_blocks``);
+the 3,432-element Dq(E) of :mod:`qra.represent` validates.
 """
 
 from __future__ import annotations
@@ -235,6 +253,18 @@ def _mismatches(lhs: np.ndarray, rhs: np.ndarray):
     return _witnesses(lhs != rhs)
 
 
+def _row_witnesses(n: int, broken) -> list[tuple]:
+    """The witnesses (a, b), in row-major order, of the n x n mask that
+    ``broken(rows)`` gives one block of rows at a time, as ``_witnesses``
+    finds them on the whole mask."""
+    found = []
+    for rows in row_blocks(n, n):
+        found += [(a + rows.start, b) for a, b in _witnesses(broken(rows))]
+        if len(found) >= MAX_WITNESSES:
+            break
+    return found[:MAX_WITNESSES]
+
+
 def _join_prime(alg: FinAlgebra) -> bool:
     """Whether every join-irreducible j is join-prime, as one test over the
     word rows key[a] = J ∩ ↓a: j <= a join b implies j <= a or j <= b for
@@ -262,7 +292,7 @@ def _residuals(alg: FinAlgebra) -> tuple[np.ndarray, np.ndarray]:
     return rres, lres_cb
 
 
-def _adjoint(alg: FinAlgebra, rres: np.ndarray, lres_cb: np.ndarray) -> bool:
+def _adjoint(alg: FinAlgebra) -> bool:
     """Whether a.b <= c iff a <= c/b iff b <= a\\c for all a, b, c.
 
     ``x -> x.b`` and ``c -> c/b`` (and ``x -> a.x``, ``c -> a\\c``) form a
@@ -273,32 +303,44 @@ def _adjoint(alg: FinAlgebra, rres: np.ndarray, lres_cb: np.ndarray) -> bool:
     and the counits only at M: every a is the least upper bound of J ∩ ↓a,
     and j <= g(f(j)) <= g(f(a)) for each j there, so a <= g(f(a)); dually
     f(g(c)) <= f(g(m)) <= m for every m in M ∩ ↑c gives f(g(c)) <= c.
+    On a partial order whose cover pairs tilde and minus reverse, so the
+    whole order, the residuals c/b = -(b.~c) and a\\c = ~(-c.a) are
+    monotone in c as soon as the product is monotone, and are not checked
+    again.  Rows of
+    the residuals are formed only where they are read (see ``_residuals``).
     """
     n, prod, poset = alg.size, alg.product, alg.order_poset
+    tilde, minus = alg.tilde, alg.minus
     below = alg.leq.ravel()
 
     def leq(x, y):
         return below[x.astype(np.intp) * n + y].all()
 
+    def rres(c):  # rows c of [c, b] = c/b
+        return minus[prod[:, tilde[c]]].T
+
+    def lres(c):  # rows c of [c, a] = a\c
+        return tilde[prod[minus[c]]]
+
     rows = np.arange(n)
     j = np.array(poset.join_irreducibles, dtype=np.intp)
     m = np.array(poset.meet_irreducibles, dtype=np.intp)
     if not (
-        leq(j[:, None], rres[prod[j], rows])  # j <= jb/b
-        and leq(prod[rres[m], rows], m[:, None])  # (m/b)b <= m
-        and leq(j, lres_cb[prod[:, j], rows[:, None]])  # j <= a\aj
-        and leq(prod[rows, lres_cb[m]], m[:, None])  # a(a\m) <= m
+        leq(j[:, None], minus[prod[rows, tilde[prod[j]]]])  # j <= jb/b
+        and leq(prod[rres(m), rows], m[:, None])  # (m/b)b <= m
+        and leq(j, tilde[prod[minus[prod[:, j]], rows[:, None]]])  # j <= a\aj
+        and leq(prod[rows, lres(m)], m[:, None])  # a(a\m) <= m
     ):
         return False
-    covers = [(a0, a) for a, low in enumerate(poset.lower_covers) for a0 in bits(low)]
-    covers = np.array(covers, dtype=np.intp).reshape(-1, 2)
+    covers = poset.cover_pairs
+    residuals = not (poset.is_partial_order and _reverses_covers(alg, tilde)
+                     and _reverses_covers(alg, minus))
     for block in row_blocks(len(covers), n):
         lo, hi = covers[block].T
         if not (
             leq(prod[lo], prod[hi])
             and leq(prod[:, lo], prod[:, hi])
-            and leq(rres[lo], rres[hi])
-            and leq(lres_cb[lo], lres_cb[hi])
+            and (not residuals or (leq(rres(lo), rres(hi)) and leq(lres(lo), lres(hi))))
         ):
             return False
     return True
@@ -306,6 +348,13 @@ def _adjoint(alg: FinAlgebra, rres: np.ndarray, lres_cb: np.ndarray) -> bool:
 
 def validate_dinfl(alg: FinAlgebra) -> ValidationReport:
     """Check every DInFL-algebra law; collect all violations with witnesses."""
+    return _validate_dinfl(alg)[0]
+
+
+def _validate_dinfl(alg: FinAlgebra) -> tuple[ValidationReport, bool]:
+    """The report of ``validate_dinfl``, and whether the order is a lattice
+    on which the product is residuated and tilde and minus are order
+    anti-isomorphisms: the premises of lemma 3 of the module docstring."""
     rep = ValidationReport(subject=alg.name or "algebra")
     rep.notes.append("finite carrier: complete and perfect hold automatically")
     n = alg.size
@@ -315,13 +364,18 @@ def validate_dinfl(alg: FinAlgebra) -> ValidationReport:
     if not leq.diagonal().all():
         for (i,) in _witnesses(~leq.diagonal()):
             rep.add("order_reflexive", (i,))
-    antisym = leq & leq.T & ~np.eye(n, dtype=bool)
-    for i, j in _witnesses(antisym):
+
+    def antisymmetric(rows):
+        out = leq[rows] & leq[:, rows].T
+        out[np.arange(out.shape[0]), np.arange(rows.start, rows.start + out.shape[0])] = False
+        return out
+
+    for i, j in _row_witnesses(n, antisymmetric):
         rep.add("order_antisymmetric", (i, j))
     for i, j in alg.order_poset.intransitive_pairs[:MAX_WITNESSES].tolist():
         rep.add("order_transitive", (i, j))
     if not rep.ok:
-        return rep
+        return rep, False
 
     lat = alg.order_poset.lattice
     missing = np.triu((lat.join < 0) | (lat.meet < 0), 1)
@@ -339,8 +393,7 @@ def validate_dinfl(alg: FinAlgebra) -> ValidationReport:
             for a, b in _witnesses(_join_prime_failures(leq, alg.join_table, j)):
                 rep.add("lattice_distributive", (j, a, b))
 
-    rres, lres_cb = _residuals(alg)
-    residuated = _adjoint(alg, rres, lres_cb)
+    residuated = _adjoint(alg)
     # lemma 2 of the module docstring: with residuation, associativity on
     # J x J x J; the rows of J are scanned only for witnesses
     rows = range(n)
@@ -358,38 +411,43 @@ def validate_dinfl(alg: FinAlgebra) -> ValidationReport:
         rep.add("monoid_unit_right", (a,))
 
     tilde, minus = alg.tilde, alg.minus
-    for (a,) in _witnesses(minus[tilde] != ident):
+    not_undone = _witnesses(minus[tilde] != ident)
+    for (a,) in not_undone:
         rep.add("linear_negation_inverse", (a,))
     for (a,) in _witnesses(tilde[minus] != ident):
         rep.add("linear_negation_inverse", (a,))
-    for a, b in _witnesses(leq != leq[np.ix_(tilde, tilde)].T):
-        rep.add("linear_negation_antitone", (a, b))
-    for a, b in _witnesses(leq != leq[np.ix_(minus, minus)].T):
-        rep.add("linear_negation_antitone", (a, b))
+    # lemma 3: the n x n scan runs only when a cover pair is not reversed
+    anti = True
+    for f in (tilde, minus):
+        if _reverses_covers(alg, f):
+            continue
+        for a, b in _row_witnesses(n, lambda rows: leq[rows] != leq[np.ix_(f, f[rows])].T):
+            rep.add("linear_negation_antitone", (a, b))
+            anti = False
 
     if not residuated:
-        _residuation_witnesses(rep, alg, rres, lres_cb)
+        _residuation_witnesses(rep, alg, *_residuals(alg))
 
     if lattice_ok:
         # Idempotent-semiring cross-check: a <= b iff a.~b <= 0 iff -b.a <= 0.
         if tilde[alg.one] == minus[alg.one]:
-            z = int(tilde[alg.one])
-            lz = leq[:, z]
-            x1 = lz[prod[np.ix_(np.arange(n), tilde)]]
-            x2 = lz[prod[minus]].T
-            for a, b in _witnesses(leq != x1):
+            lz = leq[:, int(tilde[alg.one])]
+            for a, b in _row_witnesses(n, lambda rows: leq[rows] != lz[prod[rows][:, tilde]]):
                 rep.add("semiring_reformulation", (a, b))
-            for a, b in _witnesses(leq != x2):
+            for a, b in _row_witnesses(n, lambda rows: leq[rows] != lz[prod[:, rows][minus]].T):
                 rep.add("semiring_reformulation", (a, b))
-            # De Morgan link between the lattice and the linear negations.
-            mt = alg.meet_table
-            jt = alg.join_table
-            lhs = minus[jt[np.ix_(tilde, tilde)]]
-            for a, b in _witnesses(mt != lhs):
-                rep.add("meet_from_join_negation", (a, b))
+            # De Morgan link between the lattice and the linear negations,
+            # a meet b = -(~a join ~b); by lemma 3 the scan runs only when
+            # tilde or minus is not an anti-isomorphism or minus does not
+            # undo tilde
+            if not anti or not_undone:
+                mt, jt = alg.meet_table, alg.join_table
+                for a, b in _row_witnesses(
+                        n, lambda rows: mt[rows] != minus[jt[np.ix_(tilde[rows], tilde)]]):
+                    rep.add("meet_from_join_negation", (a, b))
         else:
             rep.add("zero_agreement", (int(tilde[alg.one]), int(minus[alg.one])))
-    return rep
+    return rep, lattice_ok and residuated and anti
 
 
 def _residuation_witnesses(rep, alg, rres, lres_cb):
@@ -417,10 +475,16 @@ def _residuation_witnesses(rep, alg, rres, lres_cb):
 
 
 def validate_dqra(alg: FinAlgebra) -> ValidationReport:
-    """DInFL validation plus the De Morgan negation laws."""
+    """DInFL validation plus the De Morgan negation laws.
+
+    By lemma 3 of the module docstring, de_morgan_meet is decided on the
+    cover pairs and, once its premises hold, de_morgan_product on J x J;
+    only a failure there, or of a premise, runs the n x n scan, for the
+    witnesses.
+    """
     if alg.neg is None:
         raise SignatureError("algebra carries no De Morgan negation")
-    rep = validate_dinfl(alg)
+    rep, premises = _validate_dinfl(alg)
     n = alg.size
     neg = alg.neg
     ident = np.arange(n)
@@ -430,17 +494,28 @@ def validate_dqra(alg: FinAlgebra) -> ValidationReport:
         meet, join = alg.meet_table, alg.join_table
     except PreconditionError:
         return rep
-    lhs = neg[meet]
-    rhs = join[np.ix_(neg, neg)]
-    for a, b in _witnesses(lhs != rhs):
-        rep.add("de_morgan_meet", (a, b))
-    # (Dp): neg(a.b) = neg a + neg b with x + y = -(~y . ~x).
-    plus = plus_table(alg)
-    lhs = neg[alg.product]
-    rhs = plus[np.ix_(neg, neg)]
-    for a, b in _witnesses(lhs != rhs):
+    # the tables exist, so on a partial order lemma 3 applies
+    anti = alg.order_poset.is_partial_order and _reverses_covers(alg, neg)
+    if not anti:
+        for a, b in _row_witnesses(n, lambda rows: neg[meet[rows]] != join[np.ix_(neg[rows], neg)]):
+            rep.add("de_morgan_meet", (a, b))
+    # (Dp): neg(a.b) = neg a + neg b with x + y = -(~y . ~x)
+    prod, tilde, minus = alg.product, alg.tilde, alg.minus
+    if premises and anti:
+        j = np.array(_one_lower_cover(alg), dtype=np.intp)
+        nt = tilde[neg[j]]
+        if np.array_equal(neg[prod[np.ix_(j, j)]], minus[prod[np.ix_(nt, nt)].T]):
+            return rep
+    for a, b in _row_witnesses(
+            n, lambda rows: neg[prod[rows]] != minus[prod[np.ix_(tilde[neg], tilde[neg[rows]])].T]):
         rep.add("de_morgan_product", (a, b))
     return rep
+
+
+def _reverses_covers(alg: FinAlgebra, f: np.ndarray) -> bool:
+    """Whether f(a) <= f(a0) for every cover pair a0 < a."""
+    lo, hi = alg.order_poset.cover_pairs.T
+    return bool(alg.leq[f[hi], f[lo]].all())
 
 
 def plus_table(alg: FinAlgebra) -> np.ndarray:
@@ -468,7 +543,7 @@ def derived_ops(alg: FinAlgebra) -> DerivedOps:
     if not np.array_equal(plus, plus_alt):
         raise InternalCheckError("the two dual-product expressions disagree")
     rres, lres_cb = _residuals(alg)
-    if not _adjoint(alg, rres, lres_cb):
+    if not _adjoint(alg):
         raise InternalCheckError("residual adjunction failed; validate first")
     return DerivedOps(zero=zero, plus=plus, lres=lres_cb.T, rres=rres)
 
@@ -540,10 +615,14 @@ def kappa_map(alg: FinAlgebra) -> dict[int, int]:
     """The order isomorphism J -> M of the irreducibles, verified as such."""
     jirr = join_irreducibles(alg)
     mirr = set(meet_irreducibles(alg))
+    leq = alg.leq.tolist()
+    join = alg.join_table.tolist() if jirr else []
     out = {}
     for j in jirr:
-        mask = sum(1 << a for a in range(alg.size) if not alg.leq[j, a])
-        k = alg.join_mask(mask)
+        k = alg.bottom
+        for a, above in enumerate(leq[j]):
+            if not above:
+                k = join[k][a]
         if k not in mirr:
             raise InternalCheckError(f"kappa({j}) = {k} is not meet-irreducible")
         out[j] = k
@@ -551,7 +630,7 @@ def kappa_map(alg: FinAlgebra) -> dict[int, int]:
         raise InternalCheckError("kappa is not a bijection onto the meet-irreducibles")
     for a in jirr:
         for b in jirr:
-            if alg.leq[a, b] != alg.leq[out[a], out[b]]:
+            if leq[a][b] != leq[out[a]][out[b]]:
                 raise InternalCheckError("kappa is not an order isomorphism")
     return out
 

@@ -23,9 +23,9 @@ from .algebra import (
     join_irreducibles,
     kappa_map,
 )
-from .errors import InternalCheckError, SignatureError, StructuralError
+from .errors import InternalCheckError, PreconditionError, SignatureError, StructuralError
 from .iso import Structure, check_witness, isomorphisms
-from .order import Poset, RowIndex, bits, check_memory, mask_of, row_masks
+from .order import Poset, RowIndex, bits, check_memory, mask_of, row_blocks, row_masks
 
 
 class Frame:
@@ -283,13 +283,49 @@ def _union_over(member: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(rows, axis=1, where=where)
 
 
-def _positions(sets: np.ndarray, found: np.ndarray, what: str) -> np.ndarray:
+def _union_at(table: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """out[r, i] is the union of the word rows table[r, p] over the points
+    p in row i of ``points``, one column of ``points`` at a time."""
+    out = table[:, points[:, 0]]
+    for column in points.T[1:]:
+        out |= table[:, column]
+    return out
+
+
+def _positions(sets, found: np.ndarray, what: str) -> np.ndarray:
     """The index of each word row of ``found`` among the distinct word rows
-    ``sets``; a row not among them is an internal error."""
-    at = RowIndex(sets).find(found)
+    ``sets`` (or the ``RowIndex`` of them); a row not among them is an
+    internal error."""
+    index = sets if isinstance(sets, RowIndex) else RowIndex(sets)
+    at = index.find(found)
     if (at < 0).any():
         raise InternalCheckError(f"{what} left the upsets of the algebra")
     return at
+
+
+def _minimal_points(frame: Frame, ups) -> list[list[int]]:
+    """The minimal points of each listed set, in increasing order; a set
+    that is not an up-set of the frame raises ``PreconditionError``."""
+    strict = [u & ~(1 << x) for x, u in enumerate(frame.poset.up)]
+    out = []
+    for u in ups:
+        above, rest = 0, u
+        while rest:
+            low = rest & -rest
+            above |= strict[low.bit_length() - 1]
+            rest ^= low
+        if above & ~u:
+            raise PreconditionError(f"the listed set {u:#x} is not an up-set of the frame")
+        out.append(list(bits(u & ~above)))
+    return out
+
+
+def _padded(rows, pad: int) -> np.ndarray:
+    """Lists of indices as the rows of one array, padded with ``pad`` (at
+    least one column)."""
+    width = max(map(len, rows), default=0) or 1
+    return np.array([row + [pad] * (width - len(row)) for row in rows],
+                    dtype=np.intp).reshape(len(rows), width)
 
 
 def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
@@ -298,29 +334,47 @@ def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
     Product is the lifted composition, the unit is the identity set, and
     the negations send an upset U to the points whose image under the
     paired map falls outside U.  Every one of these must land in ``ups``,
-    whose sets must be distinct.  U.V, the union of comp[x][y] over x in U
-    and y in V, is formed in two vectorised stages: over the points y of V,
-    then over the points x of U.  Sets are rows of 64-bit words, so the
+    whose sets must be distinct up-sets of the frame (a set that is not an
+    up-set raises ``PreconditionError``).  U.V is the union of comp[x][y]
+    over x in U and y in V.  An up-set is the union of the principal
+    up-sets of its minimal points, so U.V is the union of U.(up y) over
+    the minimal points y of V, for every frame, whether its composition is
+    monotone or not.  The table is formed in three vectorised stages:
+    {x}.(up y), the composition closed upward in its second argument once
+    over the points of the frame; U.(up y), its union over the points x
+    of U; and U.V, the union of U.(up y) over the at most a few minimal
+    points y of V, a block of rows at a time, each block looked up among
+    the sets as it is formed.  Sets are rows of 64-bit words, so the
     tables are exact for any number of points.  A product table larger
-    than physical memory, as word rows and then as int64 positions, raises
+    than physical memory, as int32 positions plus the order matrix, raises
     before anything is allocated.
     """
-    n, width = frame.size, max(1, -(-frame.size // 64))
-    check_memory(8 * (width + 1) * len(ups) ** 2, f"the product table of {len(ups)} upsets")
+    n, width, count = frame.size, max(1, -(-frame.size // 64)), len(ups)
+    check_memory(5 * count ** 2, f"the product table of {count} upsets")
+    minimal = _padded(_minimal_points(frame, ups), n)
     sets = _words(ups, width)
+    index = RowIndex(sets)
     member = np.unpackbits(sets.view(np.uint8), axis=1, count=n,
                            bitorder="little").astype(bool)
-    comp = _words([cell for row in frame.comp for cell in row], width).reshape(n, n, width)
-    right = _union_over(member, comp.transpose(1, 0, 2))
-    product = _positions(sets, _union_over(member, right.transpose(1, 0, 2)), "composition")
-    one = _positions(sets, _words([frame.identity], width), "the identity set")[0]
+    # point n stands for no point: an empty set in every cell
+    comp = np.zeros((n, n + 1, width), dtype="<u8")
+    comp[:, :n] = _words([cell for row in frame.comp for cell in row], width).reshape(n, n, width)
+    principal = _padded([list(bits(u)) for u in frame.poset.up] + [[]], n)
+    # {x}.(up y) at [x, y], then U.(up y) at [U, y]
+    half = _union_over(member, _union_at(comp, principal))
+    product = np.empty((count, count), dtype=np.int32)
+    for rows in row_blocks(count, count * width):
+        product[rows] = _positions(index, _union_at(half[rows], minimal), "composition")
+    one = _positions(index, _words([frame.identity], width), "the identity set")[0]
     # ~U = {w | w^- not in U}, -U = {w | w^~ not in U}, likewise for neg
     maps = [frame.minus, frame.tilde] + ([] if frame.neg is None else [frame.neg])
-    images = np.zeros((len(maps), len(ups), 64 * width), dtype=bool)
+    images = np.zeros((len(maps), count, 64 * width), dtype=bool)
     images[..., :n] = ~member[:, np.array(maps, dtype=np.intp)].transpose(1, 0, 2)
     images = np.packbits(images, axis=-1, bitorder="little").view("<u8")
-    tilde, minus, *neg = _positions(sets, images, "negation")
-    leq = ((sets[:, None, :] & ~sets[None, :, :]) == 0).all(axis=-1)
+    tilde, minus, *neg = _positions(index, images, "negation")
+    leq = np.empty((count, count), dtype=bool)
+    for rows in row_blocks(count, count * width):
+        leq[rows] = ((sets[rows, None, :] & ~sets[None, :, :]) == 0).all(axis=-1)
     return FinAlgebra(leq, product, one, tilde, minus, neg=neg[0] if neg else None,
                       name=name)
 
@@ -336,15 +390,13 @@ def dual_frame(alg: FinAlgebra, name: str | None = None) -> Frame:
     """The frame on the join-irreducible elements with the order reversed."""
     jirr = join_irreducibles(alg)
     pos = {a: i for i, a in enumerate(jirr)}
-    n = len(jirr)
     kmap = kappa_map(alg)
     poset = Poset(row_masks(alg.leq[np.ix_(jirr, jirr)].T))
-    identity = mask_of(pos[a] for a in jirr if alg.leq[a, alg.one])
-    comp = [[0] * n for _ in range(n)]
-    for a in jirr:
-        for b in jirr:
-            p = int(alg.product[a, b])
-            comp[pos[a]][pos[b]] = mask_of(pos[c] for c in jirr if alg.leq[c, p])
+    # below[p]: the join-irreducibles below p, as a set of positions
+    below = [mask_of(pos[c] for c in jirr if row[c]) for row in alg.leq.T.tolist()]
+    identity = below[alg.one]
+    product = alg.product.tolist()
+    comp = [[below[product[a][b]] for b in jirr] for a in jirr]
 
     def unary_from(op):
         out = []

@@ -248,13 +248,14 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
     down-sets of the images of those above it; an injective map also
     reflects the order, so the mask leaves out the up-sets (down-sets) of
     the images of the other earlier generators.  Its elements are tried in
-    increasing order.  At a leaf the image of the unit comes first and a
-    leaf that misses b's unit stops there; otherwise the extension, read
-    from rows of b's join table kept as lists, goes to the early-exit check
-    of ``_preserves``, and each map it accepts is validated in full by
-    ``validate_homomorphism`` before it is yielded.  Raises
-    ``BudgetExhausted`` once the search has visited more than ``budget``
-    nodes, one per partial assignment including the empty one.
+    increasing order, depth first, by one loop over the masks of untried
+    images, one per generator.  At a leaf the image of the unit comes
+    first and a leaf that misses b's unit stops there; otherwise the
+    extension, read from rows of b's join table kept as lists, goes to the
+    early-exit check of ``_preserves``, and each map it accepts is
+    validated in full by ``validate_homomorphism`` before it is yielded.
+    Raises ``BudgetExhausted`` once the search has visited more than
+    ``budget`` nodes, one per partial assignment including the empty one.
     """
     if (a.neg is None) != (b.neg is None):
         raise SignatureError("source and target have different signatures")
@@ -270,48 +271,57 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
     down, up, carrier = b.order_poset.down, b.order_poset.up, b.order_poset.carrier
     join_rows = _Rows(b.join_table)
     preserves = _preserves(a, b, injective)
-    image = [0] * m
-    nodes = 0
 
-    def place(k):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExhausted(f"homomorphism search exceeded {budget} nodes")
-        if k == m:
-            acc = bottom = image[0]
-            for i in one_joined:
-                acc = join_rows[acc][image[i]]
-            if acc != b_one:
-                return
-            f = []
-            for ks in joined:
-                acc = bottom
-                for i in ks:
+    def search():
+        image = [0] * m
+        left = [0] * m  # the images not yet tried at each generator
+        nodes = k = 0
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted(f"homomorphism search exceeded {budget} nodes")
+            if k == m:
+                acc = bottom = image[0]
+                for i in one_joined:
                     acc = join_rows[acc][image[i]]
-                f.append(acc)
-            if not preserves(f):
+                if acc == b_one:
+                    f = []
+                    for ks in joined:
+                        acc = bottom
+                        for i in ks:
+                            acc = join_rows[acc][image[i]]
+                        f.append(acc)
+                    if preserves(f):
+                        hom = AlgHom(source=a, target=b, map=tuple(f))
+                        if not validate_homomorphism(hom).ok:
+                            raise InternalCheckError(
+                                f"leaf check accepted a non-homomorphism {hom.map}")
+                        yield hom
+                k -= 1
+            else:
+                allowed = carrier
+                for i in lower[k]:
+                    allowed &= up[image[i]]
+                for i in upper[k]:
+                    allowed &= down[image[i]]
+                if injective:
+                    for i in not_lower[k]:
+                        allowed &= ~up[image[i]]
+                    for i in not_upper[k]:
+                        allowed &= ~down[image[i]]
+                left[k] = allowed
+            # the next node: the least untried image at the deepest
+            # generator that has one
+            while k >= 0 and not left[k]:
+                k -= 1
+            if k < 0:
                 return
-            hom = AlgHom(source=a, target=b, map=tuple(f))
-            if not validate_homomorphism(hom).ok:
-                raise InternalCheckError(f"leaf check accepted a non-homomorphism {hom.map}")
-            yield hom
-            return
-        allowed = carrier
-        for i in lower[k]:
-            allowed &= up[image[i]]
-        for i in upper[k]:
-            allowed &= down[image[i]]
-        if injective:
-            for i in not_lower[k]:
-                allowed &= ~up[image[i]]
-            for i in not_upper[k]:
-                allowed &= ~down[image[i]]
-        for v in bits(allowed):
-            image[k] = v
-            yield from place(k + 1)
+            low = left[k] & -left[k]
+            left[k] ^= low
+            image[k] = low.bit_length() - 1
+            k += 1
 
-    return place(0)
+    return search()
 
 
 class _Rows(dict):

@@ -124,7 +124,7 @@ class RowIndex:
                 rank = prefixes.searchsorted(rank, "right") - 1
             self.steps.append((words, prefixes))
         # a query found nowhere has position -1, which reads the -1 at the end
-        self.order = np.full(len(rows) + 1, -1)
+        self.order = np.full(len(rows) + 1, -1, dtype=np.int32)
         self.order[:-1] = rank.argsort(kind="stable")
 
     def find(self, queries: np.ndarray) -> np.ndarray:
@@ -186,6 +186,7 @@ def _key_table(keys: np.ndarray) -> np.ndarray:
 class _PathFacts(NamedTuple):
     covers: tuple[int, ...]
     lower_covers: tuple[int, ...]
+    cover_pairs: np.ndarray
     is_partial_order: bool
     intransitive: np.ndarray
 
@@ -331,7 +332,8 @@ class Poset:
         # (i, k, j) with k in {i, j} can break transitivity
         intransitive = np.argwhere(paths & ~leq)
         is_order = bool(reflexive.all() and not paths.diagonal().any() and not len(intransitive))
-        return _PathFacts(row_masks(cover), row_masks(cover.T), is_order, intransitive)
+        return _PathFacts(row_masks(cover), row_masks(cover.T), np.argwhere(cover), is_order,
+                          intransitive)
 
     @property
     def covers(self) -> tuple[int, ...]:
@@ -342,6 +344,12 @@ class Poset:
     def lower_covers(self) -> tuple[int, ...]:
         """lower_covers[i] = bitmask of elements covered by i."""
         return self._paths.lower_covers
+
+    @property
+    def cover_pairs(self) -> np.ndarray:
+        """The pairs (i, j) with j covering i, one a row, in row-major
+        order."""
+        return self._paths.cover_pairs
 
     @property
     def is_partial_order(self) -> bool:

@@ -12,6 +12,8 @@ became one test over word rows, associativity a test on J x J x J, and the
 unit and counit checks of the adjunction were cut down to the
 irreducibles: a join-prime scan per join-irreducible, a row loop per
 element of the associativity domain and the adjunction over every pair.
+It also scans the negation laws, the De Morgan ones included, over every
+pair, where ``validate_dqra`` reads them off the cover pairs and J x J.
 Full reports, witnesses in order, are compared with it.
 """
 
@@ -23,6 +25,7 @@ import pytest
 from qra import FinAlgebra, Poset, RepBase, build_dq, derived_ops, validate_dinfl, validate_dqra
 from qra.algebra import (
     ValidationReport,
+    _validate_dinfl,
     _join_prime_failures,
     _mismatches,
     _one_lower_cover,
@@ -35,6 +38,7 @@ from qra.catalog import build_catalog, catalog_lookup
 from qra.errors import InternalCheckError, PreconditionError
 from qra.frame import Frame, complex_algebra
 from qra.order import all_posets, bits
+from qra.represent import SearchOptions, iterate_bases
 
 COVERED = {
     "order_transitive", "lattice_distributive", "monoid_associative",
@@ -374,3 +378,40 @@ def test_associativity_failing_although_residuation_holds():
     assert [w for law, w in rep.failures if law == "monoid_associative"] == [
         (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3), (1, 3, 2)]
     assert_report_matches_loops(alg)
+
+
+def neg_mutants(alg: FinAlgebra, rng: random.Random):
+    """Seeded corruptions of a DqRA aimed at the De Morgan laws: product
+    cells, a swap of two neg values, and neg replaced by order-reversing
+    involutions, which keep every premise of the J x J test for (Dp)."""
+    n = alg.size
+    for kind in ("cell", "cells"):
+        yield from mutants(alg, rng, (kind,))
+    neg = alg.neg.copy()
+    i, j = rng.sample(range(n), 2)
+    neg[i], neg[j] = neg[j], neg[i]
+    yield alg.with_neg(neg, name=f"{alg.name}~neg")
+    for g in alg.order_poset.order_reversing_involutions[:12]:
+        yield alg.with_neg(list(g), name=f"{alg.name}~neg={g}")
+
+
+def test_de_morgan_laws_on_the_irreducibles_match_the_full_scan():
+    # validate_dqra decides de_morgan_meet on the cover pairs and (Dp) on
+    # J x J once the premises hold; the reference scans every pair
+    rng = random.Random(16)
+    chain = Poset.chain(4)
+    dq = build_dq(RepBase(chain, (chain.carrier,) * 4, range(4), range(3, -1, -1)),
+                  name="chain4").algebra
+    sources = [v.algebra for entry in build_catalog() for v in entry.variants]
+    sources += [build_dq(base, name=f"dq{i}").algebra for i, base in
+                enumerate(iterate_bases(2, True, SearchOptions()))] + [dq]
+    decided = set()
+    for alg in (a for a in sources if a.size > 1):
+        for mutant in [alg, *neg_mutants(alg, rng)]:
+            assert_report_matches_loops(mutant)
+            if _validate_dinfl(mutant)[1]:
+                laws = set(validate_dqra(mutant).laws_violated())
+                decided.add(("de_morgan_meet" in laws, "de_morgan_product" in laws))
+    # on a lattice with residuation and anti-isomorphic linear negations,
+    # the cover test fails and passes, and after it the J x J test too
+    assert decided >= {(False, False), (False, True), (True, True)}
