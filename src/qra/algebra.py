@@ -185,13 +185,6 @@ class FinAlgebra:
         """The element ``tilde(1)`` (equal to ``minus(1)`` in valid algebras)."""
         return int(self.tilde[self.one])
 
-    def join_mask(self, mask: int) -> int:
-        """Join of the subset encoded by ``mask`` (bottom for the empty set)."""
-        acc = self.bottom
-        for i in bits(mask):
-            acc = int(self.join_table[acc, i])
-        return acc
-
     def meet_mask(self, mask: int) -> int:
         acc = self.top
         for i in bits(mask):
@@ -279,10 +272,6 @@ def _join_prime_failures(leq: np.ndarray, join: np.ndarray, j: int) -> np.ndarra
     the witness scan behind a failed ``_join_prime``."""
     lj = leq[j]
     return lj[join] & ~(lj[:, None] | lj[None, :])
-
-
-def _one_lower_cover(alg: FinAlgebra) -> list[int]:
-    return [i for i, c in enumerate(alg.order_poset.lower_covers) if c.bit_count() == 1]
 
 
 def _residuals(alg: FinAlgebra) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +373,7 @@ def _validate_dinfl(alg: FinAlgebra) -> tuple[ValidationReport, bool]:
             if table[i, j] < 0:
                 rep.add(law, (i, j))
     lattice_ok = not missing.any()
-    jirr = _one_lower_cover(alg)
+    jirr = alg.order_poset.join_irreducibles
     if lattice_ok and not _join_prime(alg):
         # a finite lattice is distributive iff every join-irreducible is
         # join-prime; a failing (j, a, b) is a counterexample, since then
@@ -502,7 +491,7 @@ def validate_dqra(alg: FinAlgebra) -> ValidationReport:
     # (Dp): neg(a.b) = neg a + neg b with x + y = -(~y . ~x)
     prod, tilde, minus = alg.product, alg.tilde, alg.minus
     if premises and anti:
-        j = np.array(_one_lower_cover(alg), dtype=np.intp)
+        j = np.array(alg.order_poset.join_irreducibles, dtype=np.intp)
         nt = tilde[neg[j]]
         if np.array_equal(neg[prod[np.ix_(j, j)]], minus[prod[np.ix_(nt, nt)].T]):
             return rep
@@ -586,8 +575,8 @@ def classify(alg: FinAlgebra) -> AlgebraFlags:
 
 
 def join_irreducibles(alg: FinAlgebra) -> list[int]:
-    """Elements with exactly one lower cover, verified join-prime."""
-    out = _one_lower_cover(alg)
+    """The join-irreducibles of the lattice, verified join-prime."""
+    out = list(alg.order_poset.join_irreducibles)
     if out and not _join_prime(alg):
         for j in out:
             if _join_prime_failures(alg.leq, alg.join_table, j).any():
@@ -599,8 +588,8 @@ def join_irreducibles(alg: FinAlgebra) -> list[int]:
 
 
 def meet_irreducibles(alg: FinAlgebra) -> list[int]:
-    """Elements with exactly one upper cover."""
-    return [i for i, c in enumerate(alg.order_poset.covers) if c.bit_count() == 1]
+    """The meet-irreducibles of the lattice."""
+    return list(alg.order_poset.meet_irreducibles)
 
 
 def kappa(alg: FinAlgebra, j: int) -> int:
@@ -612,9 +601,10 @@ def kappa(alg: FinAlgebra, j: int) -> int:
 
 
 def kappa_map(alg: FinAlgebra) -> dict[int, int]:
-    """The order isomorphism J -> M of the irreducibles, verified as such."""
+    """The order isomorphism J -> M of the irreducibles, verified as such;
+    its keys list J in order."""
     jirr = join_irreducibles(alg)
-    mirr = set(meet_irreducibles(alg))
+    mirr = set(alg.order_poset.meet_irreducibles)
     leq = alg.leq.tolist()
     join = alg.join_table.tolist() if jirr else []
     out = {}

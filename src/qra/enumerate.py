@@ -89,6 +89,12 @@ def count_frames(poset: Poset, budget: Budget | None = None,
     return results["dinfl"].count, results["dqra"].count
 
 
+def _started(budget: Budget | None) -> Budget | None:
+    """The budget with its deadline fixed now, so that the one deadline
+    covers every poset a census searches."""
+    return None if budget is None else budget.start()
+
+
 def _sum_counts(posets, counts: dict, budget, jobs) -> tuple[int, int]:
     """Total frame counts over the posets, searching only those whose
     canonical key ``counts`` does not hold yet."""
@@ -108,7 +114,7 @@ def count_algebras(n: int, budget: Budget | None = None,
     """(number of DInFL-algebras, number of DqRAs) of cardinality n."""
     if n < 1:
         raise PreconditionError("cardinality must be at least 1")
-    return _sum_counts(posets_with_upset_count(n), {}, budget, jobs)
+    return _sum_counts(posets_with_upset_count(n), {}, _started(budget), jobs)
 
 
 def enumerate_algebras(n: int, signature: str = "dqra", budget: Budget | None = None,
@@ -116,6 +122,7 @@ def enumerate_algebras(n: int, signature: str = "dqra", budget: Budget | None = 
     """All algebras of cardinality n up to isomorphism, as complex algebras
     of the enumerated frames; deterministic order."""
     out = []
+    budget = _started(budget)
     for poset in posets_with_upset_count(n):
         result = enumerate_frames(poset, signature, budget=budget, jobs=jobs)
         for frame in result.frames:
@@ -131,6 +138,7 @@ def census_table(max_size: int, budget: Budget | None = None,
     counts, and any poset with at most ``max_size`` upsets that is not a
     named census poset is searched when it is met.
     """
+    budget = _started(budget)
     buckets = _self_dual_by_upset_count(max_size)
     counts: dict = {}
     per_poset = {}

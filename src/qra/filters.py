@@ -56,8 +56,13 @@ def gen_prime_filters(alg: FinAlgebra) -> list[int]:
     On a finite distributive lattice these are the empty set, the whole
     carrier, and the principal filters at join-irreducible elements.
     """
+    return _prime_filters(alg, join_irreducibles(alg))
+
+
+def _prime_filters(alg: FinAlgebra, jirr) -> list[int]:
+    """``gen_prime_filters`` from the verified join-irreducibles."""
     up = alg.order_poset.up
-    filters = {0, (1 << alg.size) - 1} | {up[j] for j in join_irreducibles(alg)}
+    filters = {0, (1 << alg.size) - 1} | {up[j] for j in jirr}
     out = sorted(filters, key=lambda m: (popcount(m), m))
     test = _prime_filter_test(alg)
     for f in out:
@@ -143,8 +148,8 @@ def filter_frame(alg: FinAlgebra) -> PointedFrame:
     the top alone (a.0 = 0), and the maps swap the bounds.
     ``frame.carrier_elements`` lists each point's filter as a bitmask.
     """
-    filters = gen_prime_filters(alg)
     dual = dual_frame(alg)
+    filters = _prime_filters(alg, dual.carrier_elements)
     index = {f: i for i, f in enumerate(filters)}
     point = [index[alg.order_poset.up[j]] for j in dual.carrier_elements]
     n = len(filters)

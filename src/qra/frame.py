@@ -20,7 +20,6 @@ from .algebra import (
     FinAlgebra,
     ValidationReport,
     _witnesses,
-    join_irreducibles,
     kappa_map,
 )
 from .errors import InternalCheckError, PreconditionError, SignatureError, StructuralError
@@ -388,9 +387,9 @@ def complex_algebra(frame: Frame, name: str | None = None) -> FinAlgebra:
 
 def dual_frame(alg: FinAlgebra, name: str | None = None) -> Frame:
     """The frame on the join-irreducible elements with the order reversed."""
-    jirr = join_irreducibles(alg)
-    pos = {a: i for i, a in enumerate(jirr)}
     kmap = kappa_map(alg)
+    jirr = list(kmap)
+    pos = {a: i for i, a in enumerate(jirr)}
     poset = Poset(row_masks(alg.leq[np.ix_(jirr, jirr)].T))
     # below[p]: the join-irreducibles below p, as a set of positions
     below = [mask_of(pos[c] for c in jirr if row[c]) for row in alg.leq.T.tolist()]

@@ -2,8 +2,15 @@
 
 The search fixes an identity upset and an order reversing bijection for
 ``tilde`` (its inverse is ``minus``), then fills the ternary relation
-``z in x o y`` bit by bit.  Three families of facts propagate eagerly,
-each kept only where no other one already forces it:
+``z in x o y`` bit by bit.  A partial table is two Python ints over
+``n**3`` bits, one for the bits set true and one for the bits ruled out;
+bit ``(x*n + y)*n + z`` stands for ``z in x o y``, so cell ``x o y`` is
+the n bits from ``(x*n + y)*n`` up.  The next decision is the lowest bit
+set in neither, which is row-major (x, y, z) order, and a DFS child
+restores its parent's state by rebinding the two ints.
+
+Three families of facts propagate eagerly, each kept only where no other
+one already forces it:
 
 * the rotation law ``z~ in x o y <=> y- in z o x`` links each triple to
   an orbit of up to ``3k`` triples that must all agree, so one decision
@@ -18,7 +25,8 @@ each kept only where no other one already forces it:
 
 Associativity is used as an interval prune while the table is partial and
 becomes the exact check once it is complete.  The prune reads the bits set
-true and the bits not yet set false as two 0/1 cubes and forms one
+true and the bits not yet set false as two 0/1 cubes, each unpacked
+from its int by one ``to_bytes`` call, and forms one
 bracketing of each with one boolean tensor contraction, a float32 matmul;
 the rotation law makes the other bracketing redundant.  Only poset
 automorphisms can witness an isomorphism between two frames on the same
@@ -40,11 +48,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExhausted
-from .frame import Frame, empty_frame
+from .frame import Frame
 from .order import Poset, bits
 
 
@@ -75,9 +84,13 @@ class Budget:
     max_ms: float | None = None
     _deadline: float | None = field(default=None, repr=False)
 
-    def start(self):
-        if self.max_ms is not None:
-            self._deadline = time.monotonic() + self.max_ms / 1000.0
+    def start(self) -> "Budget":
+        """A copy whose deadline is ``max_ms`` from now, so every search it
+        is handed to stops at that one absolute time; a budget without
+        ``max_ms`` is returned as it is."""
+        if self.max_ms is None:
+            return self
+        return Budget(self.max_nodes, _deadline=time.monotonic() + self.max_ms / 1000.0)
 
     def exceeded(self, nodes: int) -> bool:
         if self.max_nodes is not None and nodes > self.max_nodes:
@@ -88,7 +101,9 @@ class Budget:
 
 
 class _BranchSearch:
-    """DFS over the undecided relation bits for one (identity, tilde) pair."""
+    """DFS over the undecided relation bits for one (identity, tilde) pair;
+    ``t`` holds the bits set true and ``f`` the bits ruled out, each one int
+    in the layout of the module docstring."""
 
     def __init__(self, poset: Poset, identity: int, tilde, stats: SearchStats,
                  budget: Budget | None):
@@ -104,9 +119,11 @@ class _BranchSearch:
         self.up = poset.up
         self.down = poset.down
         self.identity_points = list(bits(identity))
-        self.cell_bytes = (n + 7) // 8
-        self.t = [[0] * n for _ in range(n)]
-        self.f = [[0] * n for _ in range(n)]
+        self.size = n ** 3
+        # witnesses[x]: the bits 'x in i o x' over the identity points i
+        self.witnesses = [sum(1 << (i * n + x) * n + x for i in self.identity_points)
+                          for x in range(n)]
+        self.t = self.f = 0
         self.solutions: list[tuple[tuple[int, ...], ...]] = []
 
     # -- propagation ---------------------------------------------------
@@ -114,36 +131,42 @@ class _BranchSearch:
     def _assign(self, x, y, z, value) -> bool:
         """Set one bit and close under rotation and value-slot monotonicity:
         a true bit sets its up-set in the cell, a false bit its down-set."""
-        minus = self.minus
+        n, minus = self.n, self.minus
         table, other = (self.t, self.f) if value else (self.f, self.t)
         cone = self.up if value else self.down
         stack = [(x, y, z)]
         while stack:
             a, b, c = stack.pop()
-            new = cone[c] & ~table[a][b]
+            shift = (a * n + b) * n
+            new = cone[c] & ~(table >> shift)
             if not new:
                 continue
-            if new & other[a][b]:
+            if new & (other >> shift):
                 return False
-            table[a][b] |= new
+            table |= new << shift
             stack.extend((minus[w], a, minus[b]) for w in bits(new))
+        if value:
+            self.t = table
+        else:
+            self.f = table
         return True
 
     def _force_identity_witnesses(self) -> bool:
         """Unit-propagate 'x lies in i o x for some identity point i'; the
         rotation law carries the clause of x onto 'x- in x- o i'."""
-        t, f, points = self.t, self.f, self.identity_points
+        cell_bits = self.n * self.n
         changed = True
         while changed:
             changed = False
-            for x in range(self.n):
-                if any((t[i][x] >> x) & 1 for i in points):
+            for x, clause in enumerate(self.witnesses):
+                if self.t & clause:
                     continue
-                open_ = [i for i in points if not (f[i][x] >> x) & 1]
+                open_ = clause & ~self.f
                 if not open_:
                     return False
-                if len(open_) == 1:
-                    if not self._assign(open_[0], x, x, True):
+                if not open_ & (open_ - 1):
+                    i = (open_.bit_length() - 1) // cell_bits
+                    if not self._assign(i, x, x, True):
                         return False
                     changed = True
         return True
@@ -164,11 +187,11 @@ class _BranchSearch:
         so the other half, ``right(lo)`` within ``left(hi)``, adds nothing.
         """
         start = time.perf_counter()
-        n, width = self.n, self.cell_bytes
-        packed = b"".join([cell.to_bytes(width, "little")
-                           for table in (self.t, self.f) for row in table for cell in row])
+        n, width = self.n, (self.size + 7) // 8
+        packed = self.t.to_bytes(width, "little") + self.f.to_bytes(width, "little")
         unpacked = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-        lo, ruled_out = unpacked.reshape(2, n, n, 8 * width)[..., :n].astype(np.float32)
+        lo, ruled_out = unpacked.reshape(2, 8 * width)[:, :self.size].reshape(
+            2, n, n, n).astype(np.float32)
         hi = 1.0 - ruled_out
         left = np.matmul(lo.reshape(n * n, n), lo.reshape(n, n * n)) > 0
         # right(hi) comes out as [y, z, x, w]
@@ -180,12 +203,13 @@ class _BranchSearch:
         return ok
 
     def _next_undecided(self):
-        for x in range(self.n):
-            for y in range(self.n):
-                open_ = self.carrier & ~(self.t[x][y] | self.f[x][y])
-                if open_:
-                    return x, y, (open_ & -open_).bit_length() - 1
-        return None
+        """The lowest bit set in neither table: row-major (x, y, z) order."""
+        decided = self.t | self.f
+        pos = ((decided + 1) & ~decided).bit_length() - 1
+        if pos == self.size:
+            return None
+        x, rest = divmod(pos, self.n * self.n)
+        return (x, *divmod(rest, self.n))
 
     def run(self) -> list[tuple[tuple[int, ...], ...]]:
         if self.identity and not self.poset.is_upset(self.identity):
@@ -206,12 +230,14 @@ class _BranchSearch:
         pick = self._next_undecided()
         if pick is None:
             self.stats.leaves += 1
-            self.solutions.append(tuple(tuple(row) for row in self.t))
+            n, t = self.n, self.t
+            self.solutions.append(tuple(
+                tuple((t >> cell) & self.carrier for cell in range(row, row + n * n, n))
+                for row in range(0, self.size, n * n)))
             return
         x, y, z = pick
         t, f = self.t, self.f
         for value in (True, False):
-            self.t, self.f = [row[:] for row in t], [row[:] for row in f]
             if (
                 self._assign(x, y, z, value)
                 and self._force_identity_witnesses()
@@ -220,7 +246,7 @@ class _BranchSearch:
                 self._dfs()
             else:
                 self.stats.prunes += 1
-        self.t, self.f = t, f
+            self.t, self.f = t, f
 
 
 def _neg_compatible(comp, tilde, minus, neg, n) -> bool:
@@ -276,14 +302,22 @@ def _is_orbit_minimal(poset, identity, tilde, comp, neg) -> bool:
 
 @dataclass
 class EnumerationResult:
+    """The kept encodings of one signature, sorted; ``frames`` builds
+    their frames on first access."""
+
     poset: Poset
     signature: str
-    frames: list[Frame]
+    encodings: list
     stats: SearchStats
 
     @property
     def count(self) -> int:
-        return len(self.frames)
+        return len(self.encodings)
+
+    @cached_property
+    def frames(self) -> list[Frame]:
+        return [_frame_from_encoding(self.poset, self.signature, enc, i)
+                for i, enc in enumerate(self.encodings)]
 
 
 SIGNATURES = ("dinfl", "dqra")
@@ -352,10 +386,8 @@ def _frame_from_encoding(poset, signature, enc, index) -> Frame:
     identity, tilde, comp, neg = enc
     n = poset.n
     minus = tuple(tilde.index(i) for i in range(n))
-    comp_rows = [list(row) for row in comp]
-    return Frame(poset, identity, comp_rows, tilde, minus,
-                 neg=list(neg) if neg is not None else None,
-                 name=f"{poset.name or 'poset'}#{signature}{index}")
+    name = f"{poset.name or 'poset'}#{signature}{index}" if n else f"empty#{signature}"
+    return Frame(poset, identity, comp, tilde, minus, neg=neg, name=name)
 
 
 def search_frames(poset: Poset, signatures=SIGNATURES,
@@ -383,15 +415,12 @@ def search_frames(poset: Poset, signatures=SIGNATURES,
     stats = SearchStats()
     start = time.monotonic()
     if budget is not None:
-        budget.start()
+        budget = budget.start()
     if poset.n == 0:
-        results = {}
-        for signature in signatures:
-            frame = empty_frame(name=f"empty#{signature}")
-            if signature == "dqra":
-                frame = frame.with_neg(())
-            results[signature] = EnumerationResult(poset, signature, [frame], stats)
-        return results
+        # the one frame on the empty carrier
+        return {signature: EnumerationResult(
+                    poset, signature, [(0, (), (), None if signature == "dinfl" else ())], stats)
+                for signature in signatures}
 
     branches = search_branches(poset)
     encodings = {signature: [] for signature in signatures}
@@ -442,13 +471,11 @@ def search_frames(poset: Poset, signatures=SIGNATURES,
             encodings[signature].extend(encs)
 
     stats.wall_s = time.monotonic() - start
-    results = {}
-    for signature in signatures:
-        encs = sorted(encodings[signature], key=lambda e: (e[0], e[1], e[2], e[3] or ()))
-        frames = [_frame_from_encoding(poset, signature, enc, i)
-                  for i, enc in enumerate(encs)]
-        results[signature] = EnumerationResult(poset, signature, frames, stats)
-    return results
+    return {signature: EnumerationResult(
+                poset, signature,
+                sorted(encodings[signature], key=lambda e: (e[0], e[1], e[2], e[3] or ())),
+                stats)
+            for signature in signatures}
 
 
 def enumerate_frames(poset: Poset, signature: str = "dqra",

@@ -1,4 +1,7 @@
+import itertools
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +17,7 @@ from qra import (
     frame_iso,
     validate_frame,
 )
+from qra import search
 from qra.catalog import build_catalog, match_dinfl, match_dqra
 from qra.enumerate import enumerate_algebras, posets_with_upset_count
 from qra.errors import BudgetExhausted
@@ -114,6 +118,31 @@ def test_budget_checkpoint_and_resume():
     assert checkpoint is not None and checkpoint["next_branch"] >= 0
     resumed = enumerate_frames(poset, "dqra", resume=checkpoint)
     assert resumed.count == 23
+
+
+def test_census_deadline_covers_the_whole_call(monkeypatch):
+    # a clock that advances one millisecond at every reading: each poset
+    # below finishes within 1,000 readings (d2x2 and the 7-chain take the
+    # most, about 400), but no census call as a whole does
+    ticks = itertools.count()
+    monkeypatch.setattr(search, "time", SimpleNamespace(
+        monotonic=lambda: next(ticks) / 1000.0, perf_counter=time.perf_counter))
+    budget = Budget(max_ms=1000)
+    assert count_frames(NAMED_POSETS["d2x2"], budget=budget) == (70, 106)
+    assert count_frames(NAMED_POSETS["7"], budget=budget) == (91, 81)
+    for census in (lambda: census_table(6, budget=budget),
+                   lambda: count_algebras(8, budget=budget),
+                   lambda: enumerate_algebras(8, "dqra", budget=budget)):
+        with pytest.raises(BudgetExhausted):
+            census()
+
+
+def test_counting_builds_no_frames(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("count_frames built a frame")
+
+    monkeypatch.setattr(search, "_frame_from_encoding", refuse)
+    assert count_frames(NAMED_POSETS["2x2"]) == (16, 23)
 
 
 def test_resume_from_json_checkpoint():

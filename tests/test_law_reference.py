@@ -28,7 +28,6 @@ from qra.algebra import (
     _validate_dinfl,
     _join_prime_failures,
     _mismatches,
-    _one_lower_cover,
     _residuals,
     _residuation_witnesses,
     _witnesses,
@@ -132,7 +131,8 @@ def reference_validate_dinfl(alg: FinAlgebra) -> ValidationReport:
             if table[i, j] < 0:
                 rep.add(law, (i, j))
     lattice_ok = not missing.any()
-    jirr = _one_lower_cover(alg)
+    # the join-irreducibles of a lattice: the elements with one lower cover
+    jirr = [i for i, c in enumerate(alg.order_poset.lower_covers) if c.bit_count() == 1]
     if lattice_ok:
         for j in jirr:
             for a, b in _witnesses(_join_prime_failures(leq, alg.join_table, j)):

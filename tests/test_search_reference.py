@@ -98,6 +98,17 @@ def table_of(triples, n):
     return table
 
 
+def to_bits(table, n):
+    """An n x n table of cell masks as the kernel's one int: bit
+    (x*n + y)*n + z for z in x o y."""
+    return sum(cell << (x * n + y) * n for x, row in enumerate(table) for y, cell in enumerate(row))
+
+
+def to_cells(table, n):
+    """The kernel's one-int table as an n x n table of cell masks."""
+    return [[(table >> (x * n + y) * n) & ((1 << n) - 1) for y in range(n)] for x in range(n)]
+
+
 def random_rotation_closed(rng, n, minus, rate):
     triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)
                if rng.random() < rate]
@@ -202,7 +213,7 @@ def kernel_root(poset, identity, tilde):
     reached = []
 
     def stop():
-        reached.append(([row[:] for row in searcher.t], [row[:] for row in searcher.f]))
+        reached.append((to_cells(searcher.t, poset.n), to_cells(searcher.f, poset.n)))
         return False
 
     searcher._associativity_cut = stop
@@ -232,12 +243,12 @@ def test_propagation_matches_reference_on_random_walks():
                     value = rng.random() < 0.5
                     ref_t, ref_f = [row[:] for row in t], [row[:] for row in f]
                     ok = reference_propagate(poset, identity, minus, ref_t, ref_f, x, y, z, value)
-                    searcher.t, searcher.f = [row[:] for row in t], [row[:] for row in f]
+                    searcher.t, searcher.f = to_bits(t, n), to_bits(f, n)
                     assert ok == (searcher._assign(x, y, z, value)
                                   and searcher._force_identity_witnesses())
                     verdicts.add(ok)
                     if ok:
-                        assert (searcher.t, searcher.f) == (ref_t, ref_f)
+                        assert searcher.t == to_bits(ref_t, n) and searcher.f == to_bits(ref_f, n)
                         t, f = ref_t, ref_f
     assert verdicts == {True, False}
 
@@ -248,7 +259,9 @@ def test_kernel_matches_reference_on_every_search_state(monkeypatch):
 
     def checked(searcher):
         ok = kernel(searcher)
-        assert ok == reference_cut(searcher.t, searcher.f, searcher.carrier, searcher.n)
+        n = searcher.n
+        assert ok == reference_cut(to_cells(searcher.t, n), to_cells(searcher.f, n),
+                                   searcher.carrier, n)
         verdicts.append(ok)
         return ok
 
@@ -271,12 +284,13 @@ def test_kernel_matches_reference_on_random_states():
             true = random_rotation_closed(rng, n, minus, rng.random() * 0.3)
             false = random_rotation_closed(rng, n, minus, rng.random() * 0.3) - true
             t, f = table_of(true, n), table_of(false, n)
-            searcher.t, searcher.f = t, f
+            searcher.t, searcher.f = to_bits(t, n), to_bits(f, n)
             ok = searcher._associativity_cut()
             assert ok == reference_cut(t, f, searcher.carrier, n), (n, tilde, t, f)
             verdicts.add(ok)
         assert verdicts == ({True} if n == 1 else {True, False}), n
-    assert searcher.cell_bytes == 2
+    # the last tables had 9**3 = 729 bits, several machine words
+    assert searcher.n == 9
 
 
 def test_census_search_counts_match_recorded_values():
