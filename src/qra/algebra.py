@@ -42,6 +42,12 @@ the irreducibles, or through the cover pairs, by three lemmas.
    both sides turn joins in a into meets, and likewise in b, and by
    lemma 1 each side at (a, b) is the meet of its values at the pairs
    of J ∩ ↓a and J ∩ ↓b.
+4. Let 0 = ~1 = -1, let 1 be a two-sided unit, let ~ and - undo each
+   other, and let the product be residuated with c/b = -(b.~c) and
+   a\\c = ~(-c.a).  Then ~0 = ~-1 = 1 and -0 = -~1 = 1, so the
+   idempotent-semiring reformulation (``semiring_reformulation``) holds:
+   a.~b <= 0 iff a <= 0/~b = -(~b.~0) = -~b = b, and -b.a <= 0 iff
+   a <= -b\\0 = ~(-0.-b) = ~-b = b.
 
 Only when one of these tests or a premise fails are the join-irreducibles
 (or their rows, or the whole table) scanned, for witnesses in the order
@@ -169,6 +175,16 @@ class FinAlgebra:
         return _total_table(self.order_poset.lattice.meet, "meet")
 
     @cached_property
+    def distributive(self) -> bool:
+        """Whether every join-irreducible j is join-prime, decided once, as
+        one test over the word rows key[a] = J ∩ ↓a: j <= a join b implies
+        j <= a or j <= b for every j in J exactly when
+        key[a join b] = key[a] | key[b].  Needs the join table."""
+        keys, join = self.order_poset.down_keys, self.join_table
+        return all(np.array_equal(keys[join[rows]], keys[rows, None, :] | keys[None, :, :])
+                   for rows in row_blocks(self.size, self.size * keys.shape[1]))
+
+    @cached_property
     def bottom(self) -> int:
         if self.order_poset.lattice.bottom < 0:
             raise PreconditionError("lattice has no least element")
@@ -258,18 +274,9 @@ def _row_witnesses(n: int, broken) -> list[tuple]:
     return found[:MAX_WITNESSES]
 
 
-def _join_prime(alg: FinAlgebra) -> bool:
-    """Whether every join-irreducible j is join-prime, as one test over the
-    word rows key[a] = J ∩ ↓a: j <= a join b implies j <= a or j <= b for
-    every j in J exactly when key[a join b] = key[a] | key[b]."""
-    keys, join = alg.order_poset.down_keys, alg.join_table
-    return all(np.array_equal(keys[join[rows]], keys[rows, None, :] | keys[None, :, :])
-               for rows in row_blocks(alg.size, alg.size * keys.shape[1]))
-
-
 def _join_prime_failures(leq: np.ndarray, join: np.ndarray, j: int) -> np.ndarray:
     """[a, b] is True where j <= a join b although j is below neither a nor b;
-    the witness scan behind a failed ``_join_prime``."""
+    the witness scan behind a failed ``FinAlgebra.distributive``."""
     lj = leq[j]
     return lj[join] & ~(lj[:, None] | lj[None, :])
 
@@ -374,7 +381,7 @@ def _validate_dinfl(alg: FinAlgebra) -> tuple[ValidationReport, bool]:
                 rep.add(law, (i, j))
     lattice_ok = not missing.any()
     jirr = alg.order_poset.join_irreducibles
-    if lattice_ok and not _join_prime(alg):
+    if lattice_ok and not alg.distributive:
         # a finite lattice is distributive iff every join-irreducible is
         # join-prime; a failing (j, a, b) is a counterexample, since then
         # j meet (a join b) = j properly exceeds (j meet a) join (j meet b)
@@ -394,16 +401,19 @@ def _validate_dinfl(alg: FinAlgebra) -> tuple[ValidationReport, bool]:
         for b, c in _mismatches(prod[prod[a]], prod[a][prod]):
             rep.add("monoid_associative", (a, b, c))
     ident = np.arange(n)
-    for (a,) in _witnesses(prod[alg.one] != ident):
+    not_left_unit = _witnesses(prod[alg.one] != ident)
+    for (a,) in not_left_unit:
         rep.add("monoid_unit_left", (a,))
-    for (a,) in _witnesses(prod[:, alg.one] != ident):
+    not_right_unit = _witnesses(prod[:, alg.one] != ident)
+    for (a,) in not_right_unit:
         rep.add("monoid_unit_right", (a,))
 
     tilde, minus = alg.tilde, alg.minus
     not_undone = _witnesses(minus[tilde] != ident)
     for (a,) in not_undone:
         rep.add("linear_negation_inverse", (a,))
-    for (a,) in _witnesses(tilde[minus] != ident):
+    not_redone = _witnesses(tilde[minus] != ident)
+    for (a,) in not_redone:
         rep.add("linear_negation_inverse", (a,))
     # lemma 3: the n x n scan runs only when a cover pair is not reversed
     anti = True
@@ -418,13 +428,16 @@ def _validate_dinfl(alg: FinAlgebra) -> tuple[ValidationReport, bool]:
         _residuation_witnesses(rep, alg, *_residuals(alg))
 
     if lattice_ok:
-        # Idempotent-semiring cross-check: a <= b iff a.~b <= 0 iff -b.a <= 0.
+        # Idempotent-semiring cross-check: a <= b iff a.~b <= 0 iff -b.a <= 0;
+        # by lemma 4 the scans run only when a premise fails
         if tilde[alg.one] == minus[alg.one]:
-            lz = leq[:, int(tilde[alg.one])]
-            for a, b in _row_witnesses(n, lambda rows: leq[rows] != lz[prod[rows][:, tilde]]):
-                rep.add("semiring_reformulation", (a, b))
-            for a, b in _row_witnesses(n, lambda rows: leq[rows] != lz[prod[:, rows][minus]].T):
-                rep.add("semiring_reformulation", (a, b))
+            if not residuated or not_left_unit or not_right_unit or not_undone or not_redone:
+                lz = leq[:, int(tilde[alg.one])]
+                for a, b in _row_witnesses(n, lambda rows: leq[rows] != lz[prod[rows][:, tilde]]):
+                    rep.add("semiring_reformulation", (a, b))
+                for a, b in _row_witnesses(
+                        n, lambda rows: leq[rows] != lz[prod[:, rows][minus]].T):
+                    rep.add("semiring_reformulation", (a, b))
             # De Morgan link between the lattice and the linear negations,
             # a meet b = -(~a join ~b); by lemma 3 the scan runs only when
             # tilde or minus is not an anti-isomorphism or minus does not
@@ -577,7 +590,7 @@ def classify(alg: FinAlgebra) -> AlgebraFlags:
 def join_irreducibles(alg: FinAlgebra) -> list[int]:
     """The join-irreducibles of the lattice, verified join-prime."""
     out = list(alg.order_poset.join_irreducibles)
-    if out and not _join_prime(alg):
+    if out and not alg.distributive:
         for j in out:
             if _join_prime_failures(alg.leq, alg.join_table, j).any():
                 raise PreconditionError(

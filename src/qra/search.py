@@ -33,8 +33,26 @@ automorphisms can witness an isomorphism between two frames on the same
 poset, so a candidate is kept exactly when its encoding is minimal in its
 automorphism orbit; each relabelling is compared component by component
 and stops at the first difference.
+
+Lemma (one branch per orbit).  An encoding is compared with its
+relabellings component by component: the identity set first, then
+``tilde[0..n-1]``, then ``neg`` and the cells.  An automorphism g sends the
+branch (I, ~) to (gI, g~g^-1), which are the first components of every
+encoding of the branch relabelled by g.  (i) If some g gives a pair that
+is lexicographically smaller, every table solved in the branch fails the
+orbit check under g, for both signatures, so the branch is skipped
+without a search.  (ii) Otherwise every g outside the stabiliser of
+(I, ~) gives a strictly larger pair, so its relabelling stops at that
+component; only the stabiliser can reject a table, and the orbit check
+runs over the stabiliser alone, from ``neg`` on.  Skipped branches stay
+in the branch list, so branch indices and checkpoints keep their meaning;
+they spend no nodes and read no clock.
+
 ``SearchStats`` counts nodes, prunes, leaves and calls to the prune with
-the time spent in it.
+the time spent in it, all over the searched branches.  ``labelled`` adds
+each searched branch's leaves times its orbit size |Aut(P)| / |stabiliser|:
+the labelled tables on the poset, which a search of every branch would
+count as leaves.
 
 The relation search does not depend on the signature: a DqRA-frame is a
 DInFL-frame with a compatible negation.  ``search_frames`` therefore runs
@@ -60,12 +78,14 @@ from .order import Poset, bits
 @dataclass
 class SearchStats:
     """Counters of one search: DFS nodes, pruned children, solved tables,
+    labelled tables (solved tables times the orbit size of their branch),
     calls to the associativity cut and the time spent in it, and the wall
     time of the whole search."""
 
     nodes: int = 0
     prunes: int = 0
     leaves: int = 0
+    labelled: int = 0
     cuts: int = 0
     cut_s: float = 0.0
     wall_s: float = 0.0
@@ -261,10 +281,10 @@ def _neg_compatible(comp, tilde, minus, neg, n) -> bool:
     return True
 
 
-def _relabelled_components(perm, identity, tilde, comp, neg, n):
-    """Pairs (component relabelled by perm, own component) of an encoding,
-    in its comparison order: identity, tilde, neg, then the comp cells
-    row by row."""
+def _relabelled_components(perm, comp, neg, n):
+    """Pairs (component relabelled by perm, own component) of an encoding
+    whose branch perm fixes, in its comparison order: neg, then the comp
+    cells row by row."""
     inv = [0] * n
     for i, p in enumerate(perm):
         inv[p] = i
@@ -275,9 +295,6 @@ def _relabelled_components(perm, identity, tilde, comp, neg, n):
             out |= 1 << perm[i]
         return out
 
-    yield move(identity), identity
-    for x in range(n):
-        yield perm[tilde[inv[x]]], tilde[x]
     if neg is not None:
         for x in range(n):
             yield perm[neg[inv[x]]], neg[x]
@@ -287,12 +304,33 @@ def _relabelled_components(perm, identity, tilde, comp, neg, n):
             yield move(row[inv[y]]), comp[x][y]
 
 
-def _is_orbit_minimal(poset, identity, tilde, comp, neg) -> bool:
-    """No automorphism relabels the encoding to a lexicographically smaller
-    one; each relabelling stops at the first component that differs."""
+def _branch_stabiliser(poset, identity, tilde):
+    """The automorphisms that fix the branch (identity, tilde), identity
+    first, or None when one sends it to a lexicographically smaller pair
+    (lemma (i) of the module docstring)."""
+    n = poset.n
+    own = (identity, *tilde)
+    stabiliser = []
     # qra.iso lists the automorphisms in lexicographic order, identity first
-    for g in poset.automorphisms[1:]:
-        for new, own in _relabelled_components(g, identity, tilde, comp, neg, poset.n):
+    for g in poset.automorphisms:
+        moved = [0] * n  # g tilde g^-1
+        for x, y in enumerate(tilde):
+            moved[g[x]] = g[y]
+        new = (sum(1 << g[i] for i in bits(identity)), *moved)
+        if new < own:
+            return None
+        if new == own:
+            stabiliser.append(g)
+    return stabiliser
+
+
+def _is_orbit_minimal(stabiliser, comp, neg, n) -> bool:
+    """No automorphism in the stabiliser of the branch relabels the
+    encoding to a lexicographically smaller one; by lemma (ii) of the
+    module docstring no other automorphism can.  Each relabelling stops at
+    the first component that differs."""
+    for g in stabiliser[1:]:
+        for new, own in _relabelled_components(g, comp, neg, n):
             if new != own:
                 if new < own:
                     return False
@@ -339,22 +377,30 @@ def run_branch(poset: Poset, signatures, identity: int, tilde,
                stats: SearchStats | None = None, budget: Budget | None = None):
     """Frame encodings of one branch, one list per signature.
 
-    The relation search is shared: every solved table is kept for
-    ``dinfl`` when it is orbit-minimal, and for ``dqra`` once per
-    compatible negation whose encoding is orbit-minimal.
+    A branch that an automorphism sends to a smaller one is skipped, with
+    empty lists.  Otherwise the relation search is shared: every solved
+    table is kept for ``dinfl`` when it is orbit-minimal, and for ``dqra``
+    once per compatible negation whose encoding is orbit-minimal, both
+    decided over the stabiliser of the branch.
     """
     stats = stats if stats is not None else SearchStats()
+    n = poset.n
+    out = {signature: [] for signature in signatures}
+    stabiliser = _branch_stabiliser(poset, identity, tilde)
+    if stabiliser is None:
+        return tuple(out[signature] for signature in signatures)
     searcher = _BranchSearch(poset, identity, tilde, stats, budget)
     minus = searcher.minus
     negs = poset.order_reversing_involutions if "dqra" in signatures else []
-    out = {signature: [] for signature in signatures}
-    for comp in searcher.run():
-        if "dinfl" in out and _is_orbit_minimal(poset, identity, tilde, comp, None):
+    comps = searcher.run()
+    stats.labelled += len(comps) * (len(poset.automorphisms) // len(stabiliser))
+    for comp in comps:
+        if "dinfl" in out and _is_orbit_minimal(stabiliser, comp, None, n):
             out["dinfl"].append((identity, tilde, comp, None))
         if "dqra" in out:
             for neg in negs:
-                if (_neg_compatible(comp, tilde, minus, neg, poset.n)
-                        and _is_orbit_minimal(poset, identity, tilde, comp, neg)):
+                if (_neg_compatible(comp, tilde, minus, neg, n)
+                        and _is_orbit_minimal(stabiliser, comp, neg, n)):
                     out["dqra"].append((identity, tilde, comp, neg))
     return tuple(out[signature] for signature in signatures)
 

@@ -415,3 +415,18 @@ def test_de_morgan_laws_on_the_irreducibles_match_the_full_scan():
     # on a lattice with residuation and anti-isomorphic linear negations,
     # the cover test fails and passes, and after it the J x J test too
     assert decided >= {(False, False), (False, True), (True, True)}
+
+
+def test_semiring_law_scanned_when_a_unit_law_fails():
+    # D2_1_1, the two-element Boolean algebra, with the bottom as its unit:
+    # the product is still residuated, zero agrees and the negations still
+    # undo each other, so of the premises of lemma 4 only the unit laws
+    # fail, and the semiring law fails with them at a = 1, b = 0
+    base = catalog_lookup("D2_1_1").base
+    alg = FinAlgebra(base.leq, base.product, base.bottom, base.tilde, base.minus,
+                     name="D2_1_1~unit=0")
+    rep = validate_dinfl(alg)
+    assert rep.laws_violated() == ["monoid_unit_left", "monoid_unit_right",
+                                   "semiring_reformulation"]
+    assert [w for law, w in rep.failures if law == "semiring_reformulation"] == [(1, 0), (1, 0)]
+    assert_report_matches_loops(alg)

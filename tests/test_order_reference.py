@@ -200,7 +200,8 @@ def test_order_layer_on_every_poset_of_five_points_and_its_upset_lattice():
 
 
 def test_automorphisms_list_the_identity_first():
-    # search._is_orbit_minimal skips automorphisms[0] as the identity
+    # search._branch_stabiliser keeps automorphisms[0] first and
+    # search._is_orbit_minimal skips it as the identity
     for poset in all_posets(5):
         assert poset.automorphisms[0] == tuple(range(poset.n))
 

@@ -10,51 +10,68 @@ makes equivalent on the rotation-closed states it works on.  It must give
 the same verdicts and fixpoints as the references on every state the DFS
 hands it and on random rotation-closed states, and the census search must
 visit the recorded number of nodes.
+
+``reference_orbit_minimal`` compares a whole relabelled encoding with its
+own under every poset automorphism, where the search skips the branches
+an automorphism makes smaller and checks the rest over their
+stabilisers; both must keep the same encodings.
 """
 
 import random
 
-from qra.order import Poset, bits, posets_with_at_most_upsets
-from qra.search import SearchStats, _BranchSearch, search_branches, search_frames
+import pytest
 
-# (nodes, prunes, leaves, DInFL frames, DqRA frames) of search_frames on
-# every poset with at most 8 up-sets, keyed by its up-set masks
+from qra.order import Poset, bits, posets_with_at_most_upsets
+from qra.search import (
+    SIGNATURES,
+    SearchStats,
+    _branch_stabiliser,
+    _BranchSearch,
+    _neg_compatible,
+    run_branch,
+    search_branches,
+    search_frames,
+)
+
+# (nodes, prunes, leaves, labelled, DInFL frames, DqRA frames) of
+# search_frames on every poset with at most 8 up-sets, keyed by its up-set
+# masks; labelled is the leaves a search of every branch would count
 CENSUS_SEARCH = {
-    (1,): (1, 0, 1, 1, 1),
-    (1, 2): (13, 0, 9, 5, 6),
-    (3, 2): (2, 0, 2, 2, 2),
-    (1, 2, 4): (300, 62, 130, 25, 31),
-    (5, 6, 4): (0, 0, 0, 0, 0),
-    (5, 2, 4): (20, 5, 10, 10, 10),
-    (7, 2, 4): (0, 0, 0, 0, 0),
-    (7, 6, 4): (9, 4, 4, 4, 4),
-    (13, 6, 4, 8): (64, 24, 22, 22, 22),
-    (13, 14, 4, 8): (100, 26, 42, 11, 12),
-    (13, 14, 12, 8): (0, 0, 0, 0, 0),
-    (13, 10, 12, 8): (0, 0, 0, 0, 0),
-    (13, 2, 12, 8): (68, 25, 25, 25, 25),
-    (15, 10, 12, 8): (64, 23, 25, 16, 23),
-    (15, 10, 4, 8): (0, 0, 0, 0, 0),
-    (15, 14, 4, 8): (0, 0, 0, 0, 0),
-    (15, 14, 12, 8): (23, 11, 8, 8, 8),
-    (29, 30, 20, 24, 16): (0, 0, 0, 0, 0),
-    (29, 30, 28, 8, 16): (286, 142, 80, 21, 23),
-    (29, 30, 28, 24, 16): (0, 0, 0, 0, 0),
-    (29, 26, 28, 24, 16): (0, 0, 0, 0, 0),
-    (31, 26, 28, 8, 16): (0, 0, 0, 0, 0),
-    (31, 26, 28, 24, 16): (0, 0, 0, 0, 0),
-    (31, 26, 20, 24, 16): (103, 54, 28, 28, 26),
-    (31, 30, 20, 24, 16): (0, 0, 0, 0, 0),
-    (31, 30, 20, 8, 16): (0, 0, 0, 0, 0),
-    (31, 30, 28, 8, 16): (0, 0, 0, 0, 0),
-    (31, 30, 28, 24, 16): (63, 34, 17, 17, 17),
-    (61, 62, 60, 56, 48, 32): (0, 0, 0, 0, 0),
-    (63, 58, 60, 56, 48, 32): (0, 0, 0, 0, 0),
-    (63, 62, 52, 56, 48, 32): (401, 206, 104, 70, 106),
-    (63, 62, 60, 40, 48, 32): (0, 0, 0, 0, 0),
-    (63, 62, 60, 56, 16, 32): (0, 0, 0, 0, 0),
-    (63, 62, 60, 56, 48, 32): (155, 85, 38, 38, 36),
-    (127, 126, 124, 120, 112, 96, 64): (401, 226, 91, 91, 81),
+    (1,): (1, 0, 1, 1, 1, 1),
+    (1, 2): (7, 0, 5, 9, 5, 6),
+    (3, 2): (2, 0, 2, 2, 2, 2),
+    (1, 2, 4): (75, 13, 34, 130, 25, 31),
+    (5, 6, 4): (0, 0, 0, 0, 0, 0),
+    (5, 2, 4): (20, 5, 10, 10, 10, 10),
+    (7, 2, 4): (0, 0, 0, 0, 0, 0),
+    (7, 6, 4): (9, 4, 4, 4, 4, 4),
+    (13, 6, 4, 8): (64, 24, 22, 22, 22, 22),
+    (13, 14, 4, 8): (26, 7, 11, 42, 11, 12),
+    (13, 14, 12, 8): (0, 0, 0, 0, 0, 0),
+    (13, 10, 12, 8): (0, 0, 0, 0, 0, 0),
+    (13, 2, 12, 8): (68, 25, 25, 25, 25, 25),
+    (15, 10, 12, 8): (46, 15, 19, 25, 16, 23),
+    (15, 10, 4, 8): (0, 0, 0, 0, 0, 0),
+    (15, 14, 4, 8): (0, 0, 0, 0, 0, 0),
+    (15, 14, 12, 8): (23, 11, 8, 8, 8, 8),
+    (29, 30, 20, 24, 16): (0, 0, 0, 0, 0, 0),
+    (29, 30, 28, 8, 16): (83, 47, 21, 80, 21, 23),
+    (29, 30, 28, 24, 16): (0, 0, 0, 0, 0, 0),
+    (29, 26, 28, 24, 16): (0, 0, 0, 0, 0, 0),
+    (31, 26, 28, 8, 16): (0, 0, 0, 0, 0, 0),
+    (31, 26, 28, 24, 16): (0, 0, 0, 0, 0, 0),
+    (31, 26, 20, 24, 16): (103, 54, 28, 28, 28, 26),
+    (31, 30, 20, 24, 16): (0, 0, 0, 0, 0, 0),
+    (31, 30, 20, 8, 16): (0, 0, 0, 0, 0, 0),
+    (31, 30, 28, 8, 16): (0, 0, 0, 0, 0, 0),
+    (31, 30, 28, 24, 16): (63, 34, 17, 17, 17, 17),
+    (61, 62, 60, 56, 48, 32): (0, 0, 0, 0, 0, 0),
+    (63, 58, 60, 56, 48, 32): (0, 0, 0, 0, 0, 0),
+    (63, 62, 52, 56, 48, 32): (349, 172, 94, 104, 70, 106),
+    (63, 62, 60, 40, 48, 32): (0, 0, 0, 0, 0, 0),
+    (63, 62, 60, 56, 16, 32): (0, 0, 0, 0, 0, 0),
+    (63, 62, 60, 56, 48, 32): (155, 85, 38, 38, 38, 36),
+    (127, 126, 124, 120, 112, 96, 64): (401, 226, 91, 91, 91, 81),
 }
 
 
@@ -298,6 +315,90 @@ def test_census_search_counts_match_recorded_values():
     for poset in posets_with_at_most_upsets(8):
         results = search_frames(poset)
         stats = results["dinfl"].stats
-        seen[poset.up] = (stats.nodes, stats.prunes, stats.leaves,
+        seen[poset.up] = (stats.nodes, stats.prunes, stats.leaves, stats.labelled,
                           results["dinfl"].count, results["dqra"].count)
+        # orbit-stabiliser: the labelled tables are the orbits of the kept
+        # DInFL encodings, each of size |Aut(P)| / |stabiliser|
+        assert stats.labelled == sum(
+            len(poset.automorphisms) // sum(relabelled(poset, g, enc) == flat(enc)
+                                            for g in poset.automorphisms)
+            for enc in results["dinfl"].encodings)
     assert seen == CENSUS_SEARCH
+
+
+def flat(enc) -> tuple:
+    """An encoding (identity, tilde, comp, neg) as one tuple, in the order
+    its components are compared: identity, tilde, neg, then the cells."""
+    identity, tilde, comp, neg = enc
+    return (identity, *tilde, *(neg or ()), *(cell for row in comp for cell in row))
+
+
+def relabelled(poset, g, enc) -> tuple:
+    """``flat`` of the encoding transported along the automorphism g."""
+    identity, tilde, comp, neg = enc
+    n = poset.n
+    inv = [g.index(x) for x in range(n)]
+
+    def move(mask):
+        return sum(1 << g[i] for i in bits(mask))
+
+    return flat((move(identity), [g[tilde[inv[x]]] for x in range(n)],
+                 [[move(comp[inv[x]][inv[y]]) for y in range(n)] for x in range(n)],
+                 None if neg is None else [g[neg[inv[x]]] for x in range(n)]))
+
+
+def reference_orbit_minimal(poset, enc) -> bool:
+    """No automorphism of the poset, over all of ``poset.automorphisms``,
+    relabels the whole encoding to a lexicographically smaller one."""
+    return all(relabelled(poset, g, enc) >= flat(enc) for g in poset.automorphisms)
+
+
+def reference_branch(poset, identity, tilde):
+    """The solved tables of a branch, searched whether or not the census
+    skips it, and the encodings among them that the reference orbit check
+    keeps, for each signature."""
+    comps = _BranchSearch(poset, identity, tilde, SearchStats(), None).run()
+    minus = [tilde.index(i) for i in range(poset.n)]
+    dinfl = [(identity, tilde, comp, None) for comp in comps
+             if reference_orbit_minimal(poset, (identity, tilde, comp, None))]
+    dqra = [(identity, tilde, comp, neg) for comp in comps
+            for neg in poset.order_reversing_involutions
+            if _neg_compatible(comp, tilde, minus, neg, poset.n)
+            and reference_orbit_minimal(poset, (identity, tilde, comp, neg))]
+    return comps, dinfl, dqra
+
+
+def test_skipped_branches_hold_no_orbit_minimal_encoding():
+    # lemma (i) of qra.search: every table of a skipped branch fails the
+    # orbit check over all automorphisms, for both signatures; and lemma
+    # (ii): on a searched branch the check over the stabiliser keeps what
+    # the check over all automorphisms keeps
+    skipped = solved = 0
+    for poset in posets_with_at_most_upsets(8):
+        for identity, tilde in search_branches(poset):
+            comps, dinfl, dqra = reference_branch(poset, identity, tilde)
+            if _branch_stabiliser(poset, identity, tilde) is None:
+                skipped += 1
+                solved += len(comps)
+                assert not dinfl and not dqra, (poset.up, identity, tilde)
+            else:
+                assert run_branch(poset, SIGNATURES, identity, tilde) == (dinfl, dqra)
+    # 71 of the 178 branches, holding 206 of the 636 labelled tables
+    assert (skipped, solved) == (71, 206)
+
+
+@pytest.mark.stretch
+def test_branch_orbits_match_the_search_of_every_branch_past_eight_upsets():
+    for poset in posets_with_at_most_upsets(10):
+        leaves, want = 0, {"dinfl": [], "dqra": []}
+        for identity, tilde in search_branches(poset):
+            comps, dinfl, dqra = reference_branch(poset, identity, tilde)
+            leaves += len(comps)
+            want["dinfl"] += dinfl
+            want["dqra"] += dqra
+        results = search_frames(poset)
+        assert results["dinfl"].stats.labelled == leaves, poset.up
+        for signature in SIGNATURES:
+            # sorted as search_frames sorts
+            assert results[signature].encodings == sorted(
+                want[signature], key=lambda e: (e[0], e[1], e[2], e[3] or ())), poset.up
