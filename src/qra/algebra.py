@@ -10,7 +10,8 @@ all tables are immutable after construction.
 Validation is exhaustive: every law holds for all tuples exactly when the
 report has no failure for it, and each failure carries a witness tuple.
 One code path serves every carrier size.  Most laws are decided through
-the irreducibles, or through the cover pairs, by three lemmas.
+the irreducibles, or through the cover pairs, by the first three lemmas
+below; the fourth makes one law follow from others.
 
 1. Let J be the elements that are not the least upper bound of the
    elements strictly below them (in a lattice, the join-irreducibles),
