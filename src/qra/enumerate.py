@@ -62,6 +62,8 @@ def enumerate_posets(max_size: int) -> list[PosetShape]:
 
 def _self_dual_by_upset_count(max_n: int) -> dict[int, list[Poset]]:
     """Self-dual posets with n upsets, for every n in 1..max_n, grown once."""
+    if max_n < 1:
+        raise PreconditionError("cardinality must be at least 1")
     if max_n > MAX_POSET_SIZE + 1:
         # a poset of size k has at least k+1 upsets, so cardinality n
         # needs posets up to size n-1 and the census stops there
@@ -69,8 +71,7 @@ def _self_dual_by_upset_count(max_n: int) -> dict[int, list[Poset]]:
             f"cardinality {max_n} needs posets beyond the supported census"
         )
     buckets = {n: [] for n in range(1, max_n + 1)}
-    if max_n >= 1:
-        buckets[1].append(Poset(()))
+    buckets[1].append(Poset(()))
     for poset in posets_with_at_most_upsets(max_n):
         if poset.is_self_dual:
             buckets[len(poset.upsets)].append(poset)
@@ -112,8 +113,6 @@ def _sum_counts(posets, counts: dict, budget, jobs) -> tuple[int, int]:
 def count_algebras(n: int, budget: Budget | None = None,
                    jobs: int = 1) -> tuple[int, int]:
     """(number of DInFL-algebras, number of DqRAs) of cardinality n."""
-    if n < 1:
-        raise PreconditionError("cardinality must be at least 1")
     return _sum_counts(posets_with_upset_count(n), {}, _started(budget), jobs)
 
 

@@ -23,16 +23,22 @@ one already forces it:
   witness ``x in i o x`` for every ``x``, which unit-propagates like a
   clause.  The rotation law carries both onto the cells ``x o i``.
 
+Propagation works a cell at a time: it ORs a cone-closed mask (an up-set
+of true bits or a down-set of false ones) into a cell, and every new bit
+``w`` of cell ``a o b`` sends the one cone of ``b-`` to cell ``w- o a``.
+The root blocks each identity cell ``i o x`` with the one down-set outside
+the principal upset of ``x``, and a decision sets the cone of its bit.
+
 Associativity is used as an interval prune while the table is partial and
-becomes the exact check once it is complete.  The prune reads the bits set
-true and the bits not yet set false as two 0/1 cubes, each unpacked
-from its int by one ``to_bytes`` call, and forms one
-bracketing of each with one boolean tensor contraction, a float32 matmul;
-the rotation law makes the other bracketing redundant.  Only poset
-automorphisms can witness an isomorphism between two frames on the same
-poset, so a candidate is kept exactly when its encoding is minimal in its
-automorphism orbit; each relabelling is compared component by component
-and stops at the first difference.
+becomes the exact check once it is complete.  The prune unpacks the bits
+set true and the bits not yet set false, both from one buffer, into two
+0/1 cubes, and forms one bracketing of each with one batched boolean
+tensor contraction, a float32 matmul; the rotation law makes the other
+bracketing redundant and reads it off the first through an index built
+once per branch.  Only poset automorphisms can witness an isomorphism
+between two frames on the same poset, so a candidate is kept exactly when
+its encoding is minimal in its automorphism orbit; each relabelling is
+compared component by component and stops at the first difference.
 
 Lemma (one branch per orbit).  An encoding is compared with its
 relabellings component by component: the identity set first, then
@@ -52,7 +58,13 @@ they spend no nodes and read no clock.
 the time spent in it, all over the searched branches.  ``labelled`` adds
 each searched branch's leaves times its orbit size |Aut(P)| / |stabiliser|:
 the labelled tables on the poset, which a search of every branch would
-count as leaves.
+count as leaves.  ``labelled_dqra`` adds, in the same way, the pairs of a
+solved table and a compatible negation.
+
+A solved table and an order-reversing involution ``neg`` make a
+DqRA-frame exactly when ``sigma = neg o tilde`` carries every cell
+``x o y`` onto the cell ``sigma(y) o sigma(x)``; the negation filter
+relabels each cell once and stops at the first mismatch.
 
 The relation search does not depend on the signature: a DqRA-frame is a
 DInFL-frame with a compatible negation.  ``search_frames`` therefore runs
@@ -70,7 +82,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, PreconditionError
 from .frame import Frame
 from .order import Poset, bits
 
@@ -79,13 +91,16 @@ from .order import Poset, bits
 class SearchStats:
     """Counters of one search: DFS nodes, pruned children, solved tables,
     labelled tables (solved tables times the orbit size of their branch),
-    calls to the associativity cut and the time spent in it, and the wall
-    time of the whole search."""
+    labelled DqRA pairs (solved tables with a compatible negation, times
+    the same orbit size, counted when ``dqra`` is searched), calls to the
+    associativity cut and the time spent in it, and the wall time of the
+    whole search."""
 
     nodes: int = 0
     prunes: int = 0
     leaves: int = 0
     labelled: int = 0
+    labelled_dqra: int = 0
     cuts: int = 0
     cut_s: float = 0.0
     wall_s: float = 0.0
@@ -140,6 +155,13 @@ class _BranchSearch:
         self.down = poset.down
         self.identity_points = list(bits(identity))
         self.size = n ** 3
+        self.full = (1 << self.size) - 1
+        # right_hi, over [x, y, z, w] row-major: the flat position of
+        # left(hi)[w-, x, y, z-], that is right(hi)[x, y, z, w], behind the
+        # n**4 entries of left(lo) (lemma of _associativity_cut)
+        m = np.array(self.minus, dtype=np.intp)
+        x, y, z, w = np.ix_(*[np.arange(n)] * 4)
+        self.right_hi = (self.size * n + ((m[w] * n + x) * n + y) * n + m[z]).ravel()
         # witnesses[x]: the bits 'x in i o x' over the identity points i
         self.witnesses = [sum(1 << (i * n + x) * n + x for i in self.identity_points)
                           for x in range(n)]
@@ -148,28 +170,37 @@ class _BranchSearch:
 
     # -- propagation ---------------------------------------------------
 
-    def _assign(self, x, y, z, value) -> bool:
-        """Set one bit and close under rotation and value-slot monotonicity:
-        a true bit sets its up-set in the cell, a false bit its down-set."""
+    def _propagate(self, x, y, mask, value) -> bool:
+        """OR a cone-closed mask (an up-set of true bits, a down-set of
+        false ones) into cell x o y and close under rotation: every new bit
+        w of a cell a o b sends the cone of ``b-`` to cell ``w- o a``."""
         n, minus = self.n, self.minus
         table, other = (self.t, self.f) if value else (self.f, self.t)
         cone = self.up if value else self.down
-        stack = [(x, y, z)]
+        stack = [(x, y, mask)]
         while stack:
-            a, b, c = stack.pop()
+            a, b, mask = stack.pop()
             shift = (a * n + b) * n
-            new = cone[c] & ~(table >> shift)
+            new = mask & ~(table >> shift)
             if not new:
                 continue
             if new & (other >> shift):
                 return False
             table |= new << shift
-            stack.extend((minus[w], a, minus[b]) for w in bits(new))
+            rotated = cone[minus[b]]
+            while new:
+                low = new & -new
+                stack.append((minus[low.bit_length() - 1], a, rotated))
+                new ^= low
         if value:
             self.t = table
         else:
             self.f = table
         return True
+
+    def _assign(self, x, y, z, value) -> bool:
+        """Set bit z of cell x o y: its up-set when true, its down-set when false."""
+        return self._propagate(x, y, (self.up if value else self.down)[z], value)
 
     def _force_identity_witnesses(self) -> bool:
         """Unit-propagate 'x lies in i o x for some identity point i'; the
@@ -198,8 +229,10 @@ class _BranchSearch:
         is not ruled out.  With ``left(a)[x, y, z, w] = OR_u a[x, y, u] and
         a[u, z, w]`` and ``right(a)[x, y, z, w] = OR_v a[y, z, v] and
         a[x, v, w]``, the node is cut exactly when ``left(lo)`` is not
-        within ``right(hi)``.  Each side is one float32 matmul; an entry
-        counts at most n witnesses, so it is exact.
+        within ``right(hi)``.  Both cubes are unpacked from one buffer and
+        ``left`` of each is one batched float32 matmul; an entry counts at
+        most n witnesses, so it is exact.  ``right(hi)`` is read off
+        ``left(hi)`` through ``right_hi``, by the lemma.
 
         Lemma: rotating the factors of a rotation-closed ``a`` gives
         ``left(a)[x, y, z, w] = right(a)[w-, x, y, z-]``, and the same with
@@ -208,16 +241,13 @@ class _BranchSearch:
         """
         start = time.perf_counter()
         n, width = self.n, (self.size + 7) // 8
-        packed = self.t.to_bytes(width, "little") + self.f.to_bytes(width, "little")
-        unpacked = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-        lo, ruled_out = unpacked.reshape(2, 8 * width)[:, :self.size].reshape(
-            2, n, n, n).astype(np.float32)
-        hi = 1.0 - ruled_out
-        left = np.matmul(lo.reshape(n * n, n), lo.reshape(n, n * n)) > 0
-        # right(hi) comes out as [y, z, x, w]
-        right = np.matmul(hi.reshape(n * n, n), hi.transpose(1, 0, 2).reshape(n, n * n)) > 0
-        right = right.reshape(n, n, n, n).transpose(2, 0, 1, 3)
-        ok = not (left.reshape(n, n, n, n) > right).any()
+        # f is within every bit, so full ^ f is the bits not ruled out
+        packed = self.t.to_bytes(width, "little") + (self.full ^ self.f).to_bytes(width, "little")
+        cubes = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little").reshape(
+            2, 8 * width)[:, :self.size].astype(np.float32)
+        # left(lo) then left(hi), each [x, y, z, w] row-major
+        left = (np.matmul(cubes.reshape(2, n * n, n), cubes.reshape(2, n, n * n)) > 0).ravel()
+        ok = not (left[:self.size * n] > left[self.right_hi]).any()
         self.stats.cuts += 1
         self.stats.cut_s += time.perf_counter() - start
         return ok
@@ -236,9 +266,8 @@ class _BranchSearch:
             return []
         # i o x lies in the principal upset of x; the rotation law carries
         # the blocked cells onto x o i
-        ok = all(self._assign(i, x, y, False)
-                 for i in self.identity_points for x in range(self.n)
-                 for y in bits(self.carrier & ~self.up[x]))
+        ok = all(self._propagate(i, x, self.carrier & ~self.up[x], False)
+                 for i in self.identity_points for x in range(self.n))
         if ok and self._force_identity_witnesses() and self._associativity_cut():
             self._dfs()
         return self.solutions
@@ -269,15 +298,20 @@ class _BranchSearch:
             self.t, self.f = t, f
 
 
-def _neg_compatible(comp, tilde, minus, neg, n) -> bool:
+def _neg_compatible(comp, tilde, neg, n) -> bool:
+    """The negation condition, one cell at a time: sigma = neg o tilde
+    carries every cell x o y onto the cell sigma(y) o sigma(x)."""
+    sigma = [neg[t] for t in tilde]
     for x in range(n):
-        tx = neg[tilde[x]]
+        row = comp[x]
         for y in range(n):
-            cell = comp[x][y]
-            twisted = comp[neg[tilde[y]]][tx]
-            for z in range(n):
-                if ((cell >> minus[z]) & 1) != ((twisted >> neg[z]) & 1):
-                    return False
+            cell, moved = row[y], 0
+            while cell:
+                low = cell & -cell
+                moved |= 1 << sigma[low.bit_length() - 1]
+                cell ^= low
+            if moved != comp[sigma[y]][sigma[x]]:
+                return False
     return True
 
 
@@ -389,18 +423,17 @@ def run_branch(poset: Poset, signatures, identity: int, tilde,
     stabiliser = _branch_stabiliser(poset, identity, tilde)
     if stabiliser is None:
         return tuple(out[signature] for signature in signatures)
-    searcher = _BranchSearch(poset, identity, tilde, stats, budget)
-    minus = searcher.minus
     negs = poset.order_reversing_involutions if "dqra" in signatures else []
-    comps = searcher.run()
-    stats.labelled += len(comps) * (len(poset.automorphisms) // len(stabiliser))
+    comps = _BranchSearch(poset, identity, tilde, stats, budget).run()
+    orbit = len(poset.automorphisms) // len(stabiliser)
+    stats.labelled += len(comps) * orbit
     for comp in comps:
         if "dinfl" in out and _is_orbit_minimal(stabiliser, comp, None, n):
             out["dinfl"].append((identity, tilde, comp, None))
-        if "dqra" in out:
-            for neg in negs:
-                if (_neg_compatible(comp, tilde, minus, neg, n)
-                        and _is_orbit_minimal(stabiliser, comp, neg, n)):
+        for neg in negs:
+            if _neg_compatible(comp, tilde, neg, n):
+                stats.labelled_dqra += orbit
+                if _is_orbit_minimal(stabiliser, comp, neg, n):
                     out["dqra"].append((identity, tilde, comp, neg))
     return tuple(out[signature] for signature in signatures)
 
@@ -458,6 +491,8 @@ def search_frames(poset: Poset, signatures=SIGNATURES,
     for signature in signatures:
         if signature not in SIGNATURES:
             raise ValueError(f"unknown signature {signature!r}")
+    if jobs < 1:
+        raise PreconditionError(f"jobs must be at least 1, not {jobs}")
     stats = SearchStats()
     start = time.monotonic()
     if budget is not None:

@@ -20,9 +20,9 @@ from qra import (
 from qra import search
 from qra.catalog import build_catalog, match_dinfl, match_dqra
 from qra.enumerate import enumerate_algebras, posets_with_upset_count
-from qra.errors import BudgetExhausted
+from qra.errors import BudgetExhausted, PreconditionError
 from qra.oracle import brute_force_frames
-from qra.order import CENSUS_ORDER, NAMED_POSETS, all_posets
+from qra.order import CENSUS_ORDER, NAMED_POSETS, Poset, all_posets
 
 PER_POSET = {
     "1": (1, 1), "2": (2, 2), "1+1": (5, 6), "3": (4, 4), "4": (8, 8),
@@ -204,6 +204,22 @@ def test_count_algebras_range_guard():
         count_algebras(0)
     with pytest.raises(Exception):
         count_algebras(9)  # would need size-8 posets, beyond the census
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_censuses_reject_sizes_below_one(size):
+    for census in (census_table, count_algebras, enumerate_algebras):
+        with pytest.raises(PreconditionError, match="cardinality must be at least 1"):
+            census(size)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_searches_reject_fewer_than_one_job(jobs):
+    for search_run in (lambda: enumerate_frames(Poset.chain(2), jobs=jobs),
+                       lambda: count_algebras(3, jobs=jobs),
+                       lambda: census_table(3, jobs=jobs)):
+        with pytest.raises(PreconditionError, match="jobs must be at least 1"):
+            search_run()
 
 
 def test_poset_census():

@@ -118,6 +118,19 @@ def test_cli_count(capsys):
     assert "DqRA" in out and "10" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--max-size", "0"),
+    ("count", "--max-size", "-1"),
+    ("--jobs", "0", "count", "--max-size", "3"),
+    ("--jobs", "-2", "count", "--max-size", "3"),
+    ("--jobs", "0", "enumerate", "--poset", "2x2"),
+])
+def test_cli_rejects_sizes_and_jobs_below_one(argv, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be at least 1" in captured.err
+
+
 def test_cli_count_json(capsys):
     assert run_cli("count", "--max-size", "3", "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)

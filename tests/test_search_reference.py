@@ -14,7 +14,9 @@ visit the recorded number of nodes.
 ``reference_orbit_minimal`` compares a whole relabelled encoding with its
 own under every poset automorphism, where the search skips the branches
 an automorphism makes smaller and checks the rest over their
-stabilisers; both must keep the same encodings.
+stabilisers; both must keep the same encodings.  ``reference_neg_compatible``
+tests the negation condition bit by bit over all n**3 triples, where the
+kernel relabels whole cells; both must give the same verdicts.
 """
 
 import random
@@ -95,17 +97,20 @@ def reference_cut(t, f, carrier, n) -> bool:
     return True
 
 
-def rotation_closure(triples, minus) -> set:
-    """The triples (x, y, z), read 'z in x o y', closed under the rotation
-    (x, y, z) -> (z-, x, y-)."""
+def closure(triples, step) -> set:
+    """The triples (x, y, z), read 'z in x o y', closed under the map step."""
     closed, stack = set(), list(triples)
     while stack:
         triple = stack.pop()
         if triple not in closed:
             closed.add(triple)
-            x, y, z = triple
-            stack.append((minus[z], x, minus[y]))
+            stack.append(step(*triple))
     return closed
+
+
+def rotation_closure(triples, minus) -> set:
+    """The triples closed under the rotation (x, y, z) -> (z-, x, y-)."""
+    return closure(triples, lambda x, y, z: (minus[z], x, minus[y]))
 
 
 def table_of(triples, n):
@@ -317,12 +322,13 @@ def test_census_search_counts_match_recorded_values():
         stats = results["dinfl"].stats
         seen[poset.up] = (stats.nodes, stats.prunes, stats.leaves, stats.labelled,
                           results["dinfl"].count, results["dqra"].count)
-        # orbit-stabiliser: the labelled tables are the orbits of the kept
-        # DInFL encodings, each of size |Aut(P)| / |stabiliser|
-        assert stats.labelled == sum(
-            len(poset.automorphisms) // sum(relabelled(poset, g, enc) == flat(enc)
-                                            for g in poset.automorphisms)
-            for enc in results["dinfl"].encodings)
+        # orbit-stabiliser: the labelled tables, and the labelled (table,
+        # neg) pairs, are the orbits of the kept DInFL and DqRA encodings,
+        # each of size |Aut(P)| / |Stab(encoding)|
+        assert stats.labelled == sum(orbit_size(poset, enc)
+                                     for enc in results["dinfl"].encodings)
+        assert stats.labelled_dqra == sum(orbit_size(poset, enc)
+                                          for enc in results["dqra"].encodings)
     assert seen == CENSUS_SEARCH
 
 
@@ -347,6 +353,62 @@ def relabelled(poset, g, enc) -> tuple:
                  None if neg is None else [g[neg[inv[x]]] for x in range(n)]))
 
 
+def orbit_size(poset, enc) -> int:
+    """|Aut(P)| / |Stab(enc)|, the stabiliser counted over all of
+    ``poset.automorphisms``."""
+    return len(poset.automorphisms) // sum(relabelled(poset, g, enc) == flat(enc)
+                                           for g in poset.automorphisms)
+
+
+def reference_neg_compatible(comp, tilde, minus, neg, n) -> bool:
+    """z- in x o y exactly when neg(z) in sigma(y) o sigma(x), with
+    sigma = neg o tilde, for every triple (x, y, z)."""
+    for x in range(n):
+        tx = neg[tilde[x]]
+        for y in range(n):
+            cell = comp[x][y]
+            twisted = comp[neg[tilde[y]]][tx]
+            for z in range(n):
+                if ((cell >> minus[z]) & 1) != ((twisted >> neg[z]) & 1):
+                    return False
+    return True
+
+
+def test_neg_filter_matches_reference_on_every_solved_table():
+    verdicts = set()
+    for poset in posets_with_at_most_upsets(8):
+        for identity, tilde in search_branches(poset):
+            minus = [tilde.index(i) for i in range(poset.n)]
+            for comp in _BranchSearch(poset, identity, tilde, SearchStats(), None).run():
+                for neg in poset.order_reversing_involutions:
+                    ok = _neg_compatible(comp, tilde, neg, poset.n)
+                    assert ok == reference_neg_compatible(comp, tilde, minus, neg, poset.n)
+                    verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_neg_filter_matches_reference_on_random_tables():
+    rng = random.Random(23)
+    for n in range(1, 10):
+        verdicts = set()
+        for _ in range(60):
+            tilde, minus = random_tilde(rng, n)
+            neg = rng.sample(range(n), n)
+            sigma = [neg[t] for t in tilde]
+            # closed under (x, y, z) -> (sigma y, sigma x, sigma z), so the
+            # table passes; one flipped triple may break that
+            triples = closure([(x, y, z) for x in range(n) for y in range(n)
+                               for z in range(n) if rng.random() < 0.2],
+                              lambda x, y, z: (sigma[y], sigma[x], sigma[z]))
+            if rng.random() < 0.5:
+                triples ^= {(rng.randrange(n), rng.randrange(n), rng.randrange(n))}
+            comp = table_of(triples, n)
+            ok = _neg_compatible(comp, tilde, neg, n)
+            assert ok == reference_neg_compatible(comp, tilde, minus, neg, n), (n, tilde, neg)
+            verdicts.add(ok)
+        assert verdicts == ({True} if n == 1 else {True, False}), n
+
+
 def reference_orbit_minimal(poset, enc) -> bool:
     """No automorphism of the poset, over all of ``poset.automorphisms``,
     relabels the whole encoding to a lexicographically smaller one."""
@@ -355,17 +417,18 @@ def reference_orbit_minimal(poset, enc) -> bool:
 
 def reference_branch(poset, identity, tilde):
     """The solved tables of a branch, searched whether or not the census
-    skips it, and the encodings among them that the reference orbit check
-    keeps, for each signature."""
+    skips it, the (table, neg) pairs among them that the reference negation
+    check passes, and the encodings that the reference orbit check keeps,
+    for each signature."""
     comps = _BranchSearch(poset, identity, tilde, SearchStats(), None).run()
     minus = [tilde.index(i) for i in range(poset.n)]
+    pairs = [(comp, neg) for comp in comps for neg in poset.order_reversing_involutions
+             if reference_neg_compatible(comp, tilde, minus, neg, poset.n)]
     dinfl = [(identity, tilde, comp, None) for comp in comps
              if reference_orbit_minimal(poset, (identity, tilde, comp, None))]
-    dqra = [(identity, tilde, comp, neg) for comp in comps
-            for neg in poset.order_reversing_involutions
-            if _neg_compatible(comp, tilde, minus, neg, poset.n)
-            and reference_orbit_minimal(poset, (identity, tilde, comp, neg))]
-    return comps, dinfl, dqra
+    dqra = [(identity, tilde, comp, neg) for comp, neg in pairs
+            if reference_orbit_minimal(poset, (identity, tilde, comp, neg))]
+    return comps, pairs, dinfl, dqra
 
 
 def test_skipped_branches_hold_no_orbit_minimal_encoding():
@@ -376,7 +439,7 @@ def test_skipped_branches_hold_no_orbit_minimal_encoding():
     skipped = solved = 0
     for poset in posets_with_at_most_upsets(8):
         for identity, tilde in search_branches(poset):
-            comps, dinfl, dqra = reference_branch(poset, identity, tilde)
+            comps, _, dinfl, dqra = reference_branch(poset, identity, tilde)
             if _branch_stabiliser(poset, identity, tilde) is None:
                 skipped += 1
                 solved += len(comps)
@@ -390,14 +453,17 @@ def test_skipped_branches_hold_no_orbit_minimal_encoding():
 @pytest.mark.stretch
 def test_branch_orbits_match_the_search_of_every_branch_past_eight_upsets():
     for poset in posets_with_at_most_upsets(10):
-        leaves, want = 0, {"dinfl": [], "dqra": []}
+        leaves = labelled_pairs = 0
+        want = {"dinfl": [], "dqra": []}
         for identity, tilde in search_branches(poset):
-            comps, dinfl, dqra = reference_branch(poset, identity, tilde)
+            comps, pairs, dinfl, dqra = reference_branch(poset, identity, tilde)
             leaves += len(comps)
+            labelled_pairs += len(pairs)
             want["dinfl"] += dinfl
             want["dqra"] += dqra
         results = search_frames(poset)
         assert results["dinfl"].stats.labelled == leaves, poset.up
+        assert results["dqra"].stats.labelled_dqra == labelled_pairs, poset.up
         for signature in SIGNATURES:
             # sorted as search_frames sorts
             assert results[signature].encodings == sorted(
