@@ -476,8 +476,8 @@ def search_frames(poset: Poset, signatures=SIGNATURES,
     """All frames over the poset up to isomorphism, for each signature.
 
     One depth-first search per (identity, tilde) branch serves every
-    requested signature; the results share one ``SearchStats``.  Sequential
-    and ``jobs > 1`` runs map the same branch worker over the branches and
+    requested signature; the results share one ``SearchStats``.  ``jobs``
+    must be at least 1.  Sequential and ``jobs > 1`` runs map the same branch worker over the branches and
     merge in branch order.  A branch gets the node quota the branches
     merged before it left (the whole quota under ``jobs > 1``, where it
     starts before any merge) and the caller's deadline.  The merge stops at
