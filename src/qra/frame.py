@@ -24,7 +24,16 @@ from .algebra import (
 )
 from .errors import InternalCheckError, PreconditionError, SignatureError, StructuralError
 from .iso import Structure, check_witness, isomorphisms
-from .order import Poset, RowIndex, bits, check_memory, mask_of, row_blocks, row_masks
+from .order import (
+    InclusionOrder,
+    Poset,
+    RowIndex,
+    bits,
+    check_memory,
+    mask_of,
+    row_blocks,
+    row_masks,
+)
 
 
 class Frame:
@@ -304,10 +313,14 @@ def _positions(sets, found: np.ndarray, what: str) -> np.ndarray:
 
 def _minimal_points(frame: Frame, ups) -> list[list[int]]:
     """The minimal points of each listed set, in increasing order; a set
-    that is not an up-set of the frame raises ``PreconditionError``."""
+    that is not an up-set of the frame, or is listed twice, raises
+    ``PreconditionError``."""
     strict = [u & ~(1 << x) for x, u in enumerate(frame.poset.up)]
-    out = []
+    out, seen = [], set()
     for u in ups:
+        if u in seen:
+            raise PreconditionError(f"the set {u:#x} is listed twice")
+        seen.add(u)
         above, rest = 0, u
         while rest:
             low = rest & -rest
@@ -319,11 +332,11 @@ def _minimal_points(frame: Frame, ups) -> list[list[int]]:
     return out
 
 
-def _padded(rows, pad: int) -> np.ndarray:
-    """Lists of indices as the rows of one array, padded with ``pad`` (at
-    least one column)."""
+def _padded(rows) -> np.ndarray:
+    """Lists of indices as the rows of one array, padded with -1 (at least
+    one column)."""
     width = max(map(len, rows), default=0) or 1
-    return np.array([row + [pad] * (width - len(row)) for row in rows],
+    return np.array([row + [-1] * (width - len(row)) for row in rows],
                     dtype=np.intp).reshape(len(rows), width)
 
 
@@ -333,8 +346,9 @@ def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
     Product is the lifted composition, the unit is the identity set, and
     the negations send an upset U to the points whose image under the
     paired map falls outside U.  Every one of these must land in ``ups``,
-    whose sets must be distinct up-sets of the frame (a set that is not an
-    up-set raises ``PreconditionError``).  U.V is the union of comp[x][y]
+    whose sets must be distinct up-sets of the frame (an empty list, a set
+    listed twice or a set that is not an up-set raises
+    ``PreconditionError``).  U.V is the union of comp[x][y]
     over x in U and y in V.  An up-set is the union of the principal
     up-sets of its minimal points, so U.V is the union of U.(up y) over
     the minimal points y of V, for every frame, whether its composition is
@@ -344,21 +358,26 @@ def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
     of U; and U.V, the union of U.(up y) over the at most a few minimal
     points y of V, a block of rows at a time, each block looked up among
     the sets as it is formed.  Sets are rows of 64-bit words, so the
-    tables are exact for any number of points.  A product table larger
-    than physical memory, as int32 positions plus the order matrix, raises
-    before anything is allocated.
+    tables are exact for any number of points.  The order is an
+    ``InclusionOrder``: its covers are the listed sets one minimal point
+    smaller, and its join and meet the union and intersection.  A product
+    table larger than physical memory, as int32 positions plus the order
+    matrix, raises before anything is allocated.
     """
     n, width, count = frame.size, max(1, -(-frame.size // 64)), len(ups)
+    if not count:
+        raise PreconditionError("an up-set algebra needs at least one listed set")
     check_memory(5 * count ** 2, f"the product table of {count} upsets")
-    minimal = _padded(_minimal_points(frame, ups), n)
     sets = _words(ups, width)
-    index = RowIndex(sets)
+    order = InclusionOrder(sets, _padded(_minimal_points(frame, ups)))
+    index, minimal = order.index, order.removable
     member = np.unpackbits(sets.view(np.uint8), axis=1, count=n,
                            bitorder="little").astype(bool)
-    # point n stands for no point: an empty set in every cell
+    # point n, read by the padding -1, stands for no point: an empty set in
+    # every cell
     comp = np.zeros((n, n + 1, width), dtype="<u8")
     comp[:, :n] = _words([cell for row in frame.comp for cell in row], width).reshape(n, n, width)
-    principal = _padded([list(bits(u)) for u in frame.poset.up] + [[]], n)
+    principal = _padded([list(bits(u)) for u in frame.poset.up] + [[]])
     # {x}.(up y) at [x, y], then U.(up y) at [U, y]
     half = _union_over(member, _union_at(comp, principal))
     product = np.empty((count, count), dtype=np.int32)
@@ -371,10 +390,7 @@ def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
     images[..., :n] = ~member[:, np.array(maps, dtype=np.intp)].transpose(1, 0, 2)
     images = np.packbits(images, axis=-1, bitorder="little").view("<u8")
     tilde, minus, *neg = _positions(index, images, "negation")
-    leq = np.empty((count, count), dtype=bool)
-    for rows in row_blocks(count, count * width):
-        leq[rows] = ((sets[rows, None, :] & ~sets[None, :, :]) == 0).all(axis=-1)
-    return FinAlgebra(leq, product, one, tilde, minus, neg=neg[0] if neg else None,
+    return FinAlgebra(order, product, one, tilde, minus, neg=neg[0] if neg else None,
                       name=name)
 
 

@@ -5,7 +5,8 @@ upset/downset manipulation is single word operations for every carrier
 size this package meets in practice.  The n x n tables derived from an
 order (covers, joins and meets) are computed with numpy: covers from the
 strict order with no two-step path, joins and meets by looking up
-irreducible keys (see ``Poset.lattice``).
+irreducible keys (see ``Poset.lattice``).  An ``InclusionOrder`` of sets,
+the order of an up-set algebra, reads them off the sets instead.
 """
 
 from __future__ import annotations
@@ -167,16 +168,18 @@ def _keys(relation: np.ndarray, irr) -> np.ndarray:
     return np.packbits(member, axis=1, bitorder="little").view("<u8")
 
 
-def _key_table(keys: np.ndarray) -> np.ndarray:
-    """The read-only table of the element keyed ``keys[a] & keys[b]``, -1
-    where there is none."""
+def _key_table(keys: np.ndarray, combine=np.bitwise_and, index: RowIndex | None = None
+               ) -> np.ndarray:
+    """The read-only table of the element keyed ``combine(keys[a], keys[b])``
+    (``index`` is the ``RowIndex`` of the keys, if already built), -1 where
+    there is none."""
     n, width = keys.shape
-    index = RowIndex(keys)
+    index = RowIndex(keys) if index is None else index
     table = np.empty((n, n), dtype=np.int32)
     # the table is symmetric: a block of rows is looked up from its
     # diagonal on and mirrored into the same columns
     for rows in row_blocks(n, n * width):
-        half = index.find(keys[rows, None, :] & keys[None, rows.start:, :])
+        half = index.find(combine(keys[rows, None, :], keys[None, rows.start:, :]))
         table[rows, rows.start:] = half
         table[rows.start:, rows] = half.T
     table.setflags(write=False)
@@ -517,6 +520,89 @@ class Poset:
     def __repr__(self):
         label = self.name or f"poset{self.n}"
         return f"Poset({label}, n={self.n})"
+
+
+class InclusionOrder(Poset):
+    """The inclusion order of distinct sets, given as rows of 64-bit words,
+    with its covers and lattice tables read off the sets.
+
+    ``removable[v]`` lists the points x of set v, padded with -1, for which
+    v minus x may be listed; every other x must leave an unlisted set.  For
+    up-sets these are the minimal points.  ``index`` is the ``RowIndex`` of
+    the sets.
+
+    Lemma.  Let F be a family of distinct sets closed under union and
+    intersection in which every set but the least has a one-point-smaller
+    set in F.  Then V covers U in F exactly when U = V minus one point.
+    Proof: such a U has nothing strictly between it and V.  Conversely let
+    V cover U, and induct on |V|.  Some W = V minus x is in F.  If U is
+    within W, then U = W.  Otherwise x is in U, so U ∪ W = V, and
+    Z -> Z ∪ U, with inverse Z -> Z ∩ W, maps the sets between U ∩ W and
+    W onto those between U and V (F is closed under both), so W covers
+    U ∩ W.  By induction U ∩ W = W minus some y, and U = (U ∩ W) ∪ {x} =
+    V minus y.
+
+    So where every union and intersection is listed (join is union, meet
+    is intersection) and every set but one has a listed set one point
+    smaller, the lower covers of V are the listed sets V minus x, and the
+    set without one is the bottom.  Inclusion among distinct sets is a
+    partial order.  Where the premise fails, covers and lattice tables
+    are those of ``Poset``.
+    """
+
+    def __init__(self, sets: np.ndarray, removable: np.ndarray, name=None):
+        count = len(sets)
+        leq = np.empty((count, count), dtype=bool)
+        for rows in row_blocks(count, count * sets.shape[1]):
+            leq[rows] = ((sets[rows, None, :] & ~sets[None, :, :]) == 0).all(axis=-1)
+        leq.setflags(write=False)
+        super().__init__(row_masks(leq), name=name)
+        self.__dict__.update(down=row_masks(leq.T), relation=leq)
+        self.sets, self.removable, self.index = sets, removable, RowIndex(sets)
+
+    @cached_property
+    def _from_sets(self) -> tuple[_PathFacts, LatticeTables] | None:
+        """Covers and lattice tables read off the sets, or None where the
+        lemma's premise fails."""
+        count, width = self.sets.shape
+        check_memory(8 * count * count, f"the join and meet tables of {count} elements")
+        join = _key_table(self.sets, np.bitwise_or, self.index)
+        meet = _key_table(self.sets, np.bitwise_and, self.index)
+        if (join < 0).any() or (meet < 0).any():
+            return None
+        # row p is point p alone; the last row, read by the padding -1, is empty
+        point = np.zeros((64 * width + 1, 64 * width), dtype=bool)
+        np.fill_diagonal(point, True)
+        point = np.packbits(point, axis=1, bitorder="little").view("<u8")
+        below = np.empty(self.removable.shape, dtype=np.int32)
+        for rows in row_blocks(count, self.removable.shape[1] * width):
+            below[rows] = self.index.find(self.sets[rows, None, :]
+                                          & ~point[self.removable[rows]])
+        # the padding finds the set itself
+        below[below == np.arange(count)[:, None]] = -1
+        found = below >= 0
+        least = np.flatnonzero(~found.any(axis=1))
+        if len(least) != 1:
+            return None
+        hi, k = np.nonzero(found)
+        lo = below[hi, k]
+        pairs = np.column_stack((lo, hi))[np.lexsort((hi, lo))]
+        covers, lower = [0] * count, [0] * count
+        for a, b in pairs.tolist():
+            covers[a] |= 1 << b
+            lower[b] |= 1 << a
+        top = covers.index(0)
+        facts = _PathFacts(tuple(covers), tuple(lower), pairs, True,
+                           np.empty((0, 2), dtype=np.intp))
+        return facts, LatticeTables(join, meet, int(least[0]), top)
+
+    @cached_property
+    def _paths(self) -> _PathFacts:
+        return super()._paths if self._from_sets is None else self._from_sets[0]
+
+    @cached_property
+    def lattice(self) -> LatticeTables:
+        return super().lattice if self._from_sets is None else self._from_sets[1]
 
 
 def _product_permutations(groups):

@@ -1,7 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 from qra import FinAlgebra
+from qra.frame import Frame
+from qra.order import Poset, mask_of
 
 
 def chain_algebra(products, one, name=None) -> FinAlgebra:
@@ -58,3 +62,31 @@ def sugihara4() -> FinAlgebra:
 
     return chain_algebra([[prod(x, y) for y in range(4)] for x in range(4)], 2,
                          name="S4")
+
+
+def block_family():
+    """(frame, atoms, sets): 72 points in an antichain, so every set is an
+    upset, and the 32 unions of five atoms: the blocks 66..71 (wholly past
+    bit 64), 0..5, 30..35 and 60..65 (across bit 64), and the other 48
+    points.  Composition is random on points, so not monotone in any
+    sense; the point maps permute the atoms, so the unions are closed
+    under the product and the negations.  A union covers another by one
+    atom, never by one point."""
+    n = 72
+    blocks = [range(66, 72), range(0, 6), range(30, 36), range(60, 66)]
+    atoms = [mask_of(b) for b in blocks]
+    atoms.append(((1 << n) - 1) & ~sum(atoms))
+    ups = [sum(a for i, a in enumerate(atoms) if (s >> i) & 1) for s in range(1 << 5)]
+
+    def block_map(image):  # block i onto block image[i], the rest fixed
+        out = list(range(n))
+        for b, c in zip(blocks, image):
+            for w, v in zip(b, blocks[c]):
+                out[w] = v
+        return out
+
+    rng = random.Random(5)
+    comp = [[rng.choice(ups) for _ in range(n)] for _ in range(n)]
+    frame = Frame(Poset.antichain(n), ups[0b10110], comp, block_map([1, 2, 3, 0]),
+                  block_map([3, 0, 1, 2]), neg=block_map([1, 0, 3, 2]))
+    return frame, atoms, ups

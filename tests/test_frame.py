@@ -1,7 +1,6 @@
-import random
-
 import numpy as np
 import pytest
+from conftest import block_family
 
 from qra import (
     algebra_iso,
@@ -19,7 +18,7 @@ from qra.bundled import bundled_frame, bundled_frames
 from qra.catalog import match_dqra
 from qra.errors import InternalCheckError, SignatureError, StructuralError
 from qra.frame import Frame, _positions, upset_algebra
-from qra.order import Poset, mask_of
+from qra.order import mask_of
 
 
 def test_all_bundled_frames_validate_and_roundtrip():
@@ -147,29 +146,8 @@ def test_dual_frames_of_catalog_validate():
 
 
 def test_upset_algebra_matches_compose_sets_beyond_64_points():
-    # 72 points in an antichain, so every set is an upset.  The sets used
-    # are the 32 unions of five atoms: the blocks 66..71 (wholly past bit
-    # 64), 0..5, 30..35 and 60..65 (across bit 64), and the other 48
-    # points.  Composition is random on points, so not monotone in any
-    # sense; the point maps permute the atoms, so the unions are closed
-    # under the product and the negations.
-    n = 72
-    blocks = [range(66, 72), range(0, 6), range(30, 36), range(60, 66)]
-    atoms = [mask_of(b) for b in blocks]
-    atoms.append(((1 << n) - 1) & ~sum(atoms))
-    ups = [sum(a for i, a in enumerate(atoms) if (s >> i) & 1) for s in range(1 << 5)]
-
-    def block_map(image):  # block i onto block image[i], the rest fixed
-        out = list(range(n))
-        for b, c in zip(blocks, image):
-            for w, v in zip(b, blocks[c]):
-                out[w] = v
-        return out
-
-    rng = random.Random(5)
-    comp = [[rng.choice(ups) for _ in range(n)] for _ in range(n)]
-    frame = Frame(Poset.antichain(n), ups[0b10110], comp, block_map([1, 2, 3, 0]),
-                  block_map([3, 0, 1, 2]), neg=block_map([1, 0, 3, 2]))
+    frame, atoms, ups = block_family()
+    n = frame.size
     alg = upset_algebra(frame, ups)
     assert ups[alg.one] == frame.identity
     for i, u in enumerate(ups):

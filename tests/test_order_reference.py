@@ -7,7 +7,10 @@ below every other upper bound, an irreducible is an element that is not
 the join (meet) of two strictly smaller (larger) elements.  The tests run
 over every poset on at most five points and its up-set lattice, over the
 70-element Dq(E) of the 4-chain and over a random 130-point order, so the
-row-to-bitmask conversion crosses 64-bit word boundaries.
+row-to-bitmask conversion crosses 64-bit word boundaries.  The same
+references check the ``InclusionOrder`` that ``upset_algebra`` builds,
+which reads covers and lattice tables off the sets where its lemma's
+premise holds, on families where it holds and on one where it fails.
 
 ``reference_lattice_by_masks`` keeps the lattice tables as they were
 computed before the irreducible keys: a dictionary lookup of the
@@ -23,9 +26,20 @@ import numpy as np
 import pytest
 
 import qra.order
-from qra import FinAlgebra, Poset, RepBase, build_dq, join_irreducibles, meet_irreducibles
+from conftest import block_family
+from qra import (
+    FinAlgebra,
+    Poset,
+    RepBase,
+    build_dq,
+    complex_algebra,
+    join_irreducibles,
+    meet_irreducibles,
+)
 from qra.errors import PreconditionError
-from qra.order import all_posets
+from qra.frame import Frame, upset_algebra
+from qra.order import InclusionOrder, all_posets, bits
+from qra.represent import SearchOptions, dq_frame, iterate_bases
 
 
 def ref_masks(leq):
@@ -48,6 +62,16 @@ def ref_covers(leq):
     lower = [sum(1 << j for j in R if lt(j, i) and not any(lt(j, k) and lt(k, i) for k in R))
              for i in R]
     return tuple(upper), tuple(lower)
+
+
+def ref_order_laws(leq):
+    """Whether the relation is a partial order, and the pairs (i, j) in
+    row-major order with i <= k <= j for some k but not i <= j."""
+    R = range(len(leq))
+    intransitive = [(i, j) for i in R for j in R
+                    if not leq[i][j] and any(leq[i][k] and leq[k][j] for k in R)]
+    antisymmetric = not any(i != j and leq[i][j] and leq[j][i] for i in R for j in R)
+    return all(leq[i][i] for i in R) and antisymmetric and not intransitive, intransitive
 
 
 def ref_extreme(leq, least):
@@ -131,20 +155,28 @@ def ref_involutions(leq):
     )
 
 
-def order_algebra(leq) -> FinAlgebra:
-    """An algebra carrying only the given order; the other tables are filler."""
-    n = len(leq)
-    return FinAlgebra(np.array(leq, dtype=bool), np.zeros((n, n), dtype=int), 0,
-                      list(range(n)), list(range(n)))
+def order_algebra(order) -> FinAlgebra:
+    """An algebra carrying only the given order, a boolean matrix or a
+    ``Poset`` it then shares; the other tables are filler."""
+    n = order.n if isinstance(order, Poset) else len(order)
+    return FinAlgebra(order, np.zeros((n, n), dtype=int), 0, list(range(n)), list(range(n)))
 
 
-def check_order_layer(leq, lattice_expected=None):
-    """Compare ``Poset.from_matrix`` and the tables derived from it, through
-    the poset and through ``FinAlgebra``, with the references."""
-    poset = Poset.from_matrix(leq)
+def check_order_layer(leq, lattice_expected=None, poset=None):
+    """Compare ``poset`` (by default ``Poset.from_matrix(leq)``) and the
+    tables derived from it, through the poset and through ``FinAlgebra``,
+    with the references."""
+    given = poset is not None
+    poset = poset if given else Poset.from_matrix(leq)
     assert (poset.up, poset.down) == ref_masks(leq)
+    assert poset.relation.tolist() == [[bool(v) for v in row] for row in leq]
     assert poset.down == Poset(poset.up).down
-    assert (poset.covers, poset.lower_covers) == ref_covers(leq)
+    upper, lower = ref_covers(leq)
+    assert (poset.covers, poset.lower_covers) == (upper, lower)
+    assert poset.cover_pairs.tolist() == [[i, j] for i in range(len(leq)) for j in bits(upper[i])]
+    is_order, intransitive = ref_order_laws(leq)
+    assert poset.is_partial_order == is_order
+    assert poset.intransitive_pairs.reshape(-1, 2).tolist() == [list(p) for p in intransitive]
     join, meet, bottom, top = ref_lattice(leq)
     lat = poset.lattice
     assert lat.join.tolist() == join and lat.meet.tolist() == meet
@@ -153,7 +185,7 @@ def check_order_layer(leq, lattice_expected=None):
     is_lattice = all(x >= 0 for row in join + meet for x in row)
     if lattice_expected is not None:
         assert is_lattice == lattice_expected
-    alg = order_algebra(leq)
+    alg = order_algebra(poset if given else np.array(leq, dtype=bool))
     assert (alg.order_poset.up, alg.order_poset.down) == (poset.up, poset.down)
     for what, table, want in (("join_table", lat.join, join), ("meet_table", lat.meet, meet),
                               ("bottom", None, bottom), ("top", None, top)):
@@ -197,6 +229,62 @@ def test_order_layer_on_every_poset_of_five_points_and_its_upset_lattice():
             assert all(g[g[x]] == x for x in range(lattice.n))
             assert all(ups_leq[i][j] == ups_leq[g[j]][g[i]]
                        for i in range(lattice.n) for j in range(lattice.n))
+
+
+def inclusion_order(poset: Poset) -> InclusionOrder:
+    """The order ``upset_algebra`` gives the up-sets of ``poset``: the sets
+    as 64-bit words, each with its minimal points."""
+    ups = poset.upsets
+    sets = np.array(ups, dtype="<u8").reshape(len(ups), 1)
+    minimal = [[x for x in bits(u) if poset.down[x] & u == 1 << x] for u in ups]
+    width = max(map(len, minimal)) or 1
+    return InclusionOrder(sets, np.array([m + [-1] * (width - len(m)) for m in minimal]))
+
+
+def check_upset_family(order: Poset, from_sets: bool):
+    """The references on an up-set family's order, and the route it takes:
+    read off the sets, or ``Poset``'s own where the lemma's premise fails."""
+    assert isinstance(order, InclusionOrder)
+    check_order_layer(order.relation.tolist(), lattice_expected=True, poset=order)
+    if from_sets:
+        assert order._paths is order._from_sets[0] and order.lattice is order._from_sets[1]
+    else:
+        assert order._from_sets is None
+
+
+def test_upset_orders_read_off_their_sets_match_the_references():
+    # every poset on at most five points: the whole up-set lattice.  Only a
+    # self-dual poset has the order-reversing point maps a frame needs to
+    # lift it through upset_algebra; the others build the order directly
+    for poset in all_posets(5):
+        if poset.is_self_dual:
+            tilde = poset.order_reversing_bijections[0]
+            minus = [tilde.index(x) for x in range(poset.n)]
+            full = [[poset.carrier] * poset.n] * poset.n
+            order = complex_algebra(Frame(poset, poset.carrier, full, tilde, minus)).order_poset
+        else:
+            order = inclusion_order(poset)
+        assert order.up == Poset.from_matrix(upset_lattice_leq(poset)).up
+        check_upset_family(order, from_sets=True)
+    # the Dq(E) of every base on at most two points, and of the 4-chain
+    dqs = [upset_algebra(frame, frame.upsets) for frame in
+           (dq_frame(base) for need_beta in (False, True)
+            for base in iterate_bases(2, need_beta, SearchOptions()))]
+    dqs.append(chain_dq(4))
+    assert dqs[-1].size == 70
+    for alg in dqs:
+        check_upset_family(alg.order_poset, from_sets=True)
+    # unions of blocks: closed under union and intersection, but a union
+    # covers another by a whole block, so covers come from Poset
+    frame, _, ups = block_family()
+    check_upset_family(upset_algebra(frame, ups).order_poset, from_sets=False)
+    # every set but the empty one has a listed set one point smaller, but
+    # {0} ∪ {1} is not listed: two chains from the empty set to the whole
+    # 4-point antichain, closed under complement, a lattice that is not
+    # distributive
+    sets = [0, 0b0001, 0b0010, 0b0101, 0b1010, 0b1101, 0b1110, 0b1111]
+    frame = Frame(Poset.antichain(4), 0b1111, [[0] * 4] * 4, range(4), range(4))
+    check_upset_family(upset_algebra(frame, sets).order_poset, from_sets=False)
 
 
 def test_automorphisms_list_the_identity_first():

@@ -112,3 +112,17 @@ def test_a_listed_set_that_is_not_an_upset_is_refused():
     assert_products_match(frame)
     with pytest.raises(PreconditionError, match="0x1 is not an up-set"):
         upset_algebra(frame, [0, 0b01, 0b10, 0b11])
+
+
+def test_an_empty_list_is_refused():
+    frame = Frame(Poset.chain(2), 0b11, [[0b11, 0b10], [0b10, 0b10]], [1, 0], [1, 0])
+    with pytest.raises(PreconditionError, match="at least one listed set"):
+        upset_algebra(frame, [])
+
+
+def test_a_set_listed_twice_is_refused():
+    # the negations of the 2-chain's up-sets stay within the list, so only
+    # the repeat is wrong
+    frame = Frame(Poset.chain(2), 0b11, [[0b11, 0b10], [0b10, 0b10]], [1, 0], [1, 0])
+    with pytest.raises(PreconditionError, match="0x2 is listed twice"):
+        upset_algebra(frame, [0, 0b10, 0b10, 0b11])
