@@ -72,7 +72,7 @@ from .errors import (
     StructuralError,
 )
 from .iso import Structure, isomorphisms
-from .order import Poset, bits, row_blocks
+from .order import InclusionOrder, Poset, bits, row_blocks
 
 MAX_WITNESSES = 5
 
@@ -180,10 +180,39 @@ class FinAlgebra:
         """Whether every join-irreducible j is join-prime, decided once, as
         one test over the word rows key[a] = J ∩ ↓a: j <= a join b implies
         j <= a or j <= b for every j in J exactly when
-        key[a join b] = key[a] | key[b].  Needs the join table."""
-        keys, join = self.order_poset.down_keys, self.join_table
+        key[a join b] = key[a] | key[b].  Needs the join table.
+
+        An ``InclusionOrder`` whose lattice tables were read off its sets
+        needs no test.  Lemma: a family of sets closed under union and
+        intersection, ordered by inclusion, is a distributive lattice.
+        Proof: join is union and meet is intersection (each is in the
+        family and is the least upper, greatest lower, bound there), and
+        union and intersection distribute over each other."""
+        poset = self.order_poset
+        if isinstance(poset, InclusionOrder) and poset.lattice_from_sets:
+            return True
+        keys, join = poset.down_keys, self.join_table
         return all(np.array_equal(keys[join[rows]], keys[rows, None, :] | keys[None, :, :])
                    for rows in row_blocks(self.size, self.size * keys.shape[1]))
+
+    # The two duals of the algebra, each built on first use by its public
+    # function and then shared by every caller: the objects are read-only.
+    # Both depend on the product and the negations, so they live here and
+    # not on the order poset, which ``with_neg`` shares.
+
+    @cached_property
+    def _dual_frame(self):
+        """The dual frame (``qra.frame.dual_frame``), kappa verified."""
+        from .frame import _build_dual_frame
+
+        return _build_dual_frame(self)
+
+    @cached_property
+    def _filter_frame(self):
+        """The filter frame (``qra.filters.filter_frame``), validated."""
+        from .filters import _build_filter_frame
+
+        return _build_filter_frame(self)
 
     @cached_property
     def bottom(self) -> int:

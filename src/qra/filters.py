@@ -101,7 +101,7 @@ def filter_product(alg: FinAlgebra, fmask: int, gmask: int) -> list[int]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointedFrame:
     """A frame whose poset is bounded, with designated bottom and top."""
 
@@ -147,7 +147,14 @@ def filter_frame(alg: FinAlgebra) -> PointedFrame:
     bottom gives every point, composing the top with any other point gives
     the top alone (a.0 = 0), and the maps swap the bounds.
     ``frame.carrier_elements`` lists each point's filter as a bitmask.
+
+    Built and validated once per algebra object: every call returns that
+    one pointed frame, which callers share and must not change.
     """
+    return alg._filter_frame
+
+
+def _build_filter_frame(alg: FinAlgebra) -> PointedFrame:
     dual = dual_frame(alg)
     filters = _prime_filters(alg, dual.carrier_elements)
     index = {f: i for i, f in enumerate(filters)}
@@ -206,7 +213,8 @@ def priestley_roundtrip(alg: FinAlgebra) -> list[int]:
     """Verify alg is isomorphic to the algebra of its filter frame.
 
     Returns the witness a -> X_a, where X_a collects the filters
-    containing a.
+    containing a.  The back algebra is built and the witness checked on
+    every call.
     """
     pf = filter_frame(alg)
     filters = pf.frame.carrier_elements

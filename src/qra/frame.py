@@ -32,7 +32,6 @@ from .order import (
     check_memory,
     mask_of,
     row_blocks,
-    row_masks,
 )
 
 
@@ -402,13 +401,33 @@ def complex_algebra(frame: Frame, name: str | None = None) -> FinAlgebra:
 
 
 def dual_frame(alg: FinAlgebra, name: str | None = None) -> Frame:
-    """The frame on the join-irreducible elements with the order reversed."""
+    """The frame on the join-irreducible elements with the order reversed.
+
+    Built, with kappa verified, once per algebra object: every call
+    without ``name`` returns that one frame, which callers share and must
+    not change.  A ``name`` gives a copy of it so named.
+    """
+    frame = alg._dual_frame
+    if name is None:
+        return frame
+    named = Frame(frame.poset, frame.identity, frame.comp, frame.tilde, frame.minus,
+                  neg=frame.neg, name=name)
+    named.carrier_elements = frame.carrier_elements
+    return named
+
+
+def _below_masks(alg: FinAlgebra) -> list[int]:
+    """J ∩ ↓a for each element a, as a mask of positions in J: the rows of
+    ``Poset.down_keys``, bit k for the k-th join-irreducible."""
+    return [int.from_bytes(row.tobytes(), "little") for row in alg.order_poset.down_keys]
+
+
+def _build_dual_frame(alg: FinAlgebra) -> Frame:
     kmap = kappa_map(alg)
     jirr = list(kmap)
     pos = {a: i for i, a in enumerate(jirr)}
-    poset = Poset(row_masks(alg.leq[np.ix_(jirr, jirr)].T))
-    # below[p]: the join-irreducibles below p, as a set of positions
-    below = [mask_of(pos[c] for c in jirr if row[c]) for row in alg.leq.T.tolist()]
+    below = _below_masks(alg)
+    poset = Poset(tuple(below[j] for j in jirr))
     identity = below[alg.one]
     product = alg.product.tolist()
     comp = [[below[product[a][b]] for b in jirr] for a in jirr]
@@ -427,8 +446,7 @@ def dual_frame(alg: FinAlgebra, name: str | None = None) -> Frame:
     tilde = unary_from(alg.tilde)
     minus = unary_from(alg.minus)
     neg = None if alg.neg is None else unary_from(alg.neg)
-    if name is None and alg.name:
-        name = f"{alg.name}_+"
+    name = f"{alg.name}_+" if alg.name else None
     frame = Frame(poset, identity, comp, tilde, minus, neg=neg, name=name)
     frame.carrier_elements = tuple(jirr)
     return frame
@@ -439,15 +457,14 @@ def roundtrip_algebra(alg: FinAlgebra) -> list[int]:
 
     Returns the witness psi as a list: element a maps to the index of the
     upset of join-irreducibles below a.  Failure raises, because the
-    round-trip holds for every valid finite input.
+    round-trip holds for every valid finite input.  The back algebra is
+    built and the witness checked on every call.
     """
     frame = dual_frame(alg)
-    jirr = frame.carrier_elements
     back = complex_algebra(frame)
     ups_index = {m: i for i, m in enumerate(frame.upsets)}
     psi = []
-    for a in range(alg.size):
-        image = mask_of(i for i, j in enumerate(jirr) if alg.leq[j, a])
+    for a, image in enumerate(_below_masks(alg)):
         if image not in ups_index:
             raise InternalCheckError(f"psi({a}) is not an upset of the dual frame")
         psi.append(ups_index[image])

@@ -596,6 +596,12 @@ class InclusionOrder(Poset):
                            np.empty((0, 2), dtype=np.intp))
         return facts, LatticeTables(join, meet, int(least[0]), top)
 
+    @property
+    def lattice_from_sets(self) -> bool:
+        """Whether the lemma's premise holds, so that covers and lattice
+        tables are read off the sets: join is union and meet intersection."""
+        return self._from_sets is not None
+
     @cached_property
     def _paths(self) -> _PathFacts:
         return super()._paths if self._from_sets is None else self._from_sets[0]

@@ -182,27 +182,36 @@ def relation_algebra_checks(alg: FinAlgebra, conv_mask) -> ValidationReport:
 
 def closed_subsets(alg: FinAlgebra) -> list[int]:
     """All subsets of the carrier containing 1 and closed under join,
-    product and tilde, as element-index bitmasks."""
-    n = alg.size
-    # the tables as lists, read once; pair[x][y] has the bits of x v y and x.y
-    tilde = [1 << t for t in alg.tilde.tolist()]
-    pair = [[(1 << j) | (1 << p) for j, p in zip(join_row, product_row)]
-            for join_row, product_row in zip(alg.join_table.tolist(), alg.product.tolist())]
+    product and tilde, as element-index bitmasks.
 
-    def closure(mask):
-        while True:
-            new = mask
+    Each closure grows a set that is already closed, so only the elements
+    new in a round need combining: with themselves and every member, in
+    both orders, and under tilde.
+    """
+    n = alg.size
+    # the tables as lists, read once; pair[x][y] has the bits of x v y, x.y
+    # and y.x
+    tilde = [1 << t for t in alg.tilde.tolist()]
+    join, product = alg.join_table.tolist(), alg.product.tolist()
+    pair = [[(1 << join[x][y]) | (1 << product[x][y]) | (1 << product[y][x])
+             for y in range(n)] for x in range(n)]
+
+    def grow(closed, extra):
+        """The closure of ``closed | extra``, ``closed`` being closed."""
+        mask, new = closed, extra & ~closed
+        while new:
+            mask |= new
             members = list(bits(mask))
-            for x in members:
-                new |= tilde[x]
+            out = 0
+            for x in bits(new):
+                out |= tilde[x]
                 row = pair[x]
                 for y in members:
-                    new |= row[y]
-            if new == mask:
-                return mask
-            mask = new
+                    out |= row[y]
+            new = out & ~mask
+        return mask
 
-    seed = closure(1 << alg.one)
+    seed = grow(0, 1 << alg.one)
     found = {seed}
     frontier = [seed]
     while frontier:
@@ -210,7 +219,7 @@ def closed_subsets(alg: FinAlgebra) -> list[int]:
         for x in range(n):
             if (current >> x) & 1:
                 continue
-            bigger = closure(current | (1 << x))
+            bigger = grow(current, 1 << x)
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)

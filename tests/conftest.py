@@ -16,6 +16,13 @@ def chain_algebra(products, one, name=None) -> FinAlgebra:
     return FinAlgebra(np.array(leq), products, one, rev, rev, neg=rev, name=name)
 
 
+def fresh_copy(alg: FinAlgebra) -> FinAlgebra:
+    """The algebra on the same tables with its own order and no cached
+    tables or frames."""
+    return FinAlgebra(alg.leq, alg.product, alg.one, alg.tilde, alg.minus, neg=alg.neg,
+                      name=alg.name)
+
+
 @pytest.fixture
 def bool2():
     return FinAlgebra(

@@ -1,7 +1,9 @@
 import random
 
 import numpy as np
+from conftest import fresh_copy
 
+import qra.filters
 from qra import (
     FinAlgebra,
     dual_frame,
@@ -15,8 +17,8 @@ from qra import (
 )
 from qra.catalog import build_catalog
 from qra.enumerate import enumerate_algebras
-from qra.filters import is_gen_prime_filter
-from qra.frame import Frame
+from qra.filters import _build_filter_frame, is_gen_prime_filter
+from qra.frame import Frame, _build_dual_frame
 from qra.order import Poset, bits, mask_of
 from qra.ra import builtin_atom_structures, ra_from_atoms
 
@@ -208,3 +210,46 @@ def test_preimages_of_filters_under_homs():
                 for g in gen_prime_filters(b):
                     pre = mask_of(x for x in range(a.size) if (g >> h.map[x]) & 1)
                     assert is_gen_prime_filter(a, pre)
+
+
+def test_filter_frame_is_built_and_validated_once(sugihara3, monkeypatch):
+    validations = []
+    validate = qra.filters.validate_pointed_frame
+
+    def counted(pf):
+        validations.append(pf)
+        return validate(pf)
+
+    monkeypatch.setattr(qra.filters, "validate_pointed_frame", counted)
+    pf = filter_frame(sugihara3)
+    assert filter_frame(sugihara3) is pf
+    assert sorted(priestley_roundtrip(sugihara3)) == list(range(sugihara3.size))
+    assert validations == [pf]
+
+
+def test_each_algebra_on_a_shared_order_has_its_own_filter_frame():
+    entry = next(e for e in build_catalog() if e.name == "D6_3_1_2")
+    alg, other = (v.algebra for v in entry.variants)
+    family = [alg, alg.with_neg(other.neg), alg.without_neg(),
+              alg.relabel(list(reversed(range(alg.size)))), fresh_copy(alg)]
+    frames = [filter_frame(a) for a in family]
+    assert len({id(pf) for pf in frames}) == len(family)
+    assert frames[0].frame.neg != frames[1].frame.neg
+    assert frames[2].frame.neg is None
+    for a, pf in zip(family, frames):
+        fresh = filter_frame(fresh_copy(a))
+        assert pf.frame.encoding() == fresh.frame.encoding(), a.name
+        assert (pf.bottom, pf.top) == (fresh.bottom, fresh.top)
+
+
+def test_shared_frames_match_fresh_builds():
+    algebras = [v.algebra for e in build_catalog() for v in e.variants]
+    algebras += enumerate_algebras(7, "dqra")
+    for alg in algebras:
+        for shared, fresh in ((dual_frame(alg), _build_dual_frame(alg)),
+                              (filter_frame(alg).frame, _build_filter_frame(alg).frame)):
+            assert shared.encoding() == fresh.encoding(), alg.name
+            assert shared.carrier_elements == fresh.carrier_elements, alg.name
+            assert shared.name == fresh.name, alg.name
+        assert dual_frame(alg) is dual_frame(alg)
+        assert filter_frame(alg) is filter_frame(alg)

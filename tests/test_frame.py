@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from conftest import block_family
+from conftest import block_family, fresh_copy
 
+import qra.frame
 from qra import (
     algebra_iso,
     complex_algebra,
@@ -15,10 +16,11 @@ from qra import (
     validate_frame,
 )
 from qra.bundled import bundled_frame, bundled_frames
-from qra.catalog import match_dqra
+from qra.catalog import build_catalog, match_dqra
 from qra.errors import InternalCheckError, SignatureError, StructuralError
-from qra.frame import Frame, _positions, upset_algebra
-from qra.order import mask_of
+from qra.frame import Frame, _build_dual_frame, _positions, upset_algebra
+from qra.order import InclusionOrder, Poset, mask_of
+from qra.represent import RepBase, build_dq
 
 
 def test_all_bundled_frames_validate_and_roundtrip():
@@ -172,3 +174,81 @@ def test_word_row_lookup_reports_rows_missing_in_a_later_word():
     assert _positions(sets, sets[::-1], "row").tolist() == [1, 0]
     with pytest.raises(InternalCheckError, match="row left the upsets"):
         _positions(sets, np.array([[2, 7]], dtype="<u8"), "row")
+
+
+def test_dual_frame_is_built_once_per_algebra(lukasiewicz4):
+    assert dual_frame(lukasiewicz4) is dual_frame(lukasiewicz4)
+    fresh = _build_dual_frame(lukasiewicz4)
+    assert dual_frame(lukasiewicz4).encoding() == fresh.encoding()
+
+
+def test_each_algebra_on_a_shared_order_has_its_own_dual_frame():
+    # the two variants of D4_2_1_2 differ only in neg, so with_neg and
+    # without_neg give algebras on one shared order poset
+    entry = next(e for e in build_catalog() if e.name == "D4_2_1_2")
+    alg, other = (v.algebra for v in entry.variants)
+    twin = alg.with_neg(other.neg)
+    plain = alg.without_neg()
+    assert twin.order_poset is alg.order_poset is plain.order_poset
+    frames = [dual_frame(a) for a in (alg, twin, plain)]
+    assert len({id(f) for f in frames}) == 3
+    assert frames[0].neg != frames[1].neg
+    assert frames[2].neg is None
+    for a, frame in zip((alg, twin, plain), frames):
+        assert frame.encoding() == dual_frame(fresh_copy(a)).encoding()
+    relabelled = alg.relabel(list(reversed(range(alg.size))))
+    assert dual_frame(relabelled) is not frames[0]
+    assert dual_frame(relabelled).encoding() == _build_dual_frame(relabelled).encoding()
+    copy = fresh_copy(alg)
+    assert dual_frame(copy) is not frames[0]
+    assert dual_frame(copy).encoding() == frames[0].encoding()
+
+
+def test_a_named_dual_frame_leaves_the_shared_one(lukasiewicz4):
+    shared = dual_frame(lukasiewicz4)
+    named = dual_frame(lukasiewicz4, name="renamed")
+    assert named.name == "renamed" and named is not shared
+    assert named.encoding() == shared.encoding()
+    assert named.carrier_elements == shared.carrier_elements
+    assert dual_frame(lukasiewicz4) is shared
+    assert shared.name == _build_dual_frame(lukasiewicz4).name
+
+
+def test_each_algebra_round_trip_checks_its_witness(lukasiewicz4, monkeypatch):
+    checks = []
+    check = qra.frame.check_witness
+
+    def counted(*args):
+        checks.append(args[-1])
+        return check(*args)
+
+    monkeypatch.setattr(qra.frame, "check_witness", counted)
+    first = roundtrip_algebra(lukasiewicz4)
+    assert roundtrip_algebra(lukasiewicz4) == first
+    assert checks == ["round-trip witness"] * 2
+
+
+def _chain_dq(points):
+    poset = Poset.chain(points)
+    base = RepBase(poset, (poset.carrier,) * points, tuple(range(points)),
+                   tuple(reversed(range(points))))
+    return build_dq(base).algebra
+
+
+def test_distributive_is_read_off_a_ring_of_sets():
+    alg = _chain_dq(4)
+    poset = alg.order_poset
+    assert isinstance(poset, InclusionOrder) and poset.lattice_from_sets
+    assert alg.distributive
+    # answered by the lemma, without the word-row test over the keys
+    assert "down_keys" not in poset.__dict__
+    assert fresh_copy(alg).distributive
+
+
+def test_distributive_tests_a_family_without_one_point_covers():
+    frame, _, ups = block_family()
+    alg = upset_algebra(frame, ups)
+    poset = alg.order_poset
+    assert isinstance(poset, InclusionOrder) and not poset.lattice_from_sets
+    assert alg.distributive
+    assert "down_keys" in poset.__dict__
