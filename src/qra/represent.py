@@ -18,20 +18,24 @@ scratch.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import FinAlgebra, validate_dinfl, validate_dqra
 from .errors import BudgetExhausted, PreconditionError, StructuralError
 from .frame import Frame, upset_algebra
 from .morphism import AlgHom, _hom_search, validate_homomorphism
-from .order import Poset, bits, iter_posets, mask_of
+from .order import BLOCK_CELLS, Poset, bits, iter_posets, mask_of, poset_layer
 
 DEFAULT_UPSET_CAP = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepBase:
-    """A poset with an enclosing equivalence relation and automorphisms."""
+    """A poset with an enclosing equivalence relation and automorphisms.
+
+    Frozen: the search hands out the bases it keeps across calls."""
 
     poset: Poset
     equiv: tuple[int, ...]  # equiv[i] = bitmask of the E-class of i
@@ -39,10 +43,10 @@ class RepBase:
     beta: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        self.alpha = tuple(int(v) for v in self.alpha)
+        object.__setattr__(self, "alpha", tuple(int(v) for v in self.alpha))
         if self.beta is not None:
-            self.beta = tuple(int(v) for v in self.beta)
-        self.equiv = tuple(int(v) for v in self.equiv)
+            object.__setattr__(self, "beta", tuple(int(v) for v in self.beta))
+        object.__setattr__(self, "equiv", tuple(int(v) for v in self.equiv))
         self.check()
 
     @property
@@ -338,27 +342,100 @@ class SearchOptions:
     embed_budget: int = 2_000_000
     apply_filter: bool = True
 
+    def __post_init__(self):
+        for field in ("upset_cap", "embed_budget"):
+            value = getattr(self, field)
+            if value < 1:
+                raise PreconditionError(f"{field} must be at least 1, not {value}")
+
+
+def _poset_bases(poset: Poset, need_beta: bool, options: SearchOptions):
+    """The bases on one poset, in search order."""
+    if need_beta and not poset.is_self_dual:
+        return
+    equivs = _equivalences_containing(poset)
+    if options.full_e_only:
+        equivs = [tuple([poset.carrier] * poset.n)]
+    for equiv in equivs:
+        alphas = _order_automorphisms(poset, equiv)
+        if options.alpha_id_only:
+            alphas = [tuple(range(poset.n))]
+        for alpha in alphas:
+            if need_beta:
+                for beta in _beta_candidates(poset, equiv, alpha):
+                    yield RepBase(poset, equiv, alpha, beta)
+            else:
+                yield RepBase(poset, equiv, alpha, None)
+
 
 def iterate_bases(max_points: int, need_beta: bool, options: SearchOptions):
     """Bases ordered by point count, then canonical poset order; each base
     once (``iter_posets`` lists every poset on 1..max_points points, and
     grows the posets of a size only when the search reaches it)."""
     for poset in iter_posets(max_points):
-        if need_beta and not poset.is_self_dual:
-            continue
-        equivs = _equivalences_containing(poset)
-        if options.full_e_only:
-            equivs = [tuple([poset.carrier] * poset.n)]
-        for equiv in equivs:
-            alphas = _order_automorphisms(poset, equiv)
-            if options.alpha_id_only:
-                alphas = [tuple(range(poset.n))]
-            for alpha in alphas:
-                if need_beta:
-                    for beta in _beta_candidates(poset, equiv, alpha):
-                        yield RepBase(poset, equiv, alpha, beta)
-                else:
-                    yield RepBase(poset, equiv, alpha, None)
+        yield from _poset_bases(poset, need_beta, options)
+
+
+class _Target:
+    """The up-sets of a base's Dq(E) frame, None when there are more than
+    the cap, and the Dq(E) itself, built when first asked for.  It costs
+    the square of its carrier size in cells, built or not, and one cell
+    when over the cap."""
+
+    def __init__(self, base: RepBase, cap: int):
+        frame = dq_frame(base)
+        self.ups = frame.poset.upsets_within(cap)
+        self.frame = None if self.ups is None else frame
+        self.cells = 1 if self.ups is None else len(self.ups) ** 2
+
+    @cached_property
+    def algebra(self) -> FinAlgebra:
+        return upset_algebra(self.frame, self.ups)
+
+
+class _Memo:
+    """What ``representation_search`` keeps across calls: the posets and
+    the bases on each point count, filled when a search first reaches
+    that count, and the targets of the bases, least recently used first,
+    at most ``BLOCK_CELLS`` cells in all.  A target larger than that is
+    built for the call that asks and not kept."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.layers: list[list[Poset]] = []  # layers[k - 1]: the posets on k points
+        self.bases: dict[tuple, tuple[RepBase, ...]] = {}
+        self.targets: OrderedDict[tuple, _Target] = OrderedDict()
+        self.cells = 0
+
+    def bases_on(self, k: int, need_beta: bool, options: SearchOptions):
+        key = (k, need_beta, options.full_e_only, options.alpha_id_only)
+        if key not in self.bases:
+            while len(self.layers) < k:
+                self.layers.append(poset_layer(self.layers[-1] if self.layers else [],
+                                               len(self.layers) + 1))
+            self.bases[key] = tuple(
+                base for poset in self.layers[k - 1]
+                for base in _poset_bases(poset, need_beta, options))
+        return self.bases[key]
+
+    def target(self, base: RepBase, cap: int) -> _Target:
+        key = (base.poset.up, base.equiv, base.alpha, base.beta, cap)
+        found = self.targets.get(key)
+        if found is not None:
+            self.targets.move_to_end(key)
+            return found
+        found = _Target(base, cap)
+        if found.cells <= BLOCK_CELLS:
+            self.targets[key] = found
+            self.cells += found.cells
+            while self.cells > BLOCK_CELLS:
+                self.cells -= self.targets.popitem(last=False)[1].cells
+        return found
+
+
+_MEMO = _Memo()
 
 
 def representation_search(alg: FinAlgebra, max_points: int,
@@ -369,9 +446,11 @@ def representation_search(alg: FinAlgebra, max_points: int,
     no-finite-representation filter short-circuits the search when an
     obstruction element exists.  A base whose embedding search runs out of
     ``options.embed_budget`` is counted as undecided and the search moves
-    on to the next base.  Each base's frame is built once, and its up-sets
-    grown once, up to ``options.upset_cap``.  Raises ``PreconditionError``
-    when ``max_points`` is below 1.
+    on to the next base.  The bases on k points are listed once a search
+    first reaches k points, and each base's up-sets (up to
+    ``options.upset_cap``) and Dq(E) are built once, shared across calls,
+    bounded by ``BLOCK_CELLS`` cells.  Raises ``PreconditionError`` when
+    ``max_points`` is below 1.
     """
     if max_points < 1:
         raise PreconditionError(f"max_points must be at least 1, not {max_points}")
@@ -386,25 +465,24 @@ def representation_search(alg: FinAlgebra, max_points: int,
                 note="no finite representation is possible",
             )
     tried = skipped = undecided = 0
-    for base in iterate_bases(max_points, need_beta, options):
-        frame = dq_frame(base)
-        ups = frame.poset.upsets_within(options.upset_cap)
-        if ups is None:
-            skipped += 1
-            continue
-        tried += 1
-        if len(ups) < alg.size:
-            continue
-        target = upset_algebra(frame, ups)
-        try:
-            hom = embed_search(alg, target, budget=options.embed_budget)
-        except BudgetExhausted:
-            undecided += 1
-            continue
-        if hom is not None:
-            return RepresentationCertificate(
-                base=base, embedding=tuple(hom.map), carrier_size=target.size
-            )
+    for k in range(1, max_points + 1):
+        for base in _MEMO.bases_on(k, need_beta, options):
+            target = _MEMO.target(base, options.upset_cap)
+            if target.ups is None:
+                skipped += 1
+                continue
+            tried += 1
+            if len(target.ups) < alg.size:
+                continue
+            try:
+                hom = embed_search(alg, target.algebra, budget=options.embed_budget)
+            except BudgetExhausted:
+                undecided += 1
+                continue
+            if hom is not None:
+                return RepresentationCertificate(
+                    base=base, embedding=tuple(hom.map), carrier_size=target.algebra.size
+                )
     return ExhaustionReport(
         max_points=max_points, bases_tried=tried, bases_skipped_over_cap=skipped,
         bases_undecided=undecided,

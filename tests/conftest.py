@@ -6,6 +6,7 @@ import pytest
 from qra import FinAlgebra
 from qra.frame import Frame
 from qra.order import Poset, mask_of
+from qra.represent import _MEMO
 
 
 def chain_algebra(products, one, name=None) -> FinAlgebra:
@@ -21,6 +22,15 @@ def fresh_copy(alg: FinAlgebra) -> FinAlgebra:
     tables or frames."""
     return FinAlgebra(alg.leq, alg.product, alg.one, alg.tilde, alg.minus, neg=alg.neg,
                       name=alg.name)
+
+
+@pytest.fixture
+def cold_memo():
+    """The memo that representation searches share, empty when the test
+    starts and emptied again when it ends."""
+    _MEMO.clear()
+    yield _MEMO
+    _MEMO.clear()
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -26,11 +27,12 @@ from qra import (
 )
 import qra.frame
 import qra.order
+import qra.represent
 from qra import io as qio
 from qra.catalog import build_catalog, catalog_lookup
 from qra.cli import main
 from qra.errors import BudgetExhausted, PreconditionError, StructuralError
-from qra.order import Poset, bits, mask_of
+from qra.order import BLOCK_CELLS, Poset, bits, mask_of
 from qra.represent import dq_frame, dq_zero_relation, iterate_bases
 
 
@@ -307,6 +309,139 @@ def test_a_search_certifying_at_one_point_grows_no_larger_poset(monkeypatch):
     # the spy sees the growth once a search goes past one point
     list(iterate_bases(3, True, SearchOptions()))
     assert grown == [2, 3]
+
+
+def _catalog_algebras():
+    return {v.algebra.name: v.algebra for e in build_catalog() for v in e.variants}
+
+
+def _searches():
+    """Every catalogue variant at 2 points, and two 3-point certificates."""
+    algebras = _catalog_algebras()
+    return ([(alg, 2) for alg in algebras.values()]
+            + [(algebras[name], 3) for name in ("D4_2_3", "D6_4_2")])
+
+
+def _cold(memo, alg, points, options=None):
+    memo.clear()
+    return repr(representation_search(alg, points, options))
+
+
+def test_memo_gives_the_results_of_a_cold_search(cold_memo):
+    searches = _searches()
+    assert len(searches) == 74
+    cold = [_cold(cold_memo, alg, points) for alg, points in searches]
+    cold_memo.clear()
+    for _ in range(2):
+        assert [repr(representation_search(alg, points))
+                for alg, points in searches] == cold
+
+
+def test_memo_keeps_caps_and_option_lists_apart(cold_memo):
+    algebras = _catalog_algebras()
+    # the bases of an algebra without neg have no beta
+    algebras["D4_2_3-"] = algebras["D4_2_3"].without_neg()
+    names = ["D2_1_1", "D4_1_3", "D4_2_3", "D6_4_2", "D4_2_3-"]
+    sequence = [SearchOptions(upset_cap=8), SearchOptions(), SearchOptions(upset_cap=8),
+                SearchOptions(full_e_only=True), SearchOptions(alpha_id_only=True),
+                SearchOptions(full_e_only=True, alpha_id_only=True)]
+    cold = {(name, i): _cold(cold_memo, algebras[name], 2, options)
+            for name in names for i, options in enumerate(sequence)}
+    assert cold[("D4_2_3", 0)] != cold[("D4_2_3", 1)]  # the cap changes the report
+    cold_memo.clear()
+    for name in names:
+        for i, options in enumerate(sequence):
+            assert repr(representation_search(algebras[name], 2, options)) == cold[(name, i)]
+
+
+def test_memo_holds_at_most_block_cells(cold_memo, monkeypatch):
+    built = []
+    upset_algebra = qra.represent.upset_algebra
+
+    def spy(frame, ups, name=None):
+        built.append(len(ups))
+        return upset_algebra(frame, ups, name)
+
+    monkeypatch.setattr(qra.represent, "upset_algebra", spy)
+    result = representation_search(_catalog_algebras()["D4_2_3"], 3)
+    assert isinstance(result, RepresentationCertificate) and result.base.points == 3
+    held = [t for t in cold_memo.targets.values() if "algebra" in t.__dict__]
+    assert sum(t.algebra.size ** 2 for t in held) <= cold_memo.cells <= BLOCK_CELLS
+    # the 3-antichain with one E-class: 9 pairs, every set of them an up-set
+    assert 512 in built
+    assert all(t.ups is None or len(t.ups) < 512 for t in cold_memo.targets.values())
+    antichain = Poset.antichain(3).up
+    assert any(key[0] == antichain for key in cold_memo.targets)
+
+
+def test_memo_evicts_the_least_recently_used_target(cold_memo, monkeypatch):
+    searches = _searches()[::7]
+    cold = [_cold(cold_memo, alg, points) for alg, points in searches]
+    monkeypatch.setattr(qra.represent, "BLOCK_CELLS", 300)
+    cold_memo.clear()
+    for _ in range(2):
+        for (alg, points), want in zip(searches, cold):
+            assert repr(representation_search(alg, points)) == want
+            assert cold_memo.cells == sum(t.cells for t in cold_memo.targets.values()) <= 300
+    # a lookup makes its target the most recently used; a new target
+    # pushes out the least recently used ones until the cells fit
+    cold_memo.clear()
+    first, second, third = cold_memo.bases_on(2, True, SearchOptions())[:3]
+    cap = SearchOptions().upset_cap
+    cells = [qra.represent._Target(b, cap).cells for b in (first, second, third)]
+    monkeypatch.setattr(qra.represent, "BLOCK_CELLS", sum(cells) - 1)
+    kept = cold_memo.target(first, cap)
+    cold_memo.target(second, cap)
+    assert cold_memo.target(first, cap) is kept
+    cold_memo.target(third, cap)
+    assert len(cold_memo.targets) == 2 and cold_memo.cells == cells[0] + cells[2]
+    assert cold_memo.target(first, cap) is kept
+
+
+def test_a_one_point_certificate_memoises_no_larger_base(cold_memo):
+    alg = _catalog_algebras()["D2_1_1"]
+    result = representation_search(alg, 8)
+    assert isinstance(result, RepresentationCertificate) and result.base.points == 1
+    assert len(cold_memo.layers) == 1
+    assert {key[0] for key in cold_memo.bases} == {1}
+    assert all(len(key[0]) == 1 for key in cold_memo.targets)
+
+
+def test_certificates_are_verified_without_the_memo(cold_memo, monkeypatch):
+    algebras = _catalog_algebras()
+    certified = [(algebras[name], representation_search(algebras[name], 3))
+                 for name in ("D2_1_1", "D4_2_3")]
+
+    def refuse(*args):
+        raise AssertionError("the verifier read the search memo")
+
+    monkeypatch.setattr(qra.represent._Memo, "target", refuse)
+    monkeypatch.setattr(qra.represent._Memo, "bases_on", refuse)
+    for alg, cert in certified:
+        assert isinstance(cert, RepresentationCertificate)
+        assert verify_certificate(alg, cert)
+        tampered = dataclasses.replace(cert, embedding=tuple(reversed(cert.embedding)))
+        assert not verify_certificate(alg, tampered)
+        assert build_dq(cert.base).algebra.size == cert.carrier_size
+
+
+def test_rep_base_is_frozen():
+    base = chain2_base()
+    for field, value in (("alpha", (1, 0)), ("beta", None), ("equiv", (1, 2)),
+                         ("poset", Poset.chain(3))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(base, field, value)
+    assert base == chain2_base() and base.alpha == (0, 1)
+    assert qio.base_from_obj(qio.base_to_obj(base)) == base
+
+
+@pytest.mark.parametrize("field", ["upset_cap", "embed_budget"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_search_options_need_positive_caps(bool2, field, value):
+    with pytest.raises(PreconditionError, match=f"{field} must be at least 1"):
+        SearchOptions(**{field: value})
+    assert isinstance(representation_search(bool2, 1, SearchOptions(**{field: 1})),
+                      (RepresentationCertificate, ExhaustionReport))
 
 
 def test_representation_search_two_element(bool2):
