@@ -18,6 +18,7 @@ scratch.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -398,41 +399,46 @@ class _Memo:
     the bases on each point count, filled when a search first reaches
     that count, and the targets of the bases, least recently used first,
     at most ``BLOCK_CELLS`` cells in all.  A target larger than that is
-    built for the call that asks and not kept."""
+    built for the call that asks and not kept.  One lock guards every
+    lookup and fill, so searches in several threads share it safely."""
 
     def __init__(self):
+        self.lock = threading.Lock()
         self.clear()
 
     def clear(self):
-        self.layers: list[list[Poset]] = []  # layers[k - 1]: the posets on k points
-        self.bases: dict[tuple, tuple[RepBase, ...]] = {}
-        self.targets: OrderedDict[tuple, _Target] = OrderedDict()
-        self.cells = 0
+        with self.lock:
+            self.layers: list[list[Poset]] = []  # layers[k - 1]: the posets on k points
+            self.bases: dict[tuple, tuple[RepBase, ...]] = {}
+            self.targets: OrderedDict[tuple, _Target] = OrderedDict()
+            self.cells = 0
 
     def bases_on(self, k: int, need_beta: bool, options: SearchOptions):
         key = (k, need_beta, options.full_e_only, options.alpha_id_only)
-        if key not in self.bases:
-            while len(self.layers) < k:
-                self.layers.append(poset_layer(self.layers[-1] if self.layers else [],
-                                               len(self.layers) + 1))
-            self.bases[key] = tuple(
-                base for poset in self.layers[k - 1]
-                for base in _poset_bases(poset, need_beta, options))
-        return self.bases[key]
+        with self.lock:
+            if key not in self.bases:
+                while len(self.layers) < k:
+                    self.layers.append(poset_layer(self.layers[-1] if self.layers else [],
+                                                   len(self.layers) + 1))
+                self.bases[key] = tuple(
+                    base for poset in self.layers[k - 1]
+                    for base in _poset_bases(poset, need_beta, options))
+            return self.bases[key]
 
     def target(self, base: RepBase, cap: int) -> _Target:
         key = (base.poset.up, base.equiv, base.alpha, base.beta, cap)
-        found = self.targets.get(key)
-        if found is not None:
-            self.targets.move_to_end(key)
+        with self.lock:
+            found = self.targets.get(key)
+            if found is not None:
+                self.targets.move_to_end(key)
+                return found
+            found = _Target(base, cap)
+            if found.cells <= BLOCK_CELLS:
+                self.targets[key] = found
+                self.cells += found.cells
+                while self.cells > BLOCK_CELLS:
+                    self.cells -= self.targets.popitem(last=False)[1].cells
             return found
-        found = _Target(base, cap)
-        if found.cells <= BLOCK_CELLS:
-            self.targets[key] = found
-            self.cells += found.cells
-            while self.cells > BLOCK_CELLS:
-                self.cells -= self.targets.popitem(last=False)[1].cells
-        return found
 
 
 _MEMO = _Memo()

@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -396,6 +399,37 @@ def test_memo_evicts_the_least_recently_used_target(cold_memo, monkeypatch):
     cold_memo.target(third, cap)
     assert len(cold_memo.targets) == 2 and cold_memo.cells == cells[0] + cells[2]
     assert cold_memo.target(first, cap) is kept
+
+
+def test_threads_share_the_memo(cold_memo, monkeypatch):
+    algebras = _catalog_algebras()
+    searches = _searches()[::6] + [(algebras["D4_2_3"], 3)]
+    cold = [_cold(cold_memo, alg, points) for alg, points in searches]
+    cold_memo.clear()
+    monkeypatch.setattr(qra.represent, "BLOCK_CELLS", 300)
+    workers = (os.cpu_count() or 1) + 2
+    found = [[None] * len(searches) for _ in range(workers)]
+
+    def work(w):  # each worker starts at a different search
+        for i in range(len(searches)):
+            at = (i + 3 * w) % len(searches)
+            alg, points = searches[at]
+            found[w][at] = repr(representation_search(alg, points))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert found == [cold] * workers
+    assert cold_memo.cells == sum(t.cells for t in cold_memo.targets.values()) <= 300
+    assert [layer[0].n for layer in cold_memo.layers] == [1, 2, 3]
 
 
 def test_a_one_point_certificate_memoises_no_larger_base(cold_memo):
