@@ -705,19 +705,13 @@ def posets_with_at_most_upsets(cap: int) -> list[Poset]:
 
 
 def _grow_posets(max_size: int, cap: int | None = None):
-    layer = []
+    layer = [Poset.chain(1)]
     for n in range(1, max_size + 1):
-        layer = poset_layer(layer, n, cap)
+        if n > 1:
+            layer = _grow_layer(layer, n, cap)
+        for p in layer:
+            p.name = poset_display_name(p)
         yield from layer
-
-
-def poset_layer(smaller_posets: list[Poset], n: int, cap: int | None = None) -> list[Poset]:
-    """The named posets on n points of ``all_posets``, in its order, grown
-    from ``smaller_posets``, those on n - 1 points (ignored when n is 1)."""
-    layer = [Poset.chain(1)] if n == 1 else _grow_layer(smaller_posets, n, cap)
-    for p in layer:
-        p.name = poset_display_name(p)
-    return layer
 
 
 def _grow_layer(smaller_posets: list[Poset], n: int, cap: int | None) -> list[Poset]:

@@ -27,7 +27,7 @@ from .algebra import FinAlgebra, validate_dinfl, validate_dqra
 from .errors import BudgetExhausted, PreconditionError, StructuralError
 from .frame import Frame, upset_algebra
 from .morphism import AlgHom, _hom_search, validate_homomorphism
-from .order import BLOCK_CELLS, Poset, bits, iter_posets, mask_of, poset_layer
+from .order import BLOCK_CELLS, Poset, bits, iter_posets, mask_of
 
 DEFAULT_UPSET_CAP = 1 << 16
 
@@ -36,7 +36,8 @@ DEFAULT_UPSET_CAP = 1 << 16
 class RepBase:
     """A poset with an enclosing equivalence relation and automorphisms.
 
-    Frozen: the search hands out the bases it keeps across calls."""
+    Frozen: the search keys the Dq(E) it keeps across calls by a base's
+    value."""
 
     poset: Poset
     equiv: tuple[int, ...]  # equiv[i] = bitmask of the E-class of i
@@ -350,31 +351,26 @@ class SearchOptions:
                 raise PreconditionError(f"{field} must be at least 1, not {value}")
 
 
-def _poset_bases(poset: Poset, need_beta: bool, options: SearchOptions):
-    """The bases on one poset, in search order."""
-    if need_beta and not poset.is_self_dual:
-        return
-    equivs = _equivalences_containing(poset)
-    if options.full_e_only:
-        equivs = [tuple([poset.carrier] * poset.n)]
-    for equiv in equivs:
-        alphas = _order_automorphisms(poset, equiv)
-        if options.alpha_id_only:
-            alphas = [tuple(range(poset.n))]
-        for alpha in alphas:
-            if need_beta:
-                for beta in _beta_candidates(poset, equiv, alpha):
-                    yield RepBase(poset, equiv, alpha, beta)
-            else:
-                yield RepBase(poset, equiv, alpha, None)
-
-
 def iterate_bases(max_points: int, need_beta: bool, options: SearchOptions):
     """Bases ordered by point count, then canonical poset order; each base
     once (``iter_posets`` lists every poset on 1..max_points points, and
     grows the posets of a size only when the search reaches it)."""
     for poset in iter_posets(max_points):
-        yield from _poset_bases(poset, need_beta, options)
+        if need_beta and not poset.is_self_dual:
+            continue
+        equivs = _equivalences_containing(poset)
+        if options.full_e_only:
+            equivs = [tuple([poset.carrier] * poset.n)]
+        for equiv in equivs:
+            alphas = _order_automorphisms(poset, equiv)
+            if options.alpha_id_only:
+                alphas = [tuple(range(poset.n))]
+            for alpha in alphas:
+                if need_beta:
+                    for beta in _beta_candidates(poset, equiv, alpha):
+                        yield RepBase(poset, equiv, alpha, beta)
+                else:
+                    yield RepBase(poset, equiv, alpha, None)
 
 
 class _Target:
@@ -395,12 +391,11 @@ class _Target:
 
 
 class _Memo:
-    """What ``representation_search`` keeps across calls: the posets and
-    the bases on each point count, filled when a search first reaches
-    that count, and the targets of the bases, least recently used first,
-    at most ``BLOCK_CELLS`` cells in all.  A target larger than that is
-    built for the call that asks and not kept.  One lock guards every
-    lookup and fill, so searches in several threads share it safely."""
+    """What ``representation_search`` keeps across calls: the targets of
+    the bases, least recently used first, at most ``BLOCK_CELLS`` cells in
+    all.  A target larger than that is built for the call that asks and
+    not kept.  One lock guards every lookup and fill, so searches in
+    several threads share it safely."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -408,22 +403,8 @@ class _Memo:
 
     def clear(self):
         with self.lock:
-            self.layers: list[list[Poset]] = []  # layers[k - 1]: the posets on k points
-            self.bases: dict[tuple, tuple[RepBase, ...]] = {}
             self.targets: OrderedDict[tuple, _Target] = OrderedDict()
             self.cells = 0
-
-    def bases_on(self, k: int, need_beta: bool, options: SearchOptions):
-        key = (k, need_beta, options.full_e_only, options.alpha_id_only)
-        with self.lock:
-            if key not in self.bases:
-                while len(self.layers) < k:
-                    self.layers.append(poset_layer(self.layers[-1] if self.layers else [],
-                                                   len(self.layers) + 1))
-                self.bases[key] = tuple(
-                    base for poset in self.layers[k - 1]
-                    for base in _poset_bases(poset, need_beta, options))
-            return self.bases[key]
 
     def target(self, base: RepBase, cap: int) -> _Target:
         key = (base.poset.up, base.equiv, base.alpha, base.beta, cap)
@@ -452,11 +433,10 @@ def representation_search(alg: FinAlgebra, max_points: int,
     no-finite-representation filter short-circuits the search when an
     obstruction element exists.  A base whose embedding search runs out of
     ``options.embed_budget`` is counted as undecided and the search moves
-    on to the next base.  The bases on k points are listed once a search
-    first reaches k points, and each base's up-sets (up to
-    ``options.upset_cap``) and Dq(E) are built once, shared across calls,
-    bounded by ``BLOCK_CELLS`` cells.  Raises ``PreconditionError`` when
-    ``max_points`` is below 1.
+    on to the next base.  The bases are walked lazily by ``iterate_bases``;
+    each base's up-sets (up to ``options.upset_cap``) and Dq(E) are built
+    once, shared across calls, bounded by ``BLOCK_CELLS`` cells.  Raises
+    ``PreconditionError`` when ``max_points`` is below 1.
     """
     if max_points < 1:
         raise PreconditionError(f"max_points must be at least 1, not {max_points}")
@@ -471,24 +451,23 @@ def representation_search(alg: FinAlgebra, max_points: int,
                 note="no finite representation is possible",
             )
     tried = skipped = undecided = 0
-    for k in range(1, max_points + 1):
-        for base in _MEMO.bases_on(k, need_beta, options):
-            target = _MEMO.target(base, options.upset_cap)
-            if target.ups is None:
-                skipped += 1
-                continue
-            tried += 1
-            if len(target.ups) < alg.size:
-                continue
-            try:
-                hom = embed_search(alg, target.algebra, budget=options.embed_budget)
-            except BudgetExhausted:
-                undecided += 1
-                continue
-            if hom is not None:
-                return RepresentationCertificate(
-                    base=base, embedding=tuple(hom.map), carrier_size=target.algebra.size
-                )
+    for base in iterate_bases(max_points, need_beta, options):
+        target = _MEMO.target(base, options.upset_cap)
+        if target.ups is None:
+            skipped += 1
+            continue
+        tried += 1
+        if len(target.ups) < alg.size:
+            continue
+        try:
+            hom = embed_search(alg, target.algebra, budget=options.embed_budget)
+        except BudgetExhausted:
+            undecided += 1
+            continue
+        if hom is not None:
+            return RepresentationCertificate(
+                base=base, embedding=tuple(hom.map), carrier_size=target.algebra.size
+            )
     return ExhaustionReport(
         max_points=max_points, bases_tried=tried, bases_skipped_over_cap=skipped,
         bases_undecided=undecided,

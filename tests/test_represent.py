@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import os
 import sys
 import threading
 
@@ -389,7 +388,8 @@ def test_memo_evicts_the_least_recently_used_target(cold_memo, monkeypatch):
     # a lookup makes its target the most recently used; a new target
     # pushes out the least recently used ones until the cells fit
     cold_memo.clear()
-    first, second, third = cold_memo.bases_on(2, True, SearchOptions())[:3]
+    two_point = [b for b in iterate_bases(2, True, SearchOptions()) if b.points == 2]
+    first, second, third = two_point[:3]
     cap = SearchOptions().upset_cap
     cells = [qra.represent._Target(b, cap).cells for b in (first, second, third)]
     monkeypatch.setattr(qra.represent, "BLOCK_CELLS", sum(cells) - 1)
@@ -407,7 +407,7 @@ def test_threads_share_the_memo(cold_memo, monkeypatch):
     cold = [_cold(cold_memo, alg, points) for alg, points in searches]
     cold_memo.clear()
     monkeypatch.setattr(qra.represent, "BLOCK_CELLS", 300)
-    workers = (os.cpu_count() or 1) + 2
+    workers = 4
     found = [[None] * len(searches) for _ in range(workers)]
 
     def work(w):  # each worker starts at a different search
@@ -429,15 +429,12 @@ def test_threads_share_the_memo(cold_memo, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert found == [cold] * workers
     assert cold_memo.cells == sum(t.cells for t in cold_memo.targets.values()) <= 300
-    assert [layer[0].n for layer in cold_memo.layers] == [1, 2, 3]
 
 
 def test_a_one_point_certificate_memoises_no_larger_base(cold_memo):
     alg = _catalog_algebras()["D2_1_1"]
     result = representation_search(alg, 8)
     assert isinstance(result, RepresentationCertificate) and result.base.points == 1
-    assert len(cold_memo.layers) == 1
-    assert {key[0] for key in cold_memo.bases} == {1}
     assert all(len(key[0]) == 1 for key in cold_memo.targets)
 
 
@@ -450,7 +447,6 @@ def test_certificates_are_verified_without_the_memo(cold_memo, monkeypatch):
         raise AssertionError("the verifier read the search memo")
 
     monkeypatch.setattr(qra.represent._Memo, "target", refuse)
-    monkeypatch.setattr(qra.represent._Memo, "bases_on", refuse)
     for alg, cert in certified:
         assert isinstance(cert, RepresentationCertificate)
         assert verify_certificate(alg, cert)
