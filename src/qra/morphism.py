@@ -17,7 +17,7 @@ from .algebra import FinAlgebra, ValidationReport, _witnesses, join_irreducibles
 from .errors import (BudgetExhausted, InternalCheckError, PreconditionError, SignatureError,
                      StructuralError)
 from .frame import Frame, complex_algebra, dual_frame
-from .order import bits, mask_of
+from .order import bits, mask_of, row_masks
 
 
 @dataclass
@@ -249,27 +249,41 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
     reflects the order, so the mask leaves out the up-sets (down-sets) of
     the images of the other earlier generators.  Its elements are tried in
     increasing order, depth first, by one loop over the masks of untried
-    images, one per generator.  At a leaf the image of the unit comes
-    first and a leaf that misses b's unit stops there; otherwise the
-    extension, read from rows of b's join table kept as lists, goes to the
-    early-exit check of ``_preserves``, and each map it accepts is
-    validated in full by ``validate_homomorphism`` before it is yielded.
+    images, one per generator.  The allowed mask of the last generator is
+    the set of leaves under its node, taken as one mask: one AND with the
+    images v for which the unit's image is b's unit (the join of v with
+    the image p of the unit's other generators, a row of b's join table
+    read once per p as a mask; b's unit alone where the bottom is the
+    only generator; all or none where the unit is not above the last
+    generator) keeps the hits.  Only a hit is extended, by rows of b's join table
+    kept as lists, and goes to the early-exit check of ``_preserves``;
+    each map it accepts is validated in full by ``validate_homomorphism``
+    before it is yielded, in increasing order of the last image.
     Raises ``BudgetExhausted`` once the search has visited more than
-    ``budget`` nodes, one per partial assignment including the empty one.
+    ``budget`` nodes, one per partial assignment including the empty one
+    and each leaf: the leaves of one mask count by its popcount, and where
+    the budget ends among them, the maps of the leaves before that point
+    are yielded first.
     """
     if (a.neg is None) != (b.neg is None):
         raise SignatureError("source and target have different signatures")
     gens = [a.bottom] + [j for j in join_irreducibles(a) if j != a.bottom]
     m, leq = len(gens), a.leq
+    last = m - 1
     # the earlier generators below and above each generator, and the others
     lower = [[i for i in range(k) if leq[gens[i], j]] for k, j in enumerate(gens)]
     upper = [[i for i in range(k) if leq[j, gens[i]]] for k, j in enumerate(gens)]
     not_lower = [[i for i in range(k) if not leq[gens[i], j]] for k, j in enumerate(gens)]
     not_upper = [[i for i in range(k) if not leq[j, gens[i]]] for k, j in enumerate(gens)]
     joined = [[k for k in range(1, m) if leq[gens[k], x]] for x in range(a.size)]
-    one_joined, b_one = joined[a.one], b.one
+    b_one = b.one
+    # the unit's image is the join of the bottom's image with those of
+    # unit_rest, and with the last generator's image if unit_last
+    unit_last = last in joined[a.one]
+    unit_rest = [i for i in joined[a.one] if i != last]
     down, up, carrier = b.order_poset.down, b.order_poset.up, b.order_poset.carrier
     join_rows = _Rows(b.join_table)
+    to_unit = _UnitRows(b.join_table, b_one)
     preserves = _preserves(a, b, injective)
 
     def search():
@@ -280,14 +294,46 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted(f"homomorphism search exceeded {budget} nodes")
-            if k == m:
-                acc = bottom = image[0]
-                for i in one_joined:
-                    acc = join_rows[acc][image[i]]
-                if acc == b_one:
+            allowed = carrier
+            for i in lower[k]:
+                allowed &= up[image[i]]
+            for i in upper[k]:
+                allowed &= down[image[i]]
+            if injective:
+                for i in not_lower[k]:
+                    allowed &= ~up[image[i]]
+                for i in not_upper[k]:
+                    allowed &= ~down[image[i]]
+            if k < last:
+                left[k] = allowed
+            else:
+                # the leaves, one node each in increasing order of image;
+                # where the budget ends among them, those before that point
+                leaves, spare = allowed, budget - nodes
+                exhausted = leaves.bit_count() > spare
+                if exhausted:
+                    rest = leaves
+                    for _ in range(spare):
+                        rest &= rest - 1
+                    leaves ^= rest
+                nodes += leaves.bit_count()
+                if last == 0:
+                    hits = leaves & (1 << b_one)
+                else:
+                    acc = image[0]
+                    for i in unit_rest:
+                        acc = join_rows[acc][image[i]]
+                    if unit_last:
+                        hits = leaves & to_unit[acc]
+                    else:
+                        hits = leaves if acc == b_one else 0
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    image[last] = low.bit_length() - 1
                     f = []
                     for ks in joined:
-                        acc = bottom
+                        acc = image[0]
                         for i in ks:
                             acc = join_rows[acc][image[i]]
                         f.append(acc)
@@ -297,19 +343,8 @@ def _hom_search(a: FinAlgebra, b: FinAlgebra, budget: int, injective: bool = Fal
                             raise InternalCheckError(
                                 f"leaf check accepted a non-homomorphism {hom.map}")
                         yield hom
-                k -= 1
-            else:
-                allowed = carrier
-                for i in lower[k]:
-                    allowed &= up[image[i]]
-                for i in upper[k]:
-                    allowed &= down[image[i]]
-                if injective:
-                    for i in not_lower[k]:
-                        allowed &= ~up[image[i]]
-                    for i in not_upper[k]:
-                        allowed &= ~down[image[i]]
-                left[k] = allowed
+                if exhausted:
+                    raise BudgetExhausted(f"homomorphism search exceeded {budget} nodes")
             # the next node: the least untried image at the deepest
             # generator that has one
             while k >= 0 and not left[k]:
@@ -333,6 +368,19 @@ class _Rows(dict):
 
     def __missing__(self, i):
         row = self[i] = self.table[i].tolist()
+        return row
+
+
+class _UnitRows(dict):
+    """Row p of a join table as the mask of the v with join(p, v) equal to
+    ``one``, each formed on first use."""
+
+    def __init__(self, table, one):
+        super().__init__()
+        self.table, self.one = table, one
+
+    def __missing__(self, p):
+        row = self[p] = row_masks(self.table[p, None] == self.one)[0]
         return row
 
 

@@ -12,7 +12,7 @@ the order of an up-set algebra, reads them off the sets instead.
 from __future__ import annotations
 
 import os
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -64,6 +64,7 @@ def row_masks(matrix) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
+@lru_cache(maxsize=None)
 def _physical_memory() -> int:
     """Bytes of physical memory, as the operating system reports them."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -168,22 +169,92 @@ def _keys(relation: np.ndarray, irr) -> np.ndarray:
     return np.packbits(member, axis=1, bitorder="little").view("<u8")
 
 
-def _key_table(keys: np.ndarray, combine=np.bitwise_and, index: RowIndex | None = None
-               ) -> np.ndarray:
-    """The read-only table of the element keyed ``combine(keys[a], keys[b])``
-    (``index`` is the ``RowIndex`` of the keys, if already built), -1 where
-    there is none."""
+def _key_table(keys: np.ndarray) -> np.ndarray:
+    """The read-only table of the element keyed ``keys[a] & keys[b]``, -1
+    where there is none."""
     n, width = keys.shape
-    index = RowIndex(keys) if index is None else index
+    index = RowIndex(keys)
     table = np.empty((n, n), dtype=np.int32)
     # the table is symmetric: a block of rows is looked up from its
     # diagonal on and mirrored into the same columns
     for rows in row_blocks(n, n * width):
-        half = index.find(combine(keys[rows, None, :], keys[None, rows.start:, :]))
+        half = index.find(keys[rows, None, :] & keys[None, rows.start:, :])
         table[rows, rows.start:] = half
         table[rows.start:, rows] = half.T
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=8)
+def _point_words(width: int) -> np.ndarray:
+    """Row x is the set of point x alone, as ``width`` 64-bit words, for
+    x < 64 * width; the last row, read by an index of -1, is empty.  The
+    few widths in use are kept, read-only."""
+    point = np.zeros((64 * width + 1, 64 * width), dtype=bool)
+    np.fill_diagonal(point, True)
+    point = np.packbits(point, axis=1, bitorder="little").view("<u8")
+    point.setflags(write=False)
+    return point
+
+
+def _read_sets(sets: np.ndarray, removable: np.ndarray, index: RowIndex):
+    """Join and meet tables of an ``InclusionOrder`` read off its sets (see
+    its docstring), the least set, and the pairs (lo, hi) of a set hi and
+    a listed set lo one point smaller, in increasing hi; None where the
+    lemma's premise fails."""
+    count, width = sets.shape
+    member = np.unpackbits(sets.view(np.uint8), axis=1, bitorder="little").view(bool)
+    # points past the last one any set holds are left out
+    points = member.shape[1] - int(member.any(axis=0)[::-1].argmax())
+    member = member[:, :points]
+    # the sets in increasing size; p_x is the first holding x, or the
+    # first set where none does
+    size = member.sum(axis=1)
+    order = np.argsort(size, kind="stable")
+    least_with = sets[order[member[order].argmax(axis=0)]]
+    # per set V: V ∪ p_x for each point x, V itself, then V minus each
+    # removable point, all looked up at once
+    found = np.empty((count, points + 1 + removable.shape[1]), dtype=np.int32)
+    for rows in row_blocks(count, found.shape[1] * width):
+        v = sets[rows, None, :]
+        found[rows] = index.find(np.concatenate(
+            (v | least_with, v, v & ~_point_words(width)[removable[rows]]), axis=1))
+    union, below = found[:, :points + 1], found[:, points + 1:]
+    # the padding finds the set itself
+    below[below == union[:, points:]] = -1
+    has_lower = below >= 0
+    least = np.flatnonzero(~has_lower.any(axis=1))
+    # (i) to (iii) of the InclusionOrder docstring
+    if (len(least) != 1 or union.min() < 0
+            or (member > (union[:, :points] == union[:, points:])).any()):
+        return None
+    # the sets after the least, in increasing size, each with one W = V
+    # minus x.  The unions, set itself last, are one flat array read at
+    # A + count * x, or at A + count * points (A itself) for a meet
+    # entry whose U misses x
+    order = order[1:]
+    pick = has_lower[order].argmax(axis=1)
+    lower_set, point = below[order, pick], removable[order, pick]
+    flat = union.T.reshape(-1)
+    offsets = np.empty((2, points, count), dtype=np.intp)
+    offsets[:] = count * np.arange(points)[:, None]
+    np.copyto(offsets[1], count * points, where=~member.T)
+    tables = np.empty((2, count, count), dtype=np.int32)
+    tables[0, least[0]] = np.arange(count)
+    tables[1, least[0]] = least[0]
+    # one gather per size, split further to stay within BLOCK_CELLS
+    sizes = size[order]
+    bounds = {rows.start for rows in row_blocks(count - 1, 2 * count)}
+    bounds = sorted(bounds.union((np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(),
+                                 [count - 1]))
+    for start, end in zip(bounds, bounds[1:]):
+        tables[:, order[start:end]] = flat.take(tables.take(lower_set[start:end], axis=1)
+                                                + offsets.take(point[start:end], axis=1))
+    join, meet = tables
+    join.setflags(write=False)
+    meet.setflags(write=False)
+    hi, k = np.nonzero(has_lower)
+    return join, meet, int(least[0]), below[hi, k], hi
 
 
 class _PathFacts(NamedTuple):
@@ -548,6 +619,35 @@ class InclusionOrder(Poset):
     set without one is the bottom.  Inclusion among distinct sets is a
     partial order.  Where the premise fails, covers and lattice tables
     are those of ``Poset``.
+
+    Tables in rank order.  In such an F let p_x, for a point x some set
+    holds, be the intersection of the sets holding x: the least set
+    holding x.  Let V be a set other than the least and W = V minus x in
+    F.  Then V = W ∪ p_x: p_x is within V, as V holds x, and so is W;
+    conversely V = W ∪ {x} and x is in p_x.  For every U in F:
+      V ∪ U = (W ∪ U) ∪ p_x, so join[V] = with_p[join[W], x];
+      V ∩ U = (W ∩ U) ∪ ({x} ∩ U), which is W ∩ U where U misses x, and
+      (W ∩ U) ∪ p_x where U holds x, since p_x is then within both U and
+      V; so meet[V] = with_p[meet[W], x] on the U holding x and meet[W]
+      on the others,
+    where with_p[A, x] is the set A ∪ p_x.  The least set is within every
+    set, so its join row is the identity and its meet row is itself.  The
+    rows are therefore formed in increasing size from those of a set one
+    point smaller, from count x points lookups of A ∪ p_x in place of
+    count^2 lookups of unions and intersections.
+
+    The premise is tested by the same lookups.  Take for p_x a smallest
+    set holding x (for a point no set holds, a smallest set, which under
+    (i) is within every set, so that A ∪ p_x is A), and ask that (i)
+    exactly one set has no listed set one point smaller, (ii) every
+    A ∪ p_x is listed and (iii) p_x is within every set holding x.  Where
+    the premise holds, p_x is the least set
+    holding x and (i) to (iii) hold.  Conversely, under (i) a chain of
+    one-point-smaller sets leads from every set down to the one without,
+    which is therefore within all of them, and under (iii) the two row
+    formulas above hold.  By induction on size each entry they give is
+    a lookup (ii) of a listed set, so every union and intersection is
+    listed: the premise holds.
     """
 
     def __init__(self, sets: np.ndarray, removable: np.ndarray, name=None):
@@ -564,29 +664,18 @@ class InclusionOrder(Poset):
     def _from_sets(self) -> tuple[_PathFacts, LatticeTables] | None:
         """Covers and lattice tables read off the sets, or None where the
         lemma's premise fails."""
-        count, width = self.sets.shape
+        count = len(self.sets)
         check_memory(8 * count * count, f"the join and meet tables of {count} elements")
-        join = _key_table(self.sets, np.bitwise_or, self.index)
-        meet = _key_table(self.sets, np.bitwise_and, self.index)
-        if (join < 0).any() or (meet < 0).any():
+        # the lookups are made and dropped in one call, so that the covers
+        # below are not allocated past them
+        read = _read_sets(self.sets, self.removable, self.index)
+        if read is None:
             return None
-        # row p is point p alone; the last row, read by the padding -1, is empty
-        point = np.zeros((64 * width + 1, 64 * width), dtype=bool)
-        np.fill_diagonal(point, True)
-        point = np.packbits(point, axis=1, bitorder="little").view("<u8")
-        below = np.empty(self.removable.shape, dtype=np.int32)
-        for rows in row_blocks(count, self.removable.shape[1] * width):
-            below[rows] = self.index.find(self.sets[rows, None, :]
-                                          & ~point[self.removable[rows]])
-        # the padding finds the set itself
-        below[below == np.arange(count)[:, None]] = -1
-        found = below >= 0
-        least = np.flatnonzero(~found.any(axis=1))
-        if len(least) != 1:
-            return None
-        hi, k = np.nonzero(found)
-        lo = below[hi, k]
-        pairs = np.column_stack((lo, hi))[np.lexsort((hi, lo))]
+        join, meet, least, lo, hi = read
+        # the pairs come in increasing hi, so a stable sort by lo orders them
+        by_lo = lo.argsort(kind="stable")
+        pairs = np.empty((len(lo), 2), dtype=np.intp)
+        pairs[:, 0], pairs[:, 1] = lo[by_lo], hi[by_lo]
         covers, lower = [0] * count, [0] * count
         for a, b in pairs.tolist():
             covers[a] |= 1 << b
@@ -594,7 +683,7 @@ class InclusionOrder(Poset):
         top = covers.index(0)
         facts = _PathFacts(tuple(covers), tuple(lower), pairs, True,
                            np.empty((0, 2), dtype=np.intp))
-        return facts, LatticeTables(join, meet, int(least[0]), top)
+        return facts, LatticeTables(join, meet, least, top)
 
     @property
     def lattice_from_sets(self) -> bool:

@@ -118,3 +118,42 @@ def test_kernel_matches_reference_into_three_point_certificate_base(name):
     assert next(_hom_search(alg, target, nodes, injective=True)).map == first
     with pytest.raises(BudgetExhausted):
         next(_hom_search(alg, target, nodes - 1, injective=True))
+
+
+def _maps_within(a, b, budget, injective):
+    """The maps the search yields with ``budget``, and whether it raised."""
+    maps = []
+    try:
+        for h in _hom_search(a, b, budget, injective):
+            maps.append(h.map)
+    except BudgetExhausted:
+        return maps, True
+    return maps, False
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_every_budget_stops_where_the_reference_does(injective):
+    # a search cut by its budget yields the maps the reference accepts at
+    # the nodes up to the budget, then raises; the leaves of the last
+    # generator are visited as one mask, so the cut can fall inside it.
+    # D1_1_1 has the bottom as its only generator
+    catalog = [e for e in build_catalog() if e.size <= 3]
+    groups = []
+    for need_beta in (False, True):
+        sources = ([v.algebra for e in catalog for v in e.variants] if need_beta
+                   else [e.base for e in catalog])
+        sources += [a.relabel(tuple(reversed(range(a.size)))) for a in sources]
+        groups.append((sources, _two_point_targets(need_beta)))
+    assert "D1_1_1" in {a.name for sources, _ in groups for a in sources}
+    cases = cut_after_a_map = 0
+    for sources, targets in groups:
+        for a in sources:
+            for b in targets:
+                *found, (_, nodes) = reference_search(a, b, injective)
+                for budget in range(1, nodes + 1):
+                    want = [f for f, at in found if at <= budget]
+                    assert _maps_within(a, b, budget, injective) == (want, budget < nodes), \
+                        (a.name, b.name, budget)
+                    cases += 1
+                    cut_after_a_map += bool(want) and budget < nodes
+    assert cases > 6000 and cut_after_a_map > 100

@@ -36,7 +36,10 @@ from qra import (
     join_irreducibles,
     meet_irreducibles,
 )
+from qra.catalog import build_catalog
+from qra.enumerate import enumerate_algebras
 from qra.errors import PreconditionError
+from qra.filters import filter_frame, space_algebra
 from qra.frame import Frame, upset_algebra
 from qra.order import InclusionOrder, all_posets, bits
 from qra.represent import SearchOptions, dq_frame, iterate_bases
@@ -285,6 +288,97 @@ def test_upset_orders_read_off_their_sets_match_the_references():
     sets = [0, 0b0001, 0b0010, 0b0101, 0b1010, 0b1101, 0b1110, 0b1111]
     frame = Frame(Poset.antichain(4), 0b1111, [[0] * 4] * 4, range(4), range(4))
     check_upset_family(upset_algebra(frame, sets).order_poset, from_sets=False)
+
+
+def union_tables(sets):
+    """Join and meet tables of distinct sets, given as Python ints, read as
+    union and intersection: the position of s | t (s & t) in the list, -1
+    where it is not listed."""
+    at = {s: i for i, s in enumerate(sets)}
+    return ([[at.get(s | t, -1) for t in sets] for s in sets],
+            [[at.get(s & t, -1) for t in sets] for s in sets])
+
+
+def family_order(sets) -> InclusionOrder:
+    """The ``InclusionOrder`` of distinct sets given as Python ints, every
+    point of a set listed as removable."""
+    words = -(-max(s.bit_length() for s in sets) // 64) or 1
+    rows = np.array([[s >> (64 * w) & (2**64 - 1) for w in range(words)] for s in sets],
+                    dtype="<u8")
+    points = [list(bits(s)) for s in sets]
+    width = max(map(len, points)) or 1
+    return InclusionOrder(rows, np.array([p + [-1] * (width - len(p)) for p in points]))
+
+
+def check_rank_order_tables(order: InclusionOrder):
+    """The tables read off the sets are union and intersection, in the
+    order as given and with the sets shuffled."""
+    sets = [int.from_bytes(row.tobytes(), "little") for row in order.sets]
+    join, meet = union_tables(sets)
+    assert all(x >= 0 for row in join + meet for x in row)
+    assert order._from_sets is not None
+    assert order.lattice.join.tolist() == join and order.lattice.meet.tolist() == meet
+    perm = list(range(len(sets)))
+    random.Random(len(sets)).shuffle(perm)
+    shuffled = InclusionOrder(order.sets[perm], order.removable[perm])
+    assert shuffled.lattice.join.tolist() == [[perm.index(join[a][b]) for b in perm]
+                                              for a in perm]
+    assert shuffled.lattice.meet.tolist() == [[perm.index(meet[a][b]) for b in perm]
+                                              for a in perm]
+
+
+def test_rank_order_tables_are_union_and_intersection():
+    # every Dq(E) on at most three points, the 512-element one included:
+    # the order of the up-sets of the twisted pair order
+    dq_posets = {}
+    for k in (1, 2, 3):
+        for need_beta in (False, True):
+            for base in iterate_bases(k, need_beta, SearchOptions()):
+                poset = dq_frame(base).poset
+                dq_posets.setdefault(poset.up, poset)
+    chain = Poset.chain(2)
+    base = RepBase(chain, (chain.carrier,) * 2, (0, 1), (1, 0))
+    assert np.array_equal(build_dq(base).algebra.order_poset.sets,
+                          inclusion_order(dq_frame(base).poset).sets)
+    sizes = []
+    for poset in dq_posets.values():
+        order = inclusion_order(poset)
+        check_rank_order_tables(order)
+        sizes.append(order.n)
+    assert max(sizes) == 512 and len(sizes) >= 10
+    # the complex algebras of every frame the census finds up to 8 elements
+    census = [alg for n in range(1, 9) for alg in enumerate_algebras(n, "dinfl")]
+    assert len(census) > 300
+    for alg in census:
+        check_rank_order_tables(alg.order_poset)
+    # the filter-space algebras of the catalogue
+    for entry in build_catalog():
+        for alg in [entry.base] + [v.algebra for v in entry.variants]:
+            check_rank_order_tables(space_algebra(filter_frame(alg)).order_poset)
+
+
+def test_rank_order_tables_refuse_families_that_are_not_lattices_of_sets():
+    # closed under union and intersection, but no set has a listed set one
+    # point smaller
+    frame, _, ups = block_family()
+    assert upset_algebra(frame, ups).order_poset._from_sets is None
+    # every set but the empty one has a listed set one point smaller in
+    # each of these; the 8 sets closed under complement lack {0} ∪ {1}; then
+    # ∅, {a}, {b}, {a, b}, {a, x}, {b, x}, {a, b, x} lacks {a, x} ∩ {b, x};
+    # then ∅, {a}, {b}, {a, c}, {b, d} lacks {a} ∪ {b}
+    for sets, closed in (([0, 0b0001, 0b0010, 0b0101, 0b1010, 0b1101, 0b1110, 0b1111], ""),
+                         ([0, 0b001, 0b010, 0b011, 0b101, 0b110, 0b111], "union"),
+                         ([0, 0b0001, 0b0010, 0b0101, 0b1010], "intersection")):
+        join, meet = union_tables(sets)
+        assert (min(map(min, join)) >= 0) == (closed == "union")
+        assert (min(map(min, meet)) >= 0) == (closed == "intersection")
+        order = family_order(sets)
+        assert order._from_sets is None
+        check_order_layer(order.relation.tolist(), poset=order)
+        shuffled = family_order(sets[::-1])
+        assert shuffled._from_sets is None
+    # the same reading on a family that passes
+    check_rank_order_tables(family_order([0, 0b001, 0b011, 0b101, 0b111]))
 
 
 def test_automorphisms_list_the_identity_first():
