@@ -236,7 +236,9 @@ def _read_sets(sets: np.ndarray, removable: np.ndarray, index: RowIndex):
     pick = has_lower[order].argmax(axis=1)
     lower_set, point = below[order, pick], removable[order, pick]
     flat = union.T.reshape(-1)
-    offsets = np.empty((2, points, count), dtype=np.intp)
+    # positions in the flat array fit int32 while it has fewer than 2^31
+    # entries, and int32 halves the largest temporary here
+    offsets = np.empty((2, points, count), dtype=np.int32 if flat.size < 2**31 else np.intp)
     offsets[:] = count * np.arange(points)[:, None]
     np.copyto(offsets[1], count * points, where=~member.T)
     tables = np.empty((2, count, count), dtype=np.int32)
