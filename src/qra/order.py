@@ -643,13 +643,12 @@ class InclusionOrder(Poset):
     (i) is within every set, so that A ∪ p_x is A), and ask that (i)
     exactly one set has no listed set one point smaller, (ii) every
     A ∪ p_x is listed and (iii) p_x is within every set holding x.  Where
-    the premise holds, p_x is the least set
-    holding x and (i) to (iii) hold.  Conversely, under (i) a chain of
-    one-point-smaller sets leads from every set down to the one without,
-    which is therefore within all of them, and under (iii) the two row
-    formulas above hold.  By induction on size each entry they give is
-    a lookup (ii) of a listed set, so every union and intersection is
-    listed: the premise holds.
+    the premise holds, p_x is the least set holding x and (i) to (iii)
+    hold.  Conversely, under (i) a chain of one-point-smaller sets leads
+    from every set down to the one without, which is therefore within all
+    of them, and under (iii) the two row formulas above hold.  By
+    induction on size each entry they give is a lookup (ii) of a listed
+    set, so every union and intersection is listed: the premise holds.
     """
 
     def __init__(self, sets: np.ndarray, removable: np.ndarray, name=None):
