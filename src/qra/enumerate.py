@@ -25,7 +25,6 @@ from .order import (
     NAMED_POSETS,
     Poset,
     all_posets,
-    poset_display_name,
     posets_with_at_most_upsets,
 )
 from .search import Budget, enumerate_frames, search_frames
@@ -52,7 +51,7 @@ def enumerate_posets(max_size: int) -> list[PosetShape]:
         out.append(
             PosetShape(
                 poset=p,
-                name=poset_display_name(p),
+                name=p.name,
                 self_dual=p.is_self_dual,
                 upset_count=len(p.upsets),
             )

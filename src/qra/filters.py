@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import FinAlgebra, ValidationReport, join_irreducibles
 from .errors import InternalCheckError, PreconditionError, StructuralError
 from .frame import Frame, dual_frame, upset_algebra, validate_frame
-from .iso import check_witness
+from .iso import check_witness, set_image
 from .order import Poset, bits, mask_of, popcount
 
 
@@ -73,9 +73,9 @@ def _prime_filters(alg: FinAlgebra, jirr) -> list[int]:
 
 def filter_unaries(alg: FinAlgebra, fmask: int):
     """(F^~, F^-, F^neg); each is again a generalised prime filter."""
-    outside = list(bits(((1 << alg.size) - 1) & ~fmask))
+    outside = ((1 << alg.size) - 1) & ~fmask
     ops = (alg.tilde, alg.minus) + (() if alg.neg is None else (alg.neg,))
-    images = [mask_of(int(op[a]) for a in outside) for op in ops]
+    images = [set_image(outside, op.tolist()) for op in ops]
     test = _prime_filter_test(alg)
     for out in images:
         if not test(out):
@@ -164,7 +164,7 @@ def _build_filter_frame(alg: FinAlgebra) -> PointedFrame:
     everything, top_only = (1 << n) - 1, 1 << top
 
     def image(mask):
-        return mask_of(point[i] for i in bits(mask)) | top_only
+        return set_image(mask, point) | top_only
 
     up = [top_only] * n
     up[bottom] = everything

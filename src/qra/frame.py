@@ -23,15 +23,19 @@ from .algebra import (
     kappa_map,
 )
 from .errors import InternalCheckError, PreconditionError, SignatureError, StructuralError
-from .iso import Structure, check_witness, isomorphisms
+from .iso import Structure, check_witness, isomorphisms, set_image
 from .order import (
     InclusionOrder,
     Poset,
     RowIndex,
     bits,
+    bools_to_words,
     check_memory,
-    mask_of,
+    masks_to_words,
     row_blocks,
+    word_width,
+    words_to_bools,
+    words_to_masks,
 )
 
 
@@ -106,15 +110,12 @@ class Frame:
         inv = [0] * n
         for i, p in enumerate(perm):
             inv[p] = i
-
-        def move(mask):
-            return mask_of(perm[i] for i in bits(mask))
-
-        comp = [[move(self.comp[inv[x]][inv[y]]) for y in range(n)] for x in range(n)]
+        comp = [[set_image(self.comp[inv[x]][inv[y]], perm) for y in range(n)]
+                for x in range(n)]
         tilde = [perm[self.tilde[inv[x]]] for x in range(n)]
         minus = [perm[self.minus[inv[x]]] for x in range(n)]
         neg = None if self.neg is None else [perm[self.neg[inv[x]]] for x in range(n)]
-        return Frame(self.poset.relabel(perm), move(self.identity), comp, tilde, minus,
+        return Frame(self.poset.relabel(perm), set_image(self.identity, perm), comp, tilde, minus,
                      neg=neg, name=name)
 
     @cached_property
@@ -145,10 +146,9 @@ def empty_frame(name: str | None = None) -> Frame:
 
 def _membership(frame: Frame) -> np.ndarray:
     """The cube member[x, y, w] = (w in comp[x][y])."""
-    n, width = frame.size, max(1, -(-frame.size // 64))
-    cells = _words([cell for row in frame.comp for cell in row], width)
-    member = np.unpackbits(cells.view(np.uint8), axis=1, count=n, bitorder="little")
-    return member.astype(bool).reshape(n, n, n)
+    n = frame.size
+    cells = masks_to_words([cell for row in frame.comp for cell in row], word_width(n))
+    return words_to_bools(cells, n).reshape(n, n, n)
 
 
 def validate_dinfl_frame(frame: Frame) -> ValidationReport:
@@ -177,7 +177,7 @@ def _dinfl_report(frame: Frame, member: np.ndarray) -> ValidationReport:
     identity = frame.identity
     tilde, minus = frame.tilde, frame.minus
     cube = member.astype(np.float32)
-    leq = np.array(poset.matrix(), dtype=np.float32).reshape(n, n)
+    leq = poset.relation.astype(np.float32)
 
     if not poset.is_upset(identity):
         xs = [x for x in bits(identity) if up[x] & ~identity]
@@ -277,12 +277,6 @@ def validate_frame(frame: Frame) -> ValidationReport:
 # -- the two dual constructions ----------------------------------------------
 
 
-def _words(masks, width: int) -> np.ndarray:
-    """Bitmask sets as rows of ``width`` little-endian 64-bit words."""
-    raw = b"".join(int(m).to_bytes(8 * width, "little") for m in masks)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), width)
-
-
 def _union_over(member: np.ndarray, table: np.ndarray) -> np.ndarray:
     """out[a] is the union of the word rows table[i] over the i with member[a, i]."""
     rows = np.broadcast_to(table, (len(member),) + table.shape)
@@ -363,31 +357,29 @@ def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
     table larger than physical memory, as int32 positions plus the order
     matrix, raises before anything is allocated.
     """
-    n, width, count = frame.size, max(1, -(-frame.size // 64)), len(ups)
+    n, width, count = frame.size, word_width(frame.size), len(ups)
     if not count:
         raise PreconditionError("an up-set algebra needs at least one listed set")
     check_memory(5 * count ** 2, f"the product table of {count} upsets")
-    sets = _words(ups, width)
+    sets = masks_to_words(ups, width)
     order = InclusionOrder(sets, _padded(_minimal_points(frame, ups)))
     index, minimal = order.index, order.removable
-    member = np.unpackbits(sets.view(np.uint8), axis=1, count=n,
-                           bitorder="little").astype(bool)
+    member = words_to_bools(sets, n)
     # point n, read by the padding -1, stands for no point: an empty set in
     # every cell
     comp = np.zeros((n, n + 1, width), dtype="<u8")
-    comp[:, :n] = _words([cell for row in frame.comp for cell in row], width).reshape(n, n, width)
+    comp[:, :n] = masks_to_words([cell for row in frame.comp for cell in row],
+                                 width).reshape(n, n, width)
     principal = _padded([list(bits(u)) for u in frame.poset.up] + [[]])
     # {x}.(up y) at [x, y], then U.(up y) at [U, y]
     half = _union_over(member, _union_at(comp, principal))
     product = np.empty((count, count), dtype=np.int32)
     for rows in row_blocks(count, count * width):
         product[rows] = _positions(index, _union_at(half[rows], minimal), "composition")
-    one = _positions(index, _words([frame.identity], width), "the identity set")[0]
+    one = _positions(index, masks_to_words([frame.identity], width), "the identity set")[0]
     # ~U = {w | w^- not in U}, -U = {w | w^~ not in U}, likewise for neg
     maps = [frame.minus, frame.tilde] + ([] if frame.neg is None else [frame.neg])
-    images = np.zeros((len(maps), count, 64 * width), dtype=bool)
-    images[..., :n] = ~member[:, np.array(maps, dtype=np.intp)].transpose(1, 0, 2)
-    images = np.packbits(images, axis=-1, bitorder="little").view("<u8")
+    images = bools_to_words(~member[:, np.array(maps, dtype=np.intp)].transpose(1, 0, 2))
     tilde, minus, *neg = _positions(index, images, "negation")
     return FinAlgebra(order, product, one, tilde, minus, neg=neg[0] if neg else None,
                       name=name)
@@ -416,17 +408,12 @@ def dual_frame(alg: FinAlgebra, name: str | None = None) -> Frame:
     return named
 
 
-def _below_masks(alg: FinAlgebra) -> list[int]:
-    """J ∩ ↓a for each element a, as a mask of positions in J: the rows of
-    ``Poset.down_keys``, bit k for the k-th join-irreducible."""
-    return [int.from_bytes(row.tobytes(), "little") for row in alg.order_poset.down_keys]
-
-
 def _build_dual_frame(alg: FinAlgebra) -> Frame:
     kmap = kappa_map(alg)
     jirr = list(kmap)
     pos = {a: i for i, a in enumerate(jirr)}
-    below = _below_masks(alg)
+    # J ∩ ↓a for each element a, bit k for the k-th join-irreducible
+    below = words_to_masks(alg.order_poset.down_keys)
     poset = Poset(tuple(below[j] for j in jirr))
     identity = below[alg.one]
     product = alg.product.tolist()
@@ -464,7 +451,7 @@ def roundtrip_algebra(alg: FinAlgebra) -> list[int]:
     back = complex_algebra(frame)
     ups_index = {m: i for i, m in enumerate(frame.upsets)}
     psi = []
-    for a, image in enumerate(_below_masks(alg)):
+    for a, image in enumerate(words_to_masks(alg.order_poset.down_keys)):
         if image not in ups_index:
             raise InternalCheckError(f"psi({a}) is not an upset of the dual frame")
         psi.append(ups_index[image])

@@ -34,9 +34,16 @@ def _width(kind, arity):
     return arity - 1 if kind == "rel" else arity
 
 
-def _move(mask, f):
-    """The image of a bitmask under the map ``f``."""
-    return sum(1 << y for x, y in enumerate(f) if (mask >> x) & 1)
+def set_image(mask: int, f) -> int:
+    """The bitmask of {f[x] | x in mask}.  ``f`` is read only at the points
+    of the set, so a partial map may leave the others unset, and its
+    values may lie in a larger carrier."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << f[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 class Structure:
@@ -138,7 +145,7 @@ def isomorphisms(a: Structure, b: Structure, first: bool = False) -> list[tuple[
             elif kind == FORCED:
                 allowed &= 1 << tables[p][at(t)]
             else:
-                due.append((kind, tables[p], t, want, _move(low, image) if low else 0))
+                due.append((kind, tables[p], t, want, set_image(low, image)))
         for j in range(n):
             if not (allowed >> j) & 1:
                 continue
@@ -174,7 +181,7 @@ def mismatch(a: Structure, b: Structure, f) -> str | None:
             fk = 0
             for x in t:
                 fk = fk * n + f[x]
-            moved = _move(table[k], f) if kind == "rel" else f[table[k]]
+            moved = set_image(table[k], f) if kind == "rel" else f[table[k]]
             if moved != pb[3][fk]:
                 return name
     return None

@@ -2,11 +2,14 @@
 
 Elements are ``0..n-1`` and subsets are Python ints used as bitmasks, so
 upset/downset manipulation is single word operations for every carrier
-size this package meets in practice.  The n x n tables derived from an
-order (covers, joins and meets) are computed with numpy: covers from the
-strict order with no two-step path, joins and meets by looking up
-irreducible keys (see ``Poset.lattice``).  An ``InclusionOrder`` of sets,
-the order of an up-set algebra, reads them off the sets instead.
+size this package meets in practice.  For numpy a set is also a row of
+little-endian 64-bit words, bit j at point j, or a boolean row; the
+``*_to_*`` functions below are the one set of conversions between the
+three forms.  The n x n tables derived from an order (covers, joins and
+meets) are computed with numpy: covers from the strict order with no
+two-step path, joins and meets by looking up irreducible keys (see
+``Poset.lattice``).  An ``InclusionOrder`` of sets, the order of an
+up-set algebra, reads them off the sets instead.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, StructuralError
-from .iso import Structure, isomorphisms
+from .iso import Structure, isomorphisms, set_image
 
 
 def bits(mask: int):
@@ -54,14 +57,50 @@ class LatticeTables(NamedTuple):
     top: int
 
 
-def row_masks(matrix) -> tuple[int, ...]:
-    """Row i of a 2-D boolean array as the bitmask of its true columns.
+def word_width(points: int) -> int:
+    """The 64-bit words in the word row of a set of ``points`` points."""
+    return max(1, -(-points // 64))
 
-    Each row is packed into bytes with bit j of the mask at column j, so
-    the masks are plain ints of any width.
-    """
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+def masks_to_words(masks, width: int) -> np.ndarray:
+    """Bitmask sets as the rows of a read-only array of ``width``
+    little-endian 64-bit words."""
+    raw = b"".join(int(m).to_bytes(8 * width, "little") for m in masks)
+    return np.ndarray((len(masks), width), dtype="<u8", buffer=raw)
+
+
+def words_to_masks(words: np.ndarray) -> tuple[int, ...]:
+    """The rows of a 2-D array of little-endian words as bitmask sets; the
+    words may be 64-bit or, for a packed boolean row, bytes."""
+    step, raw = words.shape[1] * words.itemsize, words.tobytes()
+    return tuple(int.from_bytes(raw[i * step:(i + 1) * step], "little")
+                 for i in range(len(words)))
+
+
+def words_to_bools(words: np.ndarray, points: int) -> np.ndarray:
+    """Rows of 64-bit words (the last axis) as boolean rows of their first
+    ``points`` bits: the unpacked bits viewed as booleans, not copied."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=points,
+                         bitorder="little").view(bool)
+
+
+def _packed(member: np.ndarray) -> np.ndarray:
+    """Boolean rows (the last axis) as rows of bytes, bit j at column j."""
+    return np.packbits(member, axis=-1, bitorder="little")
+
+
+def bools_to_words(member: np.ndarray) -> np.ndarray:
+    """Boolean rows (the last axis) as rows of little-endian 64-bit words,
+    zero past the last column."""
+    packed = _packed(member)
+    words = np.zeros(packed.shape[:-1] + (8 * word_width(member.shape[-1]),), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<u8")
+
+
+def row_masks(matrix) -> tuple[int, ...]:
+    """Row i of a 2-D boolean array as the bitmask of its true columns."""
+    return words_to_masks(_packed(matrix))
 
 
 @lru_cache(maxsize=None)
@@ -88,14 +127,6 @@ def row_blocks(rows: int, cells_per_row: int):
     (at least one row)."""
     step = max(1, BLOCK_CELLS // max(1, cells_per_row))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
-def _matrix(masks, n: int) -> np.ndarray:
-    """The boolean matrix whose row i has the bits of ``masks[i]``."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n,
-                         bitorder="little").view(bool)
 
 
 def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -161,14 +192,6 @@ def _irreducibles(masks, lower) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _keys(relation: np.ndarray, irr) -> np.ndarray:
-    """Row a is the set of positions k with ``relation[a, irr[k]]``, as
-    little-endian 64-bit words."""
-    member = np.zeros((len(relation), 64 * max(1, -(-len(irr) // 64))), dtype=bool)
-    member[:, :len(irr)] = relation[:, irr]
-    return np.packbits(member, axis=1, bitorder="little").view("<u8")
-
-
 def _key_table(keys: np.ndarray) -> np.ndarray:
     """The read-only table of the element keyed ``keys[a] & keys[b]``, -1
     where there is none."""
@@ -190,11 +213,7 @@ def _point_words(width: int) -> np.ndarray:
     """Row x is the set of point x alone, as ``width`` 64-bit words, for
     x < 64 * width; the last row, read by an index of -1, is empty.  The
     few widths in use are kept, read-only."""
-    point = np.zeros((64 * width + 1, 64 * width), dtype=bool)
-    np.fill_diagonal(point, True)
-    point = np.packbits(point, axis=1, bitorder="little").view("<u8")
-    point.setflags(write=False)
-    return point
+    return masks_to_words([1 << x for x in range(64 * width)] + [0], width)
 
 
 def _read_sets(sets: np.ndarray, removable: np.ndarray, index: RowIndex):
@@ -203,7 +222,7 @@ def _read_sets(sets: np.ndarray, removable: np.ndarray, index: RowIndex):
     a listed set lo one point smaller, in increasing hi; None where the
     lemma's premise fails."""
     count, width = sets.shape
-    member = np.unpackbits(sets.view(np.uint8), axis=1, bitorder="little").view(bool)
+    member = words_to_bools(sets, 64 * width)
     # points past the last one any set holds are left out
     points = member.shape[1] - int(member.any(axis=0)[::-1].argmax())
     member = member[:, :points]
@@ -336,7 +355,7 @@ class Poset:
     @cached_property
     def relation(self) -> np.ndarray:
         """The read-only boolean matrix with ``i <= j`` at ``[i, j]``."""
-        leq = _matrix(self.up, self.n)
+        leq = words_to_bools(masks_to_words(self.up, word_width(self.n)), self.n)
         leq.setflags(write=False)
         return leq
 
@@ -461,12 +480,12 @@ class Poset:
     def down_keys(self) -> np.ndarray:
         """Row a is J ∩ ↓a, bit k for ``join_irreducibles[k]``, as 64-bit
         words."""
-        return _keys(self.relation.T, self.join_irreducibles)
+        return bools_to_words(self.relation.T[:, self.join_irreducibles])
 
     @cached_property
     def up_keys(self) -> np.ndarray:
         """Row a is M ∩ ↑a, the dual of ``down_keys``."""
-        return _keys(self.relation, self.meet_irreducibles)
+        return bools_to_words(self.relation[:, self.meet_irreducibles])
 
     @cached_property
     def lattice(self) -> LatticeTables:
@@ -515,10 +534,8 @@ class Poset:
     def _relation_key(self, perm) -> int:
         """Encode the relation under the relabeling i -> perm[i]."""
         key = 0
-        n = self.n
-        for i in range(n):
-            for j in bits(self.up[i]):
-                key |= 1 << (perm[i] * n + perm[j])
+        for i, m in enumerate(self.up):
+            key |= set_image(m, perm) << (perm[i] * self.n)
         return key
 
     @cached_property
@@ -577,11 +594,9 @@ class Poset:
 
     def relabel(self, perm) -> "Poset":
         """Apply i -> perm[i] to the carrier."""
-        n = self.n
-        up = [0] * n
-        for i in range(n):
-            for j in bits(self.up[i]):
-                up[perm[i]] |= 1 << perm[j]
+        up = [0] * self.n
+        for i, m in enumerate(self.up):
+            up[perm[i]] = set_image(m, perm)
         return Poset(tuple(up), name=self.name)
 
     def __eq__(self, other):
@@ -773,13 +788,7 @@ def all_posets(max_size: int) -> list[Poset]:
     picked among existing downsets the labels follow a linear extension, so
     every isomorphism class is reached; duplicates fall to canonical keys.
     """
-    return list(iter_posets(max_size))
-
-
-def iter_posets(max_size: int):
-    """The posets of ``all_posets(max_size)``, in its order, each size
-    grown only once the smaller ones have all been taken."""
-    return _grow_posets(max_size)
+    return list(_grow_posets(max_size))
 
 
 def posets_with_at_most_upsets(cap: int) -> list[Poset]:
@@ -795,6 +804,9 @@ def posets_with_at_most_upsets(cap: int) -> list[Poset]:
 
 
 def _grow_posets(max_size: int, cap: int | None = None):
+    """The posets of ``all_posets(max_size)`` (with at most ``cap`` upsets),
+    in its order and named, each size grown only once the smaller ones
+    have all been taken."""
     layer = [Poset.chain(1)]
     for n in range(1, max_size + 1):
         if n > 1:
@@ -809,10 +821,9 @@ def _grow_layer(smaller_posets: list[Poset], n: int, cap: int | None) -> list[Po
     n - 1 points by a new maximal element."""
     seen = {}
     for smaller in smaller_posets:
-        downsets = {0}
-        for m in range(1 << (n - 1)):
-            if all(smaller.down[i] & ~m == 0 for i in bits(m)):
-                downsets.add(m)
+        # the up-sets of the dual; inserted in increasing order, which fixes
+        # the set's iteration order and so the representative kept per key
+        downsets = set(sorted(Poset(smaller.down)._grow_upsets()))
         for dset in downsets:
             up = [smaller.up[i] | (1 << (n - 1) if (dset >> i) & 1 else 0)
                   for i in range(n - 1)]

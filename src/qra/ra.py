@@ -23,7 +23,8 @@ from .algebra import FinAlgebra, ValidationReport, algebra_iso, validate_dqra
 from .catalog import dqra_negations
 from .errors import InternalCheckError, PreconditionError, StructuralError
 from .frame import Frame, dual_frame, upset_algebra
-from .order import Poset, bits, mask_of
+from .iso import set_image
+from .order import Poset, bits
 
 ATOMS = ("1", "a", "r", "s")
 _ATOM_BIT = {name: 1 << i for i, name in enumerate(ATOMS)}
@@ -156,7 +157,7 @@ def ra_from_atoms(struct: AtomStructure4, check: bool = True) -> FinAlgebra:
         if not rep.ok:
             raise StructuralError(f"{struct.name} fails algebra laws: {rep.summary()}")
         ra_rep = relation_algebra_checks(
-            alg, lambda m: mask_of(converse[i] for i in bits(m)))
+            alg, lambda m: set_image(m, converse))
         if not ra_rep.ok:
             raise StructuralError(f"{struct.name} fails relation algebra laws: {ra_rep.summary()}")
     return alg

@@ -26,8 +26,9 @@ from functools import cached_property
 from .algebra import FinAlgebra, validate_dinfl, validate_dqra
 from .errors import BudgetExhausted, PreconditionError, StructuralError
 from .frame import Frame, upset_algebra
+from .iso import set_image
 from .morphism import AlgHom, _hom_search, validate_homomorphism
-from .order import BLOCK_CELLS, Poset, bits, iter_posets, mask_of
+from .order import BLOCK_CELLS, Poset, _grow_posets, bits, mask_of
 
 DEFAULT_UPSET_CAP = 1 << 16
 
@@ -141,8 +142,10 @@ def _relation_tools(base: RepBase, pairs):
                     out |= 1 << idx[(x, y)]
         return out
 
+    flip = [idx[(y, x)] for (x, y) in pairs]
+
     def converse(r):
-        return mask_of(idx[(y, x)] for i in bits(r) for (x, y) in [pairs[i]])
+        return set_image(r, flip)
 
     def complement(r):
         return emask & ~r
@@ -353,9 +356,9 @@ class SearchOptions:
 
 def iterate_bases(max_points: int, need_beta: bool, options: SearchOptions):
     """Bases ordered by point count, then canonical poset order; each base
-    once (``iter_posets`` lists every poset on 1..max_points points, and
+    once (``_grow_posets`` lists every poset on 1..max_points points, and
     grows the posets of a size only when the search reaches it)."""
-    for poset in iter_posets(max_points):
+    for poset in _grow_posets(max_points):
         if need_beta and not poset.is_self_dual:
             continue
         equivs = _equivalences_containing(poset)

@@ -84,6 +84,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, PreconditionError
 from .frame import Frame
+from .iso import set_image
 from .order import Poset, bits
 
 
@@ -305,12 +306,7 @@ def _neg_compatible(comp, tilde, neg, n) -> bool:
     for x in range(n):
         row = comp[x]
         for y in range(n):
-            cell, moved = row[y], 0
-            while cell:
-                low = cell & -cell
-                moved |= 1 << sigma[low.bit_length() - 1]
-                cell ^= low
-            if moved != comp[sigma[y]][sigma[x]]:
+            if set_image(row[y], sigma) != comp[sigma[y]][sigma[x]]:
                 return False
     return True
 
@@ -322,20 +318,13 @@ def _relabelled_components(perm, comp, neg, n):
     inv = [0] * n
     for i, p in enumerate(perm):
         inv[p] = i
-
-    def move(mask):
-        out = 0
-        for i in bits(mask):
-            out |= 1 << perm[i]
-        return out
-
     if neg is not None:
         for x in range(n):
             yield perm[neg[inv[x]]], neg[x]
     for x in range(n):
         row = comp[inv[x]]
         for y in range(n):
-            yield move(row[inv[y]]), comp[x][y]
+            yield set_image(row[inv[y]], perm), comp[x][y]
 
 
 def _branch_stabiliser(poset, identity, tilde):
@@ -350,7 +339,7 @@ def _branch_stabiliser(poset, identity, tilde):
         moved = [0] * n  # g tilde g^-1
         for x, y in enumerate(tilde):
             moved[g[x]] = g[y]
-        new = (sum(1 << g[i] for i in bits(identity)), *moved)
+        new = (set_image(identity, g), *moved)
         if new < own:
             return None
         if new == own:
