@@ -12,8 +12,12 @@ algebra of a frame on the pairs of E (``dq_frame``), built by the same
 upset-algebra construction as every other complex algebra.  Embedding
 an abstract algebra into such a relation algebra is what representability
 means here; the search walks bases smallest first and emits
-self-contained certificates that an independent verifier re-checks from
-scratch.
+self-contained certificates.  The verifier re-checks a certificate from
+scratch without building Dq(E): it reads each embedded element's relation
+on E and checks the operations as union, intersection, composition and
+the negations on relations, and it checks the laws of Dq(E) on its frame
+of at most |E| points, since by the duality the complex algebra of a frame
+that satisfies the DqRA (DInFL) frame laws is a DqRA (DInFL-algebra).
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import FinAlgebra, validate_dinfl, validate_dqra
-from .errors import BudgetExhausted, PreconditionError, StructuralError
-from .frame import Frame, upset_algebra
+from .algebra import FinAlgebra
+from .errors import BudgetExhausted, PreconditionError, SignatureError, StructuralError
+from .frame import Frame, upset_algebra, validate_frame
 from .iso import set_image
-from .morphism import AlgHom, _hom_search, validate_homomorphism
+from .morphism import _hom_search
 from .order import BLOCK_CELLS, Poset, _grow_posets, bits, mask_of
 
 DEFAULT_UPSET_CAP = 1 << 16
@@ -188,13 +192,20 @@ def build_dq(base: RepBase, cap: int = DEFAULT_UPSET_CAP, name=None) -> DqAlgebr
     raises.
     """
     frame = dq_frame(base)
+    ups = _carrier_relations(frame, cap)
+    return DqAlgebra(algebra=upset_algebra(frame, ups, name), base=base,
+                     pairs=base.pair_list(), relation_masks=ups)
+
+
+def _carrier_relations(frame: Frame, cap: int) -> tuple[int, ...]:
+    """The up-sets of a Dq(E) frame in carrier order, as pair masks; more
+    than ``cap`` of them raises."""
     ups = frame.poset.upsets_within(cap)
     if ups is None:
         raise PreconditionError(
             f"carrier would have more than {cap} elements (at least {cap + 1})"
         )
-    return DqAlgebra(algebra=upset_algebra(frame, ups, name), base=base,
-                     pairs=base.pair_list(), relation_masks=ups)
+    return ups
 
 
 def dq_zero_relation(dq: DqAlgebra) -> int:
@@ -478,21 +489,63 @@ def representation_search(alg: FinAlgebra, max_points: int,
 
 
 def verify_certificate(alg: FinAlgebra, cert: RepresentationCertificate) -> bool:
-    """Recompute the target algebra from the base and re-check everything;
-    shares no state with the search.  A certificate whose carrier size or
-    embedding does not fit the rebuilt algebra fails like any other."""
-    dq = build_dq(cert.base)
-    target = dq.algebra
-    if cert.carrier_size != target.size:
+    """Re-check a certificate from its base alone; shares no state with the
+    search and builds no Dq(E).
+
+    The base is checked again, and the frame of Dq(E) must satisfy the
+    DqRA-frame laws (the DInFL-frame laws without beta): by the duality,
+    the complex algebra of a valid frame is a valid algebra, so this
+    stands for validating the up to 2^|E| elements of Dq(E) itself.  The
+    carrier is numbered as the search numbers it, by the twisted-order
+    up-sets, so ``carrier_size`` must be their count and the embedding an
+    injective map into it.  Each element of ``alg`` is then read as its
+    relation R on E, and the operations are checked on relations: every R
+    satisfies <=;R;<= = R (closed under the twisted order), the unit is
+    <=, join and meet are union and intersection, the product is
+    composition, and
+    ~R = {(x,y) in E : (alpha^-1 y, x) not in R},
+    -R = {(x,y) in E : (y, alpha x) not in R} and
+    neg R = {(x,y) in E : (beta alpha x, beta y) not in R}.
+
+    A base over ``DEFAULT_UPSET_CAP`` up-sets raises ``PreconditionError``,
+    and ``SignatureError`` is raised when ``alg`` has a neg and the base no
+    beta or the other way round."""
+    base = cert.base
+    base.check()
+    frame = dq_frame(base)
+    relations = _carrier_relations(frame, DEFAULT_UPSET_CAP)
+    size = len(relations)
+    emb = cert.embedding
+    if cert.carrier_size != size:
         return False
-    if len(cert.embedding) != alg.size or len(set(cert.embedding)) != alg.size:
+    if len(emb) != alg.size or len(set(emb)) != alg.size:
         return False
-    if any(not 0 <= v < target.size for v in cert.embedding):
+    if any(not 0 <= v < size for v in emb):
         return False
-    report = (
-        validate_dqra(target) if target.neg is not None else validate_dinfl(target)
-    )
-    if not report.ok:
+    if not validate_frame(frame).ok:
         return False
-    hom = AlgHom(source=alg, target=target, map=cert.embedding)
-    return validate_homomorphism(hom).ok
+    if (alg.neg is None) != (base.beta is None):
+        raise SignatureError("source and target have different signatures")
+    meet, join, product = alg.meet_table, alg.join_table, alg.product
+    rel = [relations[v] for v in emb]
+    _, _, _, compose, converse, complement, graph, leq_rel = \
+        _relation_tools(base, base.pair_list())
+    if any(compose(compose(leq_rel, r), leq_rel) != r for r in rel):
+        return False
+    if rel[alg.one] != leq_rel:
+        return False
+    for a, ra in enumerate(rel):
+        for b, rb in enumerate(rel):
+            if (rel[join[a, b]] != ra | rb or rel[meet[a, b]] != ra & rb
+                    or rel[product[a, b]] != compose(ra, rb)):
+                return False
+    alpha = graph(base.alpha)
+    unaries = [
+        (alg.tilde, lambda r: compose(complement(converse(r)), alpha)),
+        (alg.minus, lambda r: compose(alpha, complement(converse(r)))),
+    ]
+    if base.beta is not None:
+        beta = graph(base.beta)
+        beta_alpha = graph([base.beta[v] for v in base.alpha])
+        unaries.append((alg.neg, lambda r: compose(compose(beta_alpha, complement(r)), beta)))
+    return all(rel[op[a]] == image(r) for op, image in unaries for a, r in enumerate(rel))

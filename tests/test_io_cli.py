@@ -9,6 +9,7 @@ import pytest
 from qra import cli
 from qra import io as qio
 from qra.bundled import bundled_frame, bundled_frames, bundled_lookup
+from qra.catalog import catalog_lookup
 from qra.cli import main
 from qra.algebra import validate_dqra
 from qra.errors import StructuralError
@@ -187,6 +188,24 @@ def test_cli_represent(capsys):
                    "--max-points", "1") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"] == "certificate" and payload["verified"]
+
+
+def test_cli_represent_prints_the_pinned_certificates(capsys, tmp_path):
+    # the bytes qra represent printed when its verifier still built Dq(E)
+    d4_2_3 = tmp_path / "d4_2_3.algebra.json"
+    qio.save(catalog_lookup("D4_2_3").variants[0].algebra, d4_2_3)
+    cases = [
+        (DATA / "d2_1_1.algebra.json", "1",
+         {"points": 1, "leq": [[1]], "E": [[1]], "alpha": [0], "beta": [0]}, [0, 1], 2),
+        (d4_2_3, "3",
+         {"points": 3, "leq": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "E": [[1, 1, 1]] * 3,
+          "alpha": [0, 1, 2], "beta": [0, 1, 2]}, [0, 108, 403, 511], 512),
+    ]
+    for path, points, base, embedding, size in cases:
+        assert run_cli("represent", str(path), "--max-points", points) == 0
+        payload = {"result": "certificate", "verified": True, "base": base,
+                   "embedding": embedding, "carrier_size": size}
+        assert capsys.readouterr().out == json.dumps(payload, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("points", ["0", "-1"])

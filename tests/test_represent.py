@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ import qra.represent
 from qra import io as qio
 from qra.catalog import build_catalog, catalog_lookup
 from qra.cli import main
-from qra.errors import BudgetExhausted, PreconditionError, StructuralError
+from qra.errors import BudgetExhausted, PreconditionError, SignatureError, StructuralError
 from qra.order import BLOCK_CELLS, Poset, bits, mask_of
 from qra.represent import dq_frame, dq_zero_relation, iterate_bases
 
@@ -162,12 +163,17 @@ def test_iterate_bases_yields_each_base_once(need_beta):
 
 
 def test_build_dq_matches_the_definitions_on_all_small_bases():
+    # both sides of the duality on every base the search lists at 3 points:
+    # the frame laws of dq_frame, which is all verify_certificate checks of
+    # the target, and the algebra laws of the Dq(E) built from it
     bases = list(_small_bases())
     assert len(bases) == 64
+    assert sum(base.beta is not None for base in bases) == 39
     for base in bases:
         assert validate_frame(dq_frame(base)).ok
         dq = build_dq(base)
         alg = dq.algebra
+        assert (validate_dqra(alg) if base.beta is not None else validate_dinfl(alg)).ok
         relations, leq, product, one, tilde, minus, neg = _reference_dq(base)
         # dq element i is the relation relation_masks[i]; ref[i] is its
         # position among the reference relations
@@ -438,21 +444,78 @@ def test_a_one_point_certificate_memoises_no_larger_base(cold_memo):
     assert all(len(key[0]) == 1 for key in cold_memo.targets)
 
 
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the verifier {what}")
+    return refuse
+
+
 def test_certificates_are_verified_without_the_memo(cold_memo, monkeypatch):
     algebras = _catalog_algebras()
     certified = [(algebras[name], representation_search(algebras[name], 3))
                  for name in ("D2_1_1", "D4_2_3")]
-
-    def refuse(*args):
-        raise AssertionError("the verifier read the search memo")
-
-    monkeypatch.setattr(qra.represent._Memo, "target", refuse)
     for alg, cert in certified:
         assert isinstance(cert, RepresentationCertificate)
+        assert build_dq(cert.base).algebra.size == cert.carrier_size
+
+    monkeypatch.setattr(qra.represent._Memo, "target", _refuse("read the search memo"))
+    for module in (qra.frame, qra.represent):
+        monkeypatch.setattr(module, "upset_algebra", _refuse("built an up-set algebra"))
+    monkeypatch.setattr(qra.represent, "build_dq", _refuse("built Dq(E)"))
+    for alg, cert in certified:
         assert verify_certificate(alg, cert)
         tampered = dataclasses.replace(cert, embedding=tuple(reversed(cert.embedding)))
         assert not verify_certificate(alg, tampered)
-        assert build_dq(cert.base).algebra.size == cert.carrier_size
+
+
+def test_a_certificate_of_another_signature_raises():
+    alg = _catalog_algebras()["D2_1_1"]
+    cert = representation_search(alg, 1)
+    with pytest.raises(SignatureError):
+        verify_certificate(alg.without_neg(), cert)
+    with pytest.raises(SignatureError):
+        verify_certificate(alg, dataclasses.replace(
+            cert, base=dataclasses.replace(cert.base, beta=None)))
+
+
+def test_a_certificate_over_the_upset_cap_raises_as_build_dq_does():
+    # the 5-point antichain with E-classes {0,1,2,3} and {4}: 17 pairs in an
+    # antichain, 2^17 up-sets
+    poset = Poset.antichain(5)
+    base = RepBase(poset, (0b1111,) * 4 + (0b10000,), range(5), range(5))
+    with pytest.raises(PreconditionError) as built:
+        build_dq(base)
+    assert "more than 65536 elements" in str(built.value)
+    cert = RepresentationCertificate(base, (0, 1), 2)
+    with pytest.raises(PreconditionError) as verified:
+        verify_certificate(_catalog_algebras()["D2_1_1"], cert)
+    assert str(verified.value) == str(built.value)
+
+
+def test_a_certificate_on_65536_relations_is_decided(monkeypatch):
+    # the 4-point antichain with full E, whose Dq(E) is too large to build
+    # (see the test above that refuses it before allocating); D4_2_3 embeds
+    # as the empty relation, the diagonal (the unit), its complement in E
+    # and E
+    monkeypatch.setattr(qra.represent, "upset_algebra", _refuse("built an up-set algebra"))
+    poset = Poset.antichain(4)
+    base = RepBase(poset, (poset.carrier,) * 4, range(4), range(4))
+    pairs = base.pair_list()
+    full = (1 << len(pairs)) - 1
+    diagonal = mask_of(i for i, (x, y) in enumerate(pairs) if x == y)
+    position = {m: i for i, m in enumerate(dq_frame(base).poset.upsets_within(1 << 16))}
+    alg = _catalog_algebras()["D4_2_3"]
+    emb = [0] * alg.size
+    (other,) = set(range(alg.size)) - {alg.bottom, alg.top, alg.one}
+    for element, relation in ((alg.bottom, 0), (alg.top, full), (alg.one, diagonal),
+                              (other, full & ~diagonal)):
+        emb[element] = position[relation]
+    cert = RepresentationCertificate(base, tuple(emb), 1 << 16)
+    start = time.perf_counter()
+    assert verify_certificate(alg, cert)
+    assert time.perf_counter() - start < 1
+    swapped = dataclasses.replace(cert, embedding=(emb[0], emb[2], emb[1], emb[3]))
+    assert not verify_certificate(alg, swapped)
 
 
 def test_rep_base_is_frozen():
