@@ -23,7 +23,7 @@ from .algebra import (
     kappa_map,
 )
 from .errors import InternalCheckError, PreconditionError, SignatureError, StructuralError
-from .iso import Structure, check_witness, isomorphisms, set_image
+from .iso import Structure, check_witness, isomorphisms, relabel_cells, relabel_map, set_image
 from .order import (
     InclusionOrder,
     Poset,
@@ -106,17 +106,10 @@ class Frame:
 
     def relabel(self, perm, name=None) -> "Frame":
         """Transport the frame along the poset automorphism i -> perm[i]."""
-        n = self.size
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        comp = [[set_image(self.comp[inv[x]][inv[y]], perm) for y in range(n)]
-                for x in range(n)]
-        tilde = [perm[self.tilde[inv[x]]] for x in range(n)]
-        minus = [perm[self.minus[inv[x]]] for x in range(n)]
-        neg = None if self.neg is None else [perm[self.neg[inv[x]]] for x in range(n)]
-        return Frame(self.poset.relabel(perm), set_image(self.identity, perm), comp, tilde, minus,
-                     neg=neg, name=name)
+        neg = None if self.neg is None else relabel_map(self.neg, perm)
+        return Frame(self.poset.relabel(perm), set_image(self.identity, perm),
+                     relabel_cells(self.comp, perm), relabel_map(self.tilde, perm),
+                     relabel_map(self.minus, perm), neg=neg, name=name)
 
     @cached_property
     def upsets(self) -> tuple[int, ...]:

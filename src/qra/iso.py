@@ -19,7 +19,7 @@ lexicographically least, and the full list comes in lexicographic order.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product, zip_longest
+from itertools import chain, product, zip_longest
 
 from .errors import InternalCheckError
 
@@ -44,6 +44,27 @@ def set_image(mask: int, f) -> int:
         out |= 1 << f[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def relabel_map(m, g) -> tuple[int, ...]:
+    """The self-map ``g m g^-1`` of the carrier: m carried along the
+    point bijection g."""
+    out = [0] * len(m)
+    for x, y in enumerate(m):
+        out[g[x]] = g[y]
+    return tuple(out)
+
+
+def relabel_cells(cells, g, converse: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The n x n table of sets carried along the point bijection g: cell
+    (g x, g y) of the result is the image of ``cells[x][y]``, or of
+    ``cells[y][x]`` when ``converse`` is set.  Each distinct set is moved
+    by ``set_image`` once, so a table with few distinct cells is cheap."""
+    inv = sorted(range(len(g)), key=g.__getitem__)  # g^-1
+    images = {cell: set_image(cell, g) for cell in set(chain.from_iterable(cells))}
+    if converse:
+        cells = tuple(zip(*cells))
+    return tuple(tuple([images[row[y]] for y in inv]) for row in [cells[x] for x in inv])
 
 
 class Structure:

@@ -37,8 +37,7 @@ tensor contraction, a float32 matmul; the rotation law makes the other
 bracketing redundant and reads it off the first through an index built
 once per branch.  Only poset automorphisms can witness an isomorphism
 between two frames on the same poset, so a candidate is kept exactly when
-its encoding is minimal in its automorphism orbit; each relabelling is
-compared component by component and stops at the first difference.
+its encoding is minimal in its automorphism orbit.
 
 Lemma (one branch per orbit).  An encoding is compared with its
 relabellings component by component: the identity set first, then
@@ -48,11 +47,13 @@ encoding of the branch relabelled by g.  (i) If some g gives a pair that
 is lexicographically smaller, every table solved in the branch fails the
 orbit check under g, for both signatures, so the branch is skipped
 without a search.  (ii) Otherwise every g outside the stabiliser of
-(I, ~) gives a strictly larger pair, so its relabelling stops at that
-component; only the stabiliser can reject a table, and the orbit check
-runs over the stabiliser alone, from ``neg`` on.  Skipped branches stay
-in the branch list, so branch indices and checkpoints keep their meaning;
-they spend no nodes and read no clock.
+(I, ~) gives a strictly larger pair, which decides the comparison; only
+the stabiliser can reject a table, and the orbit check runs over the
+stabiliser alone, from ``neg`` on: ``g neg g^-1`` against ``neg``, then
+the whole table relabelled by g (``iso.relabel_cells``) against the
+table, built on first need and shared by the ``dinfl`` check and every
+``neg``'s.  Skipped branches stay in the branch list, so branch indices
+and checkpoints keep their meaning; they spend no nodes and read no clock.
 
 ``SearchStats`` counts nodes, prunes, leaves and calls to the prune with
 the time spent in it, all over the searched branches.  ``labelled`` adds
@@ -64,7 +65,8 @@ solved table and a compatible negation.
 A solved table and an order-reversing involution ``neg`` make a
 DqRA-frame exactly when ``sigma = neg o tilde`` carries every cell
 ``x o y`` onto the cell ``sigma(y) o sigma(x)``; the negation filter
-relabels each cell once and stops at the first mismatch.
+compares the table with its converse relabelled along sigma, one
+``iso.relabel_cells`` call.
 
 The relation search does not depend on the signature: a DqRA-frame is a
 DInFL-frame with a compatible negation.  ``search_frames`` therefore runs
@@ -84,7 +86,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, PreconditionError
 from .frame import Frame
-from .iso import set_image
+from .iso import relabel_cells, relabel_map, set_image
 from .order import Poset, bits
 
 
@@ -300,46 +302,21 @@ class _BranchSearch:
 
 
 def _neg_compatible(comp, tilde, neg, n) -> bool:
-    """The negation condition, one cell at a time: sigma = neg o tilde
-    carries every cell x o y onto the cell sigma(y) o sigma(x)."""
+    """The negation condition: sigma = neg o tilde carries every cell
+    x o y onto the cell sigma(y) o sigma(x)."""
     sigma = [neg[t] for t in tilde]
-    for x in range(n):
-        row = comp[x]
-        for y in range(n):
-            if set_image(row[y], sigma) != comp[sigma[y]][sigma[x]]:
-                return False
-    return True
-
-
-def _relabelled_components(perm, comp, neg, n):
-    """Pairs (component relabelled by perm, own component) of an encoding
-    whose branch perm fixes, in its comparison order: neg, then the comp
-    cells row by row."""
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    if neg is not None:
-        for x in range(n):
-            yield perm[neg[inv[x]]], neg[x]
-    for x in range(n):
-        row = comp[inv[x]]
-        for y in range(n):
-            yield set_image(row[inv[y]], perm), comp[x][y]
+    return relabel_cells(comp, sigma, converse=True) == tuple(map(tuple, comp))
 
 
 def _branch_stabiliser(poset, identity, tilde):
     """The automorphisms that fix the branch (identity, tilde), identity
     first, or None when one sends it to a lexicographically smaller pair
     (lemma (i) of the module docstring)."""
-    n = poset.n
     own = (identity, *tilde)
     stabiliser = []
     # qra.iso lists the automorphisms in lexicographic order, identity first
     for g in poset.automorphisms:
-        moved = [0] * n  # g tilde g^-1
-        for x, y in enumerate(tilde):
-            moved[g[x]] = g[y]
-        new = (set_image(identity, g), *moved)
+        new = (set_image(identity, g), *relabel_map(tilde, g))
         if new < own:
             return None
         if new == own:
@@ -347,17 +324,20 @@ def _branch_stabiliser(poset, identity, tilde):
     return stabiliser
 
 
-def _is_orbit_minimal(stabiliser, comp, neg, n) -> bool:
+def _is_orbit_minimal(stabiliser, comp, neg, moved) -> bool:
     """No automorphism in the stabiliser of the branch relabels the
     encoding to a lexicographically smaller one; by lemma (ii) of the
-    module docstring no other automorphism can.  Each relabelling stops at
-    the first component that differs."""
-    for g in stabiliser[1:]:
-        for new, own in _relabelled_components(g, comp, neg, n):
-            if new != own:
-                if new < own:
-                    return False
-                break
+    module docstring no other automorphism can.  ``moved[k]`` caches the
+    table relabelled by ``stabiliser[k + 1]``."""
+    for k, g in enumerate(stabiliser[1:]):
+        new = None if neg is None else relabel_map(neg, g)
+        if new == neg:  # the tables decide
+            if moved[k] is None:
+                moved[k] = relabel_cells(comp, g)
+            if moved[k] < comp:
+                return False
+        elif new < neg:
+            return False
     return True
 
 
@@ -417,12 +397,13 @@ def run_branch(poset: Poset, signatures, identity: int, tilde,
     orbit = len(poset.automorphisms) // len(stabiliser)
     stats.labelled += len(comps) * orbit
     for comp in comps:
-        if "dinfl" in out and _is_orbit_minimal(stabiliser, comp, None, n):
+        moved = [None] * (len(stabiliser) - 1)
+        if "dinfl" in out and _is_orbit_minimal(stabiliser, comp, None, moved):
             out["dinfl"].append((identity, tilde, comp, None))
         for neg in negs:
             if _neg_compatible(comp, tilde, neg, n):
                 stats.labelled_dqra += orbit
-                if _is_orbit_minimal(stabiliser, comp, neg, n):
+                if _is_orbit_minimal(stabiliser, comp, neg, moved):
                     out["dqra"].append((identity, tilde, comp, neg))
     return tuple(out[signature] for signature in signatures)
 

@@ -1,6 +1,7 @@
-"""The one image of a bitmask set under a point map, ``iso.set_image``, and
-the one set of conversions between a set's three forms in ``qra.order``
-(a Python int, a row of 64-bit words, a boolean row), against plain loops.
+"""The one image of a bitmask set under a point map, ``iso.set_image``, the
+one relabelling of a table of sets, ``iso.relabel_cells``, and the one set
+of conversions between a set's three forms in ``qra.order`` (a Python int,
+a row of 64-bit words, a boolean row), against plain loops.
 
 Widths run past one and past four 64-bit words.  A map is read through a
 sequence that fails on any point outside the set, so an image that reads
@@ -12,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from qra.iso import set_image
+from qra.iso import relabel_cells, set_image
 from qra.order import (
     bools_to_words,
     masks_to_words,
@@ -84,6 +85,36 @@ def test_set_image_of_a_permutation_is_a_permutation_of_bits():
         for x, y in enumerate(perm):
             inverse[y] = x
         assert set_image(set_image(mask, perm), inverse) == mask
+
+
+def plain_relabel(cells, g, converse):
+    n = len(cells)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[g[x]][g[y]] = plain_image(cells[y][x] if converse else cells[x][y], g)
+    return tuple(tuple(row) for row in out)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_relabel_cells_matches_a_plain_loop(n):
+    rng = random.Random(500 + n)
+    for _ in range(25):
+        g = rng.sample(range(n), n)
+        inverse = [0] * n
+        for x, y in enumerate(g):
+            inverse[y] = x
+        # arbitrary sets, not only up-sets, each met in several cells as in
+        # a solved table, so the table of images is read more than once
+        sets = [random_mask(rng, n) for _ in range(rng.randint(1, n + 2))]
+        cells = [[rng.choice(sets) for _ in range(n)] for _ in range(n)]
+        for converse in (False, True):
+            want = plain_relabel(cells, g, converse)
+            for table in (cells, tuple(tuple(row) for row in cells)):
+                # a tuple of tuples whatever the input, so == compares tables
+                assert relabel_cells(table, g, converse) == want
+            back = relabel_cells(relabel_cells(cells, g, converse), inverse, converse)
+            assert back == tuple(tuple(row) for row in cells)
 
 
 @pytest.mark.parametrize("points", POINTS)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import time
@@ -95,6 +96,21 @@ def test_stretch_poset_rows():
 def test_algebra_counts_seven_and_eight():
     assert count_algebras(7) == (49, 48)
     assert count_algebras(8) == (282, 314)
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("n", (9, 10))
+def test_dqra_count_past_the_cap_matches_the_negations_of_each_dinfl_algebra(n, monkeypatch):
+    # a second route to the DqRA column: it shares the relation search with
+    # the census, but neither the negation filter nor the orbit check of
+    # the extended encodings.  Only the two routes are compared, no count
+    # is pinned past size 8
+    catalog = importlib.import_module("qra.catalog")  # qra.catalog is a function
+    monkeypatch.setattr(importlib.import_module("qra.enumerate"), "MAX_POSET_SIZE", n - 1)
+    dinfl, dqra = count_algebras(n)
+    algebras = enumerate_algebras(n, "dinfl")
+    assert len(algebras) == dinfl
+    assert dqra == sum(len(catalog.dqra_negations(alg)) for alg in algebras)
 
 
 @pytest.mark.stretch
