@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -52,6 +53,8 @@ def _budget_from_env() -> Budget | None:
         ms = float(raw)
     except ValueError:
         raise StructuralError(f"QRA_BUDGET_MS={raw!r} is not a number") from None
+    if not (math.isfinite(ms) and ms >= 0):
+        raise StructuralError(f"QRA_BUDGET_MS={raw!r} is not a finite number of at least 0")
     return Budget(max_ms=ms)
 
 

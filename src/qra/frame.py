@@ -385,20 +385,13 @@ def complex_algebra(frame: Frame, name: str | None = None) -> FinAlgebra:
     return upset_algebra(frame, frame.upsets, name)
 
 
-def dual_frame(alg: FinAlgebra, name: str | None = None) -> Frame:
+def dual_frame(alg: FinAlgebra) -> Frame:
     """The frame on the join-irreducible elements with the order reversed.
 
     Built, with kappa verified, once per algebra object: every call
-    without ``name`` returns that one frame, which callers share and must
-    not change.  A ``name`` gives a copy of it so named.
+    returns that one frame, which callers share and must not change.
     """
-    frame = alg._dual_frame
-    if name is None:
-        return frame
-    named = Frame(frame.poset, frame.identity, frame.comp, frame.tilde, frame.minus,
-                  neg=frame.neg, name=name)
-    named.carrier_elements = frame.carrier_elements
-    return named
+    return alg._dual_frame
 
 
 def _build_dual_frame(alg: FinAlgebra) -> Frame:

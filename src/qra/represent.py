@@ -35,6 +35,7 @@ from .morphism import _hom_search
 from .order import BLOCK_CELLS, Poset, _grow_posets, bits, mask_of
 
 DEFAULT_UPSET_CAP = 1 << 16
+SEARCH_UPSET_CAP = 4096  # the search skips bases whose Dq(E) is larger
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,14 @@ class RepBase:
                 if alpha[beta[alpha[i]]] != beta[i]:
                     raise StructuralError("beta does not equal its alpha conjugate")
 
-    def pair_list(self) -> list[tuple[int, int]]:
-        n = self.poset.n
-        return [(x, y) for x in range(n) for y in range(n) if (self.equiv[x] >> y) & 1]
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs of E, by first point and then second."""
+        return tuple((x, y) for x in range(self.poset.n) for y in bits(self.equiv[x]))
+
+    @cached_property
+    def pair_index(self) -> dict[tuple[int, int], int]:
+        return {p: i for i, p in enumerate(self.pairs)}
 
 
 def one_point_base() -> RepBase:
@@ -110,33 +116,29 @@ def one_point_base() -> RepBase:
 
 def twist_order(base: RepBase):
     """The pair order (u,v) <= (x,y) iff x <= u and v <= y, as a Poset."""
-    pairs = base.pair_list()
-    idx = {p: i for i, p in enumerate(pairs)}
+    pairs, idx = base.pairs, base.pair_index
     down, up = base.poset.down, base.poset.up
-    return pairs, Poset(tuple(
+    return list(pairs), Poset(tuple(
         mask_of(idx[(x, y)] for x in bits(down[u]) for y in bits(up[v])) for (u, v) in pairs
     ))
 
 
-@dataclass
-class DqAlgebra:
-    """A relation algebra Dq(E) with bookkeeping for certificates."""
+class _Relations:
+    """Relations on E as bitmasks over ``base.pairs``."""
 
-    algebra: FinAlgebra
-    base: RepBase
-    pairs: list[tuple[int, int]]
-    relation_masks: tuple[int, ...]  # carrier index -> pair bitmask
+    def __init__(self, base: RepBase):
+        self.base = base
+        self.index = base.pair_index
+        self.everything = (1 << len(base.pairs)) - 1
+        self.flip = [self.index[(y, x)] for (x, y) in base.pairs]
+        self.leq = self.of((x, y) for x in range(base.points)
+                           for y in bits(base.poset.up[x]))
 
+    def of(self, pairs) -> int:
+        return mask_of(self.index[p] for p in pairs)
 
-def _relation_tools(base: RepBase, pairs):
-    n = base.points
-    idx = {p: i for i, p in enumerate(pairs)}
-    emask = mask_of(range(len(pairs)))
-
-    def from_pairs(pp):
-        return mask_of(idx[p] for p in pp)
-
-    def compose(r, s):
+    def compose(self, r: int, s: int) -> int:
+        pairs, idx = self.base.pairs, self.index
         out = 0
         for i in bits(r):
             x, z = pairs[i]
@@ -146,21 +148,14 @@ def _relation_tools(base: RepBase, pairs):
                     out |= 1 << idx[(x, y)]
         return out
 
-    flip = [idx[(y, x)] for (x, y) in pairs]
+    def converse(self, r: int) -> int:
+        return set_image(r, self.flip)
 
-    def converse(r):
-        return set_image(r, flip)
+    def complement(self, r: int) -> int:
+        return self.everything & ~r
 
-    def complement(r):
-        return emask & ~r
-
-    def graph(perm):
-        return from_pairs((x, perm[x]) for x in range(n))
-
-    leq_rel = from_pairs(
-        (x, y) for x in range(n) for y in bits(base.poset.up[x])
-    )
-    return idx, emask, from_pairs, compose, converse, complement, graph, leq_rel
+    def graph(self, perm) -> int:
+        return self.of((x, perm[x]) for x in range(self.base.points))
 
 
 def dq_frame(base: RepBase) -> Frame:
@@ -170,7 +165,7 @@ def dq_frame(base: RepBase) -> Frame:
     maps tilde (x,y) -> (y, alpha x), minus (x,y) -> (alpha^-1 y, x) and
     neg (x,y) -> (beta alpha x, beta y)."""
     pairs, tw = twist_order(base)
-    idx = {p: i for i, p in enumerate(pairs)}
+    idx = base.pair_index
     leq = base.poset.leq
     alpha, beta = base.alpha, base.beta
     alpha_inv = {a: x for x, a in enumerate(alpha)}
@@ -183,51 +178,57 @@ def dq_frame(base: RepBase) -> Frame:
     return Frame(tw, identity, comp, tilde, minus, neg=neg)
 
 
+class DqAlgebra:
+    """The relation algebra Dq(E) of a base: its frame ``dq_frame(base)``,
+    its carrier as the twisted-order up-sets in carrier order, each a pair
+    mask (``relation_masks``), and the algebra itself, built when first
+    asked for.  More than ``cap`` up-sets raise ``PreconditionError``: the
+    growth of the up-sets stops past ``cap``, before any table is built."""
+
+    def __init__(self, base: RepBase, cap: int = DEFAULT_UPSET_CAP, name=None):
+        self.base = base
+        self.name = name
+        self.frame = dq_frame(base)
+        ups = self.frame.poset.upsets_within(cap)
+        if ups is None:
+            raise PreconditionError(
+                f"carrier would have more than {cap} elements (at least {cap + 1})"
+            )
+        self.relation_masks: tuple[int, ...] = ups
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return self.base.pairs
+
+    @cached_property
+    def algebra(self) -> FinAlgebra:
+        return upset_algebra(self.frame, self.relation_masks, self.name)
+
+
 def build_dq(base: RepBase, cap: int = DEFAULT_UPSET_CAP, name=None) -> DqAlgebra:
     """The algebra of twisted-order upsets of E under relation composition:
-    the complex algebra of ``dq_frame(base)``.
-
-    The up-sets are grown once, and given up as soon as there are more
-    than ``cap`` of them, before the carrier is materialized; a cap overrun
-    raises.
-    """
-    frame = dq_frame(base)
-    ups = _carrier_relations(frame, cap)
-    return DqAlgebra(algebra=upset_algebra(frame, ups, name), base=base,
-                     pairs=base.pair_list(), relation_masks=ups)
-
-
-def _carrier_relations(frame: Frame, cap: int) -> tuple[int, ...]:
-    """The up-sets of a Dq(E) frame in carrier order, as pair masks; more
-    than ``cap`` of them raises."""
-    ups = frame.poset.upsets_within(cap)
-    if ups is None:
-        raise PreconditionError(
-            f"carrier would have more than {cap} elements (at least {cap + 1})"
-        )
-    return ups
+    the complex algebra of ``dq_frame(base)``, built here; more than
+    ``cap`` up-sets raise ``PreconditionError``."""
+    dq = DqAlgebra(base, cap, name)
+    dq.algebra  # built here rather than on first use
+    return dq
 
 
 def dq_zero_relation(dq: DqAlgebra) -> int:
     """The relation alpha ; converse-of-complement-of-leq, as a pair mask."""
-    pairs = dq.pairs
-    base = dq.base
-    _, _, from_pairs, compose, converse, complement, graph, leq_rel = \
-        _relation_tools(base, pairs)
-    return compose(graph(base.alpha), converse(complement(leq_rel)))
+    rel = _Relations(dq.base)
+    return rel.compose(rel.graph(dq.base.alpha), rel.converse(rel.complement(rel.leq)))
 
 
 def check_complement_shift(base: RepBase, gamma, rel_mask: int):
     """For a bijection graph gamma, composing commutes with complement:
     (gamma;R)^c = gamma;R^c and (R;gamma)^c = R^c;gamma."""
-    pairs = base.pair_list()
-    _, emask, from_pairs, compose, converse, complement, graph, _ = \
-        _relation_tools(base, pairs)
-    g = graph(gamma)
-    gc = converse(g)
-    if compose(gc, g) != graph(range(base.points)) or compose(g, gc) != graph(
-        range(base.points)
-    ):
+    rel = _Relations(base)
+    compose, complement = rel.compose, rel.complement
+    g = rel.graph(gamma)
+    gc = rel.converse(g)
+    diagonal = rel.graph(range(base.points))
+    if compose(gc, g) != diagonal or compose(g, gc) != diagonal:
         raise PreconditionError("gamma is not a bijection graph on the carrier")
     left = complement(compose(g, rel_mask)) == compose(g, complement(rel_mask))
     right = complement(compose(rel_mask, g)) == compose(complement(rel_mask), g)
@@ -269,48 +270,34 @@ def no_finite_rep_filter(alg: FinAlgebra):
 # -- base iteration and the search driver ------------------------------------
 
 
+def _partitions(blocks: list[int]):
+    """Every way to merge the disjoint masks into unions, each once."""
+    if not blocks:
+        yield []
+        return
+    head, rest = blocks[0], blocks[1:]
+    for part in _partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + [head | part[k]] + part[k + 1:]
+        yield [head] + part
+
+
 def _equivalences_containing(poset: Poset):
     """Equivalence relations over the poset's comparability components,
-    finest first."""
-    n = poset.n
-    comp = list(range(n))
-
-    def find(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    for i in range(n):
-        for j in bits(poset.up[i]):
-            comp[find(i)] = find(j)
-    roots = sorted({find(i) for i in range(n)})
-    members = {r: mask_of(i for i in range(n) if find(i) == r) for r in roots}
-
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        head, rest = items[0], items[1:]
-        for part in partitions(rest):
-            for k in range(len(part)):
-                yield part[:k] + [[head] + part[k]] + part[k + 1:]
-            yield [[head]] + part
-
-    seen = set()
+    finest first, then by their tables."""
+    components = []
+    for i in range(poset.n):  # merge those that meet i's up- and down-set
+        linked = poset.up[i] | poset.down[i]
+        merged = linked | sum(c for c in components if c & linked)
+        components = [c for c in components if not c & linked] + [merged]
     options = []
-    for part in partitions(roots):
-        key = tuple(sorted(tuple(sorted(block)) for block in part))
-        if key in seen:
-            continue
-        seen.add(key)
-        classes = [mask_of(b for r in block for b in bits(members[r])) for block in part]
-        eq = [0] * n
-        for cls in classes:
+    for part in _partitions(components):
+        eq = [0] * poset.n
+        for cls in part:
             for i in bits(cls):
                 eq[i] = cls
-        options.append((len(part), tuple(eq)))
-    options.sort(key=lambda t: (-t[0], t[1]))
+        options.append((-len(part), tuple(eq)))
+    options.sort()
     return [eq for _, eq in options]
 
 
@@ -354,15 +341,12 @@ class ExhaustionReport:
 class SearchOptions:
     full_e_only: bool = False
     alpha_id_only: bool = False
-    upset_cap: int = 4096
     embed_budget: int = 2_000_000
-    apply_filter: bool = True
 
     def __post_init__(self):
-        for field in ("upset_cap", "embed_budget"):
-            value = getattr(self, field)
-            if value < 1:
-                raise PreconditionError(f"{field} must be at least 1, not {value}")
+        if self.embed_budget < 1:
+            raise PreconditionError(
+                f"embed_budget must be at least 1, not {self.embed_budget}")
 
 
 def iterate_bases(max_points: int, need_beta: bool, options: SearchOptions):
@@ -387,29 +371,14 @@ def iterate_bases(max_points: int, need_beta: bool, options: SearchOptions):
                     yield RepBase(poset, equiv, alpha, None)
 
 
-class _Target:
-    """The up-sets of a base's Dq(E) frame, None when there are more than
-    the cap, and the Dq(E) itself, built when first asked for.  It costs
-    the square of its carrier size in cells, built or not, and one cell
-    when over the cap."""
-
-    def __init__(self, base: RepBase, cap: int):
-        frame = dq_frame(base)
-        self.ups = frame.poset.upsets_within(cap)
-        self.frame = None if self.ups is None else frame
-        self.cells = 1 if self.ups is None else len(self.ups) ** 2
-
-    @cached_property
-    def algebra(self) -> FinAlgebra:
-        return upset_algebra(self.frame, self.ups)
-
-
 class _Memo:
-    """What ``representation_search`` keeps across calls: the targets of
-    the bases, least recently used first, at most ``BLOCK_CELLS`` cells in
-    all.  A target larger than that is built for the call that asks and
-    not kept.  One lock guards every lookup and fill, so searches in
-    several threads share it safely."""
+    """What ``representation_search`` keeps across calls: each base's
+    Dq(E), or None when it has more than ``SEARCH_UPSET_CAP`` up-sets,
+    least recently used first, at most ``BLOCK_CELLS`` cells in all.  A
+    Dq(E) costs the square of its carrier size in cells, its algebra built
+    or not, and None one cell; one larger than ``BLOCK_CELLS`` is built for
+    the call that asks and not kept.  One lock guards every lookup and
+    fill, so searches in several threads share it safely."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -417,22 +386,28 @@ class _Memo:
 
     def clear(self):
         with self.lock:
-            self.targets: OrderedDict[tuple, _Target] = OrderedDict()
+            self.targets: OrderedDict[RepBase, DqAlgebra | None] = OrderedDict()
             self.cells = 0
 
-    def target(self, base: RepBase, cap: int) -> _Target:
-        key = (base.poset.up, base.equiv, base.alpha, base.beta, cap)
+    @staticmethod
+    def cost(target: DqAlgebra | None) -> int:
+        return 1 if target is None else len(target.relation_masks) ** 2
+
+    def target(self, base: RepBase) -> DqAlgebra | None:
         with self.lock:
-            found = self.targets.get(key)
-            if found is not None:
-                self.targets.move_to_end(key)
-                return found
-            found = _Target(base, cap)
-            if found.cells <= BLOCK_CELLS:
-                self.targets[key] = found
-                self.cells += found.cells
+            if base in self.targets:
+                self.targets.move_to_end(base)
+                return self.targets[base]
+            try:
+                found = DqAlgebra(base, SEARCH_UPSET_CAP)
+            except PreconditionError:
+                found = None
+            cells = self.cost(found)
+            if cells <= BLOCK_CELLS:
+                self.targets[base] = found
+                self.cells += cells
                 while self.cells > BLOCK_CELLS:
-                    self.cells -= self.targets.popitem(last=False)[1].cells
+                    self.cells -= self.cost(self.targets.popitem(last=False)[1])
             return found
 
 
@@ -448,7 +423,7 @@ def representation_search(alg: FinAlgebra, max_points: int,
     obstruction element exists.  A base whose embedding search runs out of
     ``options.embed_budget`` is counted as undecided and the search moves
     on to the next base.  The bases are walked lazily by ``iterate_bases``;
-    each base's up-sets (up to ``options.upset_cap``) and Dq(E) are built
+    each base's up-sets (up to ``SEARCH_UPSET_CAP``) and Dq(E) are built
     once, shared across calls, bounded by ``BLOCK_CELLS`` cells.  Raises
     ``PreconditionError`` when ``max_points`` is below 1.
     """
@@ -456,22 +431,20 @@ def representation_search(alg: FinAlgebra, max_points: int,
         raise PreconditionError(f"max_points must be at least 1, not {max_points}")
     options = options or SearchOptions()
     need_beta = alg.neg is not None
-    if options.apply_filter:
-        witness = no_finite_rep_filter(alg)
-        if witness is not None:
-            return ExhaustionReport(
-                max_points=max_points, bases_tried=0, bases_skipped_over_cap=0,
-                filter_witness=witness,
-                note="no finite representation is possible",
-            )
+    witness = no_finite_rep_filter(alg)
+    if witness is not None:
+        return ExhaustionReport(
+            max_points=max_points, bases_tried=0, bases_skipped_over_cap=0,
+            filter_witness=witness, note="no finite representation is possible",
+        )
     tried = skipped = undecided = 0
     for base in iterate_bases(max_points, need_beta, options):
-        target = _MEMO.target(base, options.upset_cap)
-        if target.ups is None:
+        target = _MEMO.target(base)
+        if target is None:
             skipped += 1
             continue
         tried += 1
-        if len(target.ups) < alg.size:
+        if len(target.relation_masks) < alg.size:
             continue
         try:
             hom = embed_search(alg, target.algebra, budget=options.embed_budget)
@@ -512,8 +485,8 @@ def verify_certificate(alg: FinAlgebra, cert: RepresentationCertificate) -> bool
     beta or the other way round."""
     base = cert.base
     base.check()
-    frame = dq_frame(base)
-    relations = _carrier_relations(frame, DEFAULT_UPSET_CAP)
+    dq = DqAlgebra(base)
+    relations = dq.relation_masks
     size = len(relations)
     emb = cert.embedding
     if cert.carrier_size != size:
@@ -522,30 +495,30 @@ def verify_certificate(alg: FinAlgebra, cert: RepresentationCertificate) -> bool
         return False
     if any(not 0 <= v < size for v in emb):
         return False
-    if not validate_frame(frame).ok:
+    if not validate_frame(dq.frame).ok:
         return False
     if (alg.neg is None) != (base.beta is None):
         raise SignatureError("source and target have different signatures")
     meet, join, product = alg.meet_table, alg.join_table, alg.product
     rel = [relations[v] for v in emb]
-    _, _, _, compose, converse, complement, graph, leq_rel = \
-        _relation_tools(base, base.pair_list())
-    if any(compose(compose(leq_rel, r), leq_rel) != r for r in rel):
+    on_e = _Relations(base)
+    compose, complement, leq = on_e.compose, on_e.complement, on_e.leq
+    if any(compose(compose(leq, r), leq) != r for r in rel):
         return False
-    if rel[alg.one] != leq_rel:
+    if rel[alg.one] != leq:
         return False
     for a, ra in enumerate(rel):
         for b, rb in enumerate(rel):
             if (rel[join[a, b]] != ra | rb or rel[meet[a, b]] != ra & rb
                     or rel[product[a, b]] != compose(ra, rb)):
                 return False
-    alpha = graph(base.alpha)
+    alpha = on_e.graph(base.alpha)
     unaries = [
-        (alg.tilde, lambda r: compose(complement(converse(r)), alpha)),
-        (alg.minus, lambda r: compose(alpha, complement(converse(r)))),
+        (alg.tilde, lambda r: compose(complement(on_e.converse(r)), alpha)),
+        (alg.minus, lambda r: compose(alpha, complement(on_e.converse(r)))),
     ]
     if base.beta is not None:
-        beta = graph(base.beta)
-        beta_alpha = graph([base.beta[v] for v in base.alpha])
+        beta = on_e.graph(base.beta)
+        beta_alpha = on_e.graph([base.beta[v] for v in base.alpha])
         unaries.append((alg.neg, lambda r: compose(compose(beta_alpha, complement(r)), beta)))
     return all(rel[op[a]] == image(r) for op, image in unaries for a, r in enumerate(rel))

@@ -301,7 +301,7 @@ class _BranchSearch:
             self.t, self.f = t, f
 
 
-def _neg_compatible(comp, tilde, neg, n) -> bool:
+def _neg_compatible(comp, tilde, neg) -> bool:
     """The negation condition: sigma = neg o tilde carries every cell
     x o y onto the cell sigma(y) o sigma(x)."""
     sigma = [neg[t] for t in tilde]
@@ -387,7 +387,6 @@ def run_branch(poset: Poset, signatures, identity: int, tilde,
     decided over the stabiliser of the branch.
     """
     stats = stats if stats is not None else SearchStats()
-    n = poset.n
     out = {signature: [] for signature in signatures}
     stabiliser = _branch_stabiliser(poset, identity, tilde)
     if stabiliser is None:
@@ -401,7 +400,7 @@ def run_branch(poset: Poset, signatures, identity: int, tilde,
         if "dinfl" in out and _is_orbit_minimal(stabiliser, comp, None, moved):
             out["dinfl"].append((identity, tilde, comp, None))
         for neg in negs:
-            if _neg_compatible(comp, tilde, neg, n):
+            if _neg_compatible(comp, tilde, neg):
                 stats.labelled_dqra += orbit
                 if _is_orbit_minimal(stabiliser, comp, neg, moved):
                     out["dqra"].append((identity, tilde, comp, neg))

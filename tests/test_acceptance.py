@@ -284,7 +284,7 @@ def test_criterion_9_dq_validity_sweep():
                     if any(alpha[g[alpha[i]]] != g[i] for i in range(poset.n)):
                         continue
                     base = RepBase(poset, full, tuple(alpha), tuple(g))
-                    k = len(base.pair_list())
+                    k = len(base.pairs)
                     gammas = (
                         base.alpha, base.beta,
                         tuple(base.alpha[base.beta[i]] for i in range(poset.n)),

@@ -204,16 +204,6 @@ def test_each_algebra_on_a_shared_order_has_its_own_dual_frame():
     assert dual_frame(copy).encoding() == frames[0].encoding()
 
 
-def test_a_named_dual_frame_leaves_the_shared_one(lukasiewicz4):
-    shared = dual_frame(lukasiewicz4)
-    named = dual_frame(lukasiewicz4, name="renamed")
-    assert named.name == "renamed" and named is not shared
-    assert named.encoding() == shared.encoding()
-    assert named.carrier_elements == shared.carrier_elements
-    assert dual_frame(lukasiewicz4) is shared
-    assert shared.name == _build_dual_frame(lukasiewicz4).name
-
-
 def test_each_algebra_round_trip_checks_its_witness(lukasiewicz4, monkeypatch):
     checks = []
     check = qra.frame.check_witness

@@ -376,3 +376,8 @@ def test_cli_bad_requests_exit_2_without_traceback(tmp_path, capsys, monkeypatch
     monkeypatch.setenv("QRA_BUDGET_MS", "soon")
     code, err = _exit_cleanly(capsys, "enumerate", "--poset", "2x2")
     assert code == 2 and "QRA_BUDGET_MS" in err
+    # a NaN deadline never passes and a negative one has always passed
+    for raw in ("nan", "inf", "-5"):
+        monkeypatch.setenv("QRA_BUDGET_MS", raw)
+        code, err = _exit_cleanly(capsys, "count", "--max-size", "5")
+        assert code == 2 and "QRA_BUDGET_MS" in err, raw

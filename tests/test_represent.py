@@ -147,10 +147,10 @@ def _reference_dq(base):
 
 
 def _small_bases():
-    options = SearchOptions()
+    cap = qra.represent.SEARCH_UPSET_CAP
     for need_beta in (True, False):
-        for base in iterate_bases(3, need_beta, options):
-            if twist_order(base)[1].count_upsets(options.upset_cap) <= options.upset_cap:
+        for base in iterate_bases(3, need_beta, SearchOptions()):
+            if twist_order(base)[1].count_upsets(cap) <= cap:
                 yield base
 
 
@@ -160,6 +160,21 @@ def test_iterate_bases_yields_each_base_once(need_beta):
             for b in iterate_bases(3, need_beta, SearchOptions())]
     assert len(keys) == len(set(keys))
     assert [len(k[0]) for k in keys] == sorted(len(k[0]) for k in keys)
+
+
+def test_equivalences_containing_lists_every_equivalence_over_the_order():
+    # brute force: label the points every way, keep the labellings whose
+    # classes contain every comparable pair, finest first, then by table
+    for poset in qra.order.all_posets(4):
+        n = poset.n
+        found = set()
+        for labels in itertools.product(range(n), repeat=n):
+            eq = tuple(mask_of(j for j in range(n) if labels[j] == labels[i])
+                       for i in range(n))
+            if all(poset.up[i] & ~eq[i] == 0 for i in range(n)):
+                found.add(eq)
+        want = sorted(found, key=lambda eq: (-len(set(eq)), eq))
+        assert qra.represent._equivalences_containing(poset) == want, poset
 
 
 def test_build_dq_matches_the_definitions_on_all_small_bases():
@@ -230,7 +245,7 @@ def test_dinfl_only_when_beta_absent():
 
 def test_complement_shift_identities_exhaustive_small():
     base = chain2_base()
-    k = len(base.pair_list())
+    k = len(base.pairs)
     composites = [base.alpha, base.beta,
                   tuple(base.alpha[base.beta[i]] for i in range(2))]
     for gamma in composites:
@@ -345,17 +360,21 @@ def test_memo_gives_the_results_of_a_cold_search(cold_memo):
                 for alg, points in searches] == cold
 
 
-def test_memo_keeps_caps_and_option_lists_apart(cold_memo):
+def test_memo_keeps_caps_and_option_lists_apart(cold_memo, monkeypatch):
     algebras = _catalog_algebras()
     # the bases of an algebra without neg have no beta
     algebras["D4_2_3-"] = algebras["D4_2_3"].without_neg()
     names = ["D2_1_1", "D4_1_3", "D4_2_3", "D6_4_2", "D4_2_3-"]
-    sequence = [SearchOptions(upset_cap=8), SearchOptions(), SearchOptions(upset_cap=8),
-                SearchOptions(full_e_only=True), SearchOptions(alpha_id_only=True),
+    sequence = [SearchOptions(), SearchOptions(full_e_only=True),
+                SearchOptions(alpha_id_only=True),
                 SearchOptions(full_e_only=True, alpha_id_only=True)]
     cold = {(name, i): _cold(cold_memo, algebras[name], 2, options)
             for name in names for i, options in enumerate(sequence)}
-    assert cold[("D4_2_3", 0)] != cold[("D4_2_3", 1)]  # the cap changes the report
+    with monkeypatch.context() as patched:
+        patched.setattr(qra.represent, "SEARCH_UPSET_CAP", 8)
+        capped = _cold(cold_memo, algebras["D4_2_3"], 2)
+    assert capped != cold[("D4_2_3", 0)]  # the cap changes the report
+    assert "bases_skipped_over_cap=0" not in capped
     cold_memo.clear()
     for name in names:
         for i, options in enumerate(sequence):
@@ -373,13 +392,13 @@ def test_memo_holds_at_most_block_cells(cold_memo, monkeypatch):
     monkeypatch.setattr(qra.represent, "upset_algebra", spy)
     result = representation_search(_catalog_algebras()["D4_2_3"], 3)
     assert isinstance(result, RepresentationCertificate) and result.base.points == 3
-    held = [t for t in cold_memo.targets.values() if "algebra" in t.__dict__]
+    held = [t for t in cold_memo.targets.values() if t and "algebra" in t.__dict__]
     assert sum(t.algebra.size ** 2 for t in held) <= cold_memo.cells <= BLOCK_CELLS
     # the 3-antichain with one E-class: 9 pairs, every set of them an up-set
     assert 512 in built
-    assert all(t.ups is None or len(t.ups) < 512 for t in cold_memo.targets.values())
-    antichain = Poset.antichain(3).up
-    assert any(key[0] == antichain for key in cold_memo.targets)
+    assert all(t is None or len(t.relation_masks) < 512 for t in cold_memo.targets.values())
+    antichain = Poset.antichain(3)
+    assert any(base.poset == antichain for base in cold_memo.targets)
 
 
 def test_memo_evicts_the_least_recently_used_target(cold_memo, monkeypatch):
@@ -390,21 +409,20 @@ def test_memo_evicts_the_least_recently_used_target(cold_memo, monkeypatch):
     for _ in range(2):
         for (alg, points), want in zip(searches, cold):
             assert repr(representation_search(alg, points)) == want
-            assert cold_memo.cells == sum(t.cells for t in cold_memo.targets.values()) <= 300
+            assert cold_memo.cells == sum(map(cold_memo.cost, cold_memo.targets.values())) <= 300
     # a lookup makes its target the most recently used; a new target
     # pushes out the least recently used ones until the cells fit
     cold_memo.clear()
     two_point = [b for b in iterate_bases(2, True, SearchOptions()) if b.points == 2]
     first, second, third = two_point[:3]
-    cap = SearchOptions().upset_cap
-    cells = [qra.represent._Target(b, cap).cells for b in (first, second, third)]
+    cells = [cold_memo.cost(qra.represent.DqAlgebra(b)) for b in (first, second, third)]
     monkeypatch.setattr(qra.represent, "BLOCK_CELLS", sum(cells) - 1)
-    kept = cold_memo.target(first, cap)
-    cold_memo.target(second, cap)
-    assert cold_memo.target(first, cap) is kept
-    cold_memo.target(third, cap)
+    kept = cold_memo.target(first)
+    cold_memo.target(second)
+    assert cold_memo.target(first) is kept
+    cold_memo.target(third)
     assert len(cold_memo.targets) == 2 and cold_memo.cells == cells[0] + cells[2]
-    assert cold_memo.target(first, cap) is kept
+    assert cold_memo.target(first) is kept
 
 
 def test_threads_share_the_memo(cold_memo, monkeypatch):
@@ -434,14 +452,14 @@ def test_threads_share_the_memo(cold_memo, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert found == [cold] * workers
-    assert cold_memo.cells == sum(t.cells for t in cold_memo.targets.values()) <= 300
+    assert cold_memo.cells == sum(map(cold_memo.cost, cold_memo.targets.values())) <= 300
 
 
 def test_a_one_point_certificate_memoises_no_larger_base(cold_memo):
     alg = _catalog_algebras()["D2_1_1"]
     result = representation_search(alg, 8)
     assert isinstance(result, RepresentationCertificate) and result.base.points == 1
-    assert all(len(key[0]) == 1 for key in cold_memo.targets)
+    assert all(base.points == 1 for base in cold_memo.targets)
 
 
 def _refuse(what):
@@ -500,7 +518,7 @@ def test_a_certificate_on_65536_relations_is_decided(monkeypatch):
     monkeypatch.setattr(qra.represent, "upset_algebra", _refuse("built an up-set algebra"))
     poset = Poset.antichain(4)
     base = RepBase(poset, (poset.carrier,) * 4, range(4), range(4))
-    pairs = base.pair_list()
+    pairs = base.pairs
     full = (1 << len(pairs)) - 1
     diagonal = mask_of(i for i, (x, y) in enumerate(pairs) if x == y)
     position = {m: i for i, m in enumerate(dq_frame(base).poset.upsets_within(1 << 16))}
@@ -528,7 +546,7 @@ def test_rep_base_is_frozen():
     assert qio.base_from_obj(qio.base_to_obj(base)) == base
 
 
-@pytest.mark.parametrize("field", ["upset_cap", "embed_budget"])
+@pytest.mark.parametrize("field", ["embed_budget"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_search_options_need_positive_caps(bool2, field, value):
     with pytest.raises(PreconditionError, match=f"{field} must be at least 1"):
@@ -623,14 +641,14 @@ def test_filter_examples(bool2, sugihara3, lukasiewicz3):
 
 
 def test_filter_consistency_with_search():
-    # a filter witness must mean exhaustion at small point counts, even
-    # with the shortcut disabled
+    # a filter witness must mean that no base up to 2 points takes an
+    # embedding, which the search, stopped by the filter, never looks for
     alg = catalog_lookup("D3_1_1").variants[0].algebra
     assert no_finite_rep_filter(alg) is not None
-    options = SearchOptions(apply_filter=False, upset_cap=256)
-    for k in (1, 2):
-        result = representation_search(alg, k, options)
-        assert isinstance(result, ExhaustionReport)
+    bases = list(iterate_bases(2, alg.neg is not None, SearchOptions()))
+    assert len(bases) == 7
+    for base in bases:
+        assert embed_search(alg, build_dq(base).algebra) is None
 
 
 def test_search_option_restrictions(bool2):

@@ -381,7 +381,7 @@ def test_neg_filter_matches_reference_on_every_solved_table():
             minus = [tilde.index(i) for i in range(poset.n)]
             for comp in _BranchSearch(poset, identity, tilde, SearchStats(), None).run():
                 for neg in poset.order_reversing_involutions:
-                    ok = _neg_compatible(comp, tilde, neg, poset.n)
+                    ok = _neg_compatible(comp, tilde, neg)
                     assert ok == reference_neg_compatible(comp, tilde, minus, neg, poset.n)
                     verdicts.add(ok)
     assert verdicts == {True, False}
@@ -403,7 +403,7 @@ def test_neg_filter_matches_reference_on_random_tables():
             if rng.random() < 0.5:
                 triples ^= {(rng.randrange(n), rng.randrange(n), rng.randrange(n))}
             comp = table_of(triples, n)
-            ok = _neg_compatible(comp, tilde, neg, n)
+            ok = _neg_compatible(comp, tilde, neg)
             assert ok == reference_neg_compatible(comp, tilde, minus, neg, n), (n, tilde, neg)
             verdicts.add(ok)
         assert verdicts == ({True} if n == 1 else {True, False}), n
