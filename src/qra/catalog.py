@@ -29,7 +29,8 @@ from .catalog_data import (
     REPRESENTABILITY,
     SECOND_NEG,
 )
-from .errors import InternalCheckError, StructuralError
+from .enumerate import census_key
+from .errors import InternalCheckError, SignatureError, StructuralError
 from .iso import isomorphisms
 from .order import Poset, bits, mask_of
 
@@ -316,35 +317,37 @@ def catalog_lookup(name: str) -> CatalogEntry:
     raise KeyError(name)
 
 
+@lru_cache(maxsize=None)
+def _catalog_index() -> dict[int, dict]:
+    """size -> census key -> (algebra, (entry,)) or (algebra, (entry, variant))."""
+    index = {}
+    for e in build_catalog():
+        by_key = index.setdefault(e.size, {})
+        for alg, value in [(e.base, (e,))] + [(v.algebra, (e, v)) for v in e.variants]:
+            key = census_key(alg)
+            if key in by_key:
+                raise InternalCheckError(f"{alg.name} and {by_key[key][0].name} share a key")
+            by_key[key] = (alg, value)
+    return index
+
+
+def _match(alg: FinAlgebra, what: str):
+    """The catalog hit isomorphic to alg, then the least witness onto it."""
+    by_key = _catalog_index().get(alg.size)
+    hit = None if by_key is None else by_key.get(census_key(alg))
+    witness = None if hit is None else algebra_iso(alg, hit[0])
+    if witness is None:
+        raise InternalCheckError(f"algebra matches 0 catalog {what} instead of one")
+    return (*hit[1], witness)
+
+
 def match_dinfl(alg: FinAlgebra):
     """The unique catalog entry isomorphic to a DInFL-algebra, with witness."""
-    stripped = alg.without_neg() if alg.neg is not None else alg
-    hits = []
-    for e in build_catalog():
-        if e.size != alg.size:
-            continue
-        w = algebra_iso(stripped, e.base)
-        if w is not None:
-            hits.append((e, w))
-    if len(hits) != 1:
-        raise InternalCheckError(
-            f"algebra matches {len(hits)} catalog entries instead of one"
-        )
-    return hits[0]
+    return _match(alg.without_neg() if alg.neg is not None else alg, "entries")
 
 
 def match_dqra(alg: FinAlgebra):
     """The unique (entry, variant) pair isomorphic to a DqRA."""
-    hits = []
-    for e in build_catalog():
-        if e.size != alg.size:
-            continue
-        for v in e.variants:
-            w = algebra_iso(alg, v.algebra)
-            if w is not None:
-                hits.append((e, v, w))
-    if len(hits) != 1:
-        raise InternalCheckError(
-            f"algebra matches {len(hits)} catalog variants instead of one"
-        )
-    return hits[0]
+    if alg.neg is None and alg.size in _catalog_index():
+        raise SignatureError("cannot compare algebras with different signatures")
+    return _match(alg, "variants")

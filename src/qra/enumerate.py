@@ -17,9 +17,12 @@ per-poset counts by upset count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .algebra import FinAlgebra
 from .errors import PreconditionError
-from .frame import complex_algebra
+from .frame import complex_algebra, dual_frame
+from .iso import isomorphisms
 from .order import (
     CENSUS_ORDER,
     NAMED_POSETS,
@@ -80,6 +83,24 @@ def _self_dual_by_upset_count(max_n: int) -> dict[int, list[Poset]]:
 def posets_with_upset_count(n: int) -> list[Poset]:
     """Self-dual posets whose upset lattice has exactly n elements."""
     return _self_dual_by_upset_count(n).get(n, [])
+
+
+@lru_cache(maxsize=None)
+def _census_posets(n: int) -> dict:
+    """The census representatives with n upsets, by canonical key."""
+    return {p.canonical_key: p for p in posets_with_upset_count(n)}
+
+
+def census_key(alg: FinAlgebra) -> tuple:
+    """(poset key, encoding) of the algebra's census class: the census frame's
+    own ``Frame.encoding()``, the least of the dual frame's on the census poset."""
+    frame = dual_frame(alg)
+    poset = _census_posets(alg.size).get(frame.poset.canonical_key)
+    if poset is None:
+        raise PreconditionError(f"no census poset of {alg.size} upsets is the dual poset")
+    g = isomorphisms(frame.poset.structure, poset.structure, first=True)[0]
+    return poset.canonical_key, min(frame.relabel([h[x] for x in g]).encoding()
+                                    for h in poset.automorphisms)
 
 
 def count_frames(poset: Poset, budget: Budget | None = None,

@@ -89,7 +89,7 @@ def frame_to_obj(frame: Frame) -> dict:
     return {
         "name": frame.name,
         "size": n,
-        "leq": [[1 if frame.poset.leq(i, j) else 0 for j in range(n)] for i in range(n)],
+        "leq": frame.poset.matrix(),
         "identity": sorted(bits(frame.identity)),
         "comp": [[sorted(bits(frame.comp[x][y])) for y in range(n)] for x in range(n)],
         "tilde": list(frame.tilde),
@@ -139,7 +139,7 @@ def base_to_obj(base: RepBase) -> dict:
     n = base.points
     return {
         "points": n,
-        "leq": [[1 if base.poset.leq(i, j) else 0 for j in range(n)] for i in range(n)],
+        "leq": base.poset.matrix(),
         "E": [[1 if (base.equiv[i] >> j) & 1 else 0 for j in range(n)] for i in range(n)],
         "alpha": list(base.alpha),
         "beta": None if base.beta is None else list(base.beta),

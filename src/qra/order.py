@@ -773,12 +773,11 @@ CENSUS_ORDER = (
 )
 
 
+_CENSUS_NAMES = {NAMED_POSETS[name].canonical_key: name for name in CENSUS_ORDER}
+
+
 def poset_display_name(poset: Poset) -> str:
-    for name in CENSUS_ORDER:
-        cand = NAMED_POSETS[name]
-        if cand.n == poset.n and cand.canonical_key == poset.canonical_key:
-            return name
-    return poset.name or f"poset{poset.n}"
+    return _CENSUS_NAMES.get(poset.canonical_key) or poset.name or f"poset{poset.n}"
 
 
 def all_posets(max_size: int) -> list[Poset]:

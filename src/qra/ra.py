@@ -254,18 +254,15 @@ class SubreductResult:
     annotation: str
 
 
-_TAG_POSETS = {
-    "1+1+2": Poset((1, 2, 4 | 8, 8)),
-    "1+3": Poset((1, 2 | 4 | 8, 4 | 8, 8)),
+_POSET_TAGS = {
+    Poset((1, 2, 4 | 8, 8)).canonical_key: "1+1+2",
+    Poset((1, 2 | 4 | 8, 4 | 8, 8)).canonical_key: "1+3",
 }
 
 
 def _frame_poset_tag(alg: FinAlgebra) -> str:
-    frame = dual_frame(alg)
-    for tag, poset in _TAG_POSETS.items():
-        if frame.poset.canonical_key == poset.canonical_key:
-            return tag
-    return f"poset{frame.poset.n}"
+    poset = dual_frame(alg).poset
+    return _POSET_TAGS.get(poset.canonical_key, f"poset{poset.n}")
 
 
 def max_proper_qra_subreduct(struct: AtomStructure4):
