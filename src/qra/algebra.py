@@ -9,9 +9,11 @@ all tables are immutable after construction.
 
 Validation is exhaustive: every law holds for all tuples exactly when the
 report has no failure for it, and each failure carries a witness tuple.
-One code path serves every carrier size.  Most laws are decided through
-the irreducibles, or through the cover pairs, by the first three lemmas
-below; the fourth makes one law follow from others.
+One code path serves every carrier size.  The order premises (partial
+order, lattice, distributive) are decided once per order, by ``Poset``.
+Most laws are decided through the irreducibles, or through the cover
+pairs, by the first three lemmas below; the last two make laws follow
+from others.
 
 1. Let J be the elements that are not the least upper bound of the
    elements strictly below them (in a lattice, the join-irreducibles),
@@ -19,13 +21,13 @@ below; the fourth makes one law follow from others.
    every element of a finite poset is the least upper bound of J ∩ ↓a,
    the bottom of the empty set; so a <= b iff key[a] is within key[b].
    Distributivity is "every j in J is join-prime", which is one test
-   over word rows: key[a join b] = key[a] | key[b] for all a and b.
+   over word rows (``Poset.distributive``).
 2. Residuation makes x -> xy and y -> xy preserve every join, the empty
    one included, so (ab)c and a(bc) preserve joins in each argument
    separately, and by lemma 1 they agree everywhere iff they agree on
    J x J x J.  Residuation itself is a Galois connection: monotonicity
    on the cover pairs, and then, by lemma 1 and its dual, the units at J
-   and the counits at the meet-irreducibles.
+   and the counits at the meet-irreducibles, or by lemma 5 no counit.
 3. A permutation f of a finite poset that reverses every cover pair
    reverses the order, and then maps the related pairs injectively,
    so onto, themselves: a <= b iff f(b) <= f(a), an anti-isomorphism,
@@ -49,6 +51,13 @@ below; the fourth makes one law follow from others.
    idempotent-semiring reformulation (``semiring_reformulation``) holds:
    a.~b <= 0 iff a <= 0/~b = -(~b.~0) = -~b = b, and -b.a <= 0 iff
    a <= -b\\0 = ~(-0.-b) = ~-b = b.
+5. Let ~ and - be order anti-isomorphisms, c/b = -(b.~c) and
+   a\\c = ~(-c.a).  Then (c/b)b <= c iff ~c <= b\\(b.~c), and
+   a(a\\c) <= c iff -c <= (-c.a)/a.  Proof: x = (c/b)b = -(b.~c).b has
+   ~x = b\\(b.~c), and y = a(a\\c) = a.~(-c.a) has -y = (-c.a)/a; and an
+   anti-isomorphism f has x <= c iff f(c) <= f(x).  As c ranges over the
+   carrier so do ~c and -c, so the counits hold wherever the units
+   b <= a\\ab and a <= ab/b do.
 
 Only when one of these tests or a premise fails are the join-irreducibles
 (or their rows, or the whole table) scanned, for witnesses in the order
@@ -72,7 +81,7 @@ from .errors import (
     StructuralError,
 )
 from .iso import Structure, isomorphisms
-from .order import InclusionOrder, Poset, bits, row_blocks
+from .order import Poset, bits, row_blocks
 
 MAX_WITNESSES = 5
 
@@ -115,13 +124,6 @@ def _as_perm(values, n, what) -> np.ndarray:
         raise StructuralError(f"{what} is not a permutation of 0..{n - 1}")
     arr.setflags(write=False)
     return arr
-
-
-def _total_table(table: np.ndarray, what: str) -> np.ndarray:
-    if (table < 0).any():
-        i, j = np.argwhere(table < 0)[0].tolist()
-        raise PreconditionError(f"{what} of ({i},{j}) does not exist")
-    return table
 
 
 class FinAlgebra:
@@ -169,31 +171,11 @@ class FinAlgebra:
 
     @cached_property
     def join_table(self) -> np.ndarray:
-        return _total_table(self.order_poset.lattice.join, "join")
+        return self.order_poset.total("join")
 
     @cached_property
     def meet_table(self) -> np.ndarray:
-        return _total_table(self.order_poset.lattice.meet, "meet")
-
-    @cached_property
-    def distributive(self) -> bool:
-        """Whether every join-irreducible j is join-prime, decided once, as
-        one test over the word rows key[a] = J ∩ ↓a: j <= a join b implies
-        j <= a or j <= b for every j in J exactly when
-        key[a join b] = key[a] | key[b].  Needs the join table.
-
-        An ``InclusionOrder`` whose lattice tables were read off its sets
-        needs no test.  Lemma: a family of sets closed under union and
-        intersection, ordered by inclusion, is a distributive lattice.
-        Proof: join is union and meet is intersection (each is in the
-        family and is the least upper, greatest lower, bound there), and
-        union and intersection distribute over each other."""
-        poset = self.order_poset
-        if isinstance(poset, InclusionOrder) and poset.lattice_from_sets:
-            return True
-        keys, join = poset.down_keys, self.join_table
-        return all(np.array_equal(keys[join[rows]], keys[rows, None, :] | keys[None, :, :])
-                   for rows in row_blocks(self.size, self.size * keys.shape[1]))
+        return self.order_poset.total("meet")
 
     # The two duals of the algebra, each built on first use by its public
     # function and then shared by every caller: the objects are read-only.
@@ -306,20 +288,23 @@ def _row_witnesses(n: int, broken) -> list[tuple]:
 
 def _join_prime_failures(leq: np.ndarray, join: np.ndarray, j: int) -> np.ndarray:
     """[a, b] is True where j <= a join b although j is below neither a nor b;
-    the witness scan behind a failed ``FinAlgebra.distributive``."""
+    the witness scan behind a failed ``Poset.distributive``."""
     lj = leq[j]
     return lj[join] & ~(lj[:, None] | lj[None, :])
 
 
-def _residuals(alg: FinAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    """rres[c, b] = c / b = -(b.~c) and lres_cb[c, a] = a \\ c = ~(-c.a)."""
-    rres = alg.minus[alg.product[:, alg.tilde]].T
-    lres_cb = alg.tilde[alg.product[alg.minus]]
+def _residuals(alg: FinAlgebra, c=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Rows c, every row by default, of rres[c, b] = c / b = -(b.~c) and
+    lres_cb[c, a] = a \\ c = ~(-c.a)."""
+    rres = alg.minus[alg.product[:, alg.tilde[c]]].T
+    lres_cb = alg.tilde[alg.product[alg.minus[c]]]
     return rres, lres_cb
 
 
-def _adjoint(alg: FinAlgebra) -> bool:
-    """Whether a.b <= c iff a <= c/b iff b <= a\\c for all a, b, c.
+def _adjoint(alg: FinAlgebra, anti: bool) -> bool:
+    """Whether a.b <= c iff a <= c/b iff b <= a\\c for all a, b, c, given
+    ``anti``: whether the order is a partial order on which tilde and minus
+    are anti-isomorphisms.
 
     ``x -> x.b`` and ``c -> c/b`` (and ``x -> a.x``, ``c -> a\\c``) form a
     Galois connection exactly when both maps are monotone and the unit and
@@ -329,11 +314,11 @@ def _adjoint(alg: FinAlgebra) -> bool:
     and the counits only at M: every a is the least upper bound of J ∩ ↓a,
     and j <= g(f(j)) <= g(f(a)) for each j there, so a <= g(f(a)); dually
     f(g(c)) <= f(g(m)) <= m for every m in M ∩ ↑c gives f(g(c)) <= c.
-    On a partial order whose cover pairs tilde and minus reverse, so the
-    whole order, the residuals c/b = -(b.~c) and a\\c = ~(-c.a) are
-    monotone in c as soon as the product is monotone, and are not checked
-    again.  Rows of
-    the residuals are formed only where they are read (see ``_residuals``).
+    With ``anti`` the residuals c/b = -(b.~c) and a\\c = ~(-c.a) are
+    monotone in c as soon as the product is monotone, and by lemma 5 of
+    the module docstring the counits hold wherever the units do, so
+    neither is checked.  Rows of the residuals are formed only where they
+    are read.
     """
     n, prod, poset = alg.size, alg.product, alg.order_poset
     tilde, minus = alg.tilde, alg.minus
@@ -342,32 +327,24 @@ def _adjoint(alg: FinAlgebra) -> bool:
     def leq(x, y):
         return below[x.astype(np.intp) * n + y].all()
 
-    def rres(c):  # rows c of [c, b] = c/b
-        return minus[prod[:, tilde[c]]].T
-
-    def lres(c):  # rows c of [c, a] = a\c
-        return tilde[prod[minus[c]]]
-
     rows = np.arange(n)
     j = np.array(poset.join_irreducibles, dtype=np.intp)
-    m = np.array(poset.meet_irreducibles, dtype=np.intp)
-    if not (
-        leq(j[:, None], minus[prod[rows, tilde[prod[j]]]])  # j <= jb/b
-        and leq(prod[rres(m), rows], m[:, None])  # (m/b)b <= m
-        and leq(j, tilde[prod[minus[prod[:, j]], rows[:, None]]])  # j <= a\aj
-        and leq(prod[rows, lres(m)], m[:, None])  # a(a\m) <= m
-    ):
+    if not (leq(j[:, None], minus[prod[rows, tilde[prod[j]]]])  # j <= jb/b
+            and leq(j, tilde[prod[minus[prod[:, j]], rows[:, None]]])):  # j <= a\aj
         return False
+    if not anti:
+        m = np.array(poset.meet_irreducibles, dtype=np.intp)
+        rres, lres = _residuals(alg, m)
+        if not (leq(prod[rres, rows], m[:, None])  # (m/b)b <= m
+                and leq(prod[rows, lres], m[:, None])):  # a(a\m) <= m
+            return False
     covers = poset.cover_pairs
-    residuals = not (poset.is_partial_order and _reverses_covers(alg, tilde)
-                     and _reverses_covers(alg, minus))
     for block in row_blocks(len(covers), n):
         lo, hi = covers[block].T
-        if not (
-            leq(prod[lo], prod[hi])
-            and leq(prod[:, lo], prod[:, hi])
-            and (not residuals or (leq(rres(lo), rres(hi)) and leq(lres(lo), lres(hi))))
-        ):
+        pairs = [(prod[lo], prod[hi]), (prod[:, lo], prod[:, hi])]
+        if not anti:
+            pairs += zip(_residuals(alg, lo), _residuals(alg, hi))
+        if not all(leq(x, y) for x, y in pairs):
             return False
     return True
 
@@ -383,35 +360,33 @@ def _validate_dinfl(alg: FinAlgebra) -> tuple[ValidationReport, bool]:
     anti-isomorphisms: the premises of lemma 3 of the module docstring."""
     rep = ValidationReport(subject=alg.name or "algebra")
     rep.notes.append("finite carrier: complete and perfect hold automatically")
-    n = alg.size
-    leq = alg.leq
-    prod = alg.product
+    n, leq, prod, poset = alg.size, alg.leq, alg.product, alg.order_poset
 
-    if not leq.diagonal().all():
+    if not poset.is_partial_order:
         for (i,) in _witnesses(~leq.diagonal()):
             rep.add("order_reflexive", (i,))
 
-    def antisymmetric(rows):
-        out = leq[rows] & leq[:, rows].T
-        out[np.arange(out.shape[0]), np.arange(rows.start, rows.start + out.shape[0])] = False
-        return out
+        def antisymmetric(rows):
+            out = leq[rows] & leq[:, rows].T
+            out[np.arange(out.shape[0]), np.arange(rows.start, rows.start + out.shape[0])] = False
+            return out
 
-    for i, j in _row_witnesses(n, antisymmetric):
-        rep.add("order_antisymmetric", (i, j))
-    for i, j in alg.order_poset.intransitive_pairs[:MAX_WITNESSES].tolist():
-        rep.add("order_transitive", (i, j))
-    if not rep.ok:
+        for i, j in _row_witnesses(n, antisymmetric):
+            rep.add("order_antisymmetric", (i, j))
+        for i, j in poset.intransitive_pairs[:MAX_WITNESSES].tolist():
+            rep.add("order_transitive", (i, j))
         return rep, False
 
-    lat = alg.order_poset.lattice
-    missing = np.triu((lat.join < 0) | (lat.meet < 0), 1)
-    for i, j in np.argwhere(missing).tolist():
-        for law, table in (("lattice_join_exists", lat.join), ("lattice_meet_exists", lat.meet)):
-            if table[i, j] < 0:
-                rep.add(law, (i, j))
-    lattice_ok = not missing.any()
-    jirr = alg.order_poset.join_irreducibles
-    if lattice_ok and not alg.distributive:
+    lattice_ok = poset.is_lattice
+    if not lattice_ok:
+        lat = poset.lattice
+        for i, j in np.argwhere(np.triu((lat.join < 0) | (lat.meet < 0), 1)).tolist():
+            for law, table in (("lattice_join_exists", lat.join),
+                               ("lattice_meet_exists", lat.meet)):
+                if table[i, j] < 0:
+                    rep.add(law, (i, j))
+    jirr = poset.join_irreducibles
+    if lattice_ok and not poset.distributive:
         # a finite lattice is distributive iff every join-irreducible is
         # join-prime; a failing (j, a, b) is a counterexample, since then
         # j meet (a join b) = j properly exceeds (j meet a) join (j meet b)
@@ -419,7 +394,11 @@ def _validate_dinfl(alg: FinAlgebra) -> tuple[ValidationReport, bool]:
             for a, b in _witnesses(_join_prime_failures(leq, alg.join_table, j)):
                 rep.add("lattice_distributive", (j, a, b))
 
-    residuated = _adjoint(alg)
+    tilde, minus = alg.tilde, alg.minus
+    # lemma 3: tilde and minus are anti-isomorphisms iff they reverse the
+    # cover pairs; the n x n scan runs only for one that does not
+    not_anti = [f for f in (tilde, minus) if not _reverses_covers(alg, f)]
+    residuated = _adjoint(alg, not not_anti)
     # lemma 2 of the module docstring: with residuation, associativity on
     # J x J x J; the rows of J are scanned only for witnesses
     rows = range(n)
@@ -438,21 +417,15 @@ def _validate_dinfl(alg: FinAlgebra) -> tuple[ValidationReport, bool]:
     for (a,) in not_right_unit:
         rep.add("monoid_unit_right", (a,))
 
-    tilde, minus = alg.tilde, alg.minus
     not_undone = _witnesses(minus[tilde] != ident)
     for (a,) in not_undone:
         rep.add("linear_negation_inverse", (a,))
     not_redone = _witnesses(tilde[minus] != ident)
     for (a,) in not_redone:
         rep.add("linear_negation_inverse", (a,))
-    # lemma 3: the n x n scan runs only when a cover pair is not reversed
-    anti = True
-    for f in (tilde, minus):
-        if _reverses_covers(alg, f):
-            continue
+    for f in not_anti:
         for a, b in _row_witnesses(n, lambda rows: leq[rows] != leq[np.ix_(f, f[rows])].T):
             rep.add("linear_negation_antitone", (a, b))
-            anti = False
 
     if not residuated:
         _residuation_witnesses(rep, alg, *_residuals(alg))
@@ -472,14 +445,14 @@ def _validate_dinfl(alg: FinAlgebra) -> tuple[ValidationReport, bool]:
             # a meet b = -(~a join ~b); by lemma 3 the scan runs only when
             # tilde or minus is not an anti-isomorphism or minus does not
             # undo tilde
-            if not anti or not_undone:
+            if not_anti or not_undone:
                 mt, jt = alg.meet_table, alg.join_table
                 for a, b in _row_witnesses(
                         n, lambda rows: mt[rows] != minus[jt[np.ix_(tilde[rows], tilde)]]):
                     rep.add("meet_from_join_negation", (a, b))
         else:
             rep.add("zero_agreement", (int(tilde[alg.one]), int(minus[alg.one])))
-    return rep, lattice_ok and residuated and anti
+    return rep, lattice_ok and residuated and not not_anti
 
 
 def _residuation_witnesses(rep, alg, rres, lres_cb):
@@ -522,10 +495,9 @@ def validate_dqra(alg: FinAlgebra) -> ValidationReport:
     ident = np.arange(n)
     for (a,) in _witnesses(neg[neg] != ident):
         rep.add("neg_involution", (a,))
-    try:
-        meet, join = alg.meet_table, alg.join_table
-    except PreconditionError:
+    if not alg.order_poset.is_lattice:
         return rep
+    meet, join = alg.meet_table, alg.join_table
     # the tables exist, so on a partial order lemma 3 applies
     anti = alg.order_poset.is_partial_order and _reverses_covers(alg, neg)
     if not anti:
@@ -575,7 +547,9 @@ def derived_ops(alg: FinAlgebra) -> DerivedOps:
     if not np.array_equal(plus, plus_alt):
         raise InternalCheckError("the two dual-product expressions disagree")
     rres, lres_cb = _residuals(alg)
-    if not _adjoint(alg):
+    anti = alg.order_poset.is_partial_order and all(
+        _reverses_covers(alg, f) for f in (tilde, minus))
+    if not _adjoint(alg, anti):
         raise InternalCheckError("residual adjunction failed; validate first")
     return DerivedOps(zero=zero, plus=plus, lres=lres_cb.T, rres=rres)
 
@@ -620,7 +594,7 @@ def classify(alg: FinAlgebra) -> AlgebraFlags:
 def join_irreducibles(alg: FinAlgebra) -> list[int]:
     """The join-irreducibles of the lattice, verified join-prime."""
     out = list(alg.order_poset.join_irreducibles)
-    if out and not alg.distributive:
+    if out and not alg.order_poset.distributive:
         for j in out:
             if _join_prime_failures(alg.leq, alg.join_table, j).any():
                 raise PreconditionError(

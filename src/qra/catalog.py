@@ -39,7 +39,7 @@ def _parse_entry(name, covers, labels):
     n = len(labels)
     poset = Poset.from_covers(n, covers)
     tables = poset.lattice
-    if (tables.join < 0).any() or (tables.meet < 0).any():
+    if not poset.is_lattice:
         raise StructuralError(f"{name}: the diagram is not a lattice")
     names = {"T": tables.top}
     equations = []  # (xname, yname, node)

@@ -62,16 +62,18 @@ def enumerate_posets(max_size: int) -> list[PosetShape]:
     return out
 
 
+def _check_census_size(n: int):
+    # a poset of size k has at least k+1 upsets, so cardinality n needs
+    # posets up to size n-1 and the census stops there
+    if n > MAX_POSET_SIZE + 1:
+        raise PreconditionError(f"cardinality {n} needs posets beyond the supported census")
+
+
 def _self_dual_by_upset_count(max_n: int) -> dict[int, list[Poset]]:
     """Self-dual posets with n upsets, for every n in 1..max_n, grown once."""
     if max_n < 1:
         raise PreconditionError("cardinality must be at least 1")
-    if max_n > MAX_POSET_SIZE + 1:
-        # a poset of size k has at least k+1 upsets, so cardinality n
-        # needs posets up to size n-1 and the census stops there
-        raise PreconditionError(
-            f"cardinality {max_n} needs posets beyond the supported census"
-        )
+    _check_census_size(max_n)
     buckets = {n: [] for n in range(1, max_n + 1)}
     buckets[1].append(Poset(()))
     for poset in posets_with_at_most_upsets(max_n):
@@ -95,6 +97,7 @@ def census_key(alg: FinAlgebra) -> tuple:
     """(poset key, encoding) of the algebra's census class: the census frame's
     own ``Frame.encoding()``, the least of the dual frame's on the census poset."""
     frame = dual_frame(alg)
+    _check_census_size(alg.size)
     poset = _census_posets(alg.size).get(frame.poset.canonical_key)
     if poset is None:
         raise PreconditionError(f"no census poset of {alg.size} upsets is the dual poset")

@@ -515,6 +515,31 @@ class Poset:
                 for masks in (self.up, self.down)]
         return LatticeTables(_key_table(self.up_keys), _key_table(self.down_keys), *ends)
 
+    @cached_property
+    def is_lattice(self) -> bool:
+        """Whether the lattice tables have every entry: on a partial order,
+        whether it is a lattice."""
+        lat = self.lattice
+        return bool(min(lat.join.min(initial=0), lat.meet.min(initial=0)) >= 0)
+
+    def total(self, which: str) -> np.ndarray:
+        """The ``join`` or ``meet`` table, which must have every entry."""
+        table = getattr(self.lattice, which)
+        if not self.is_lattice and table.min() < 0:
+            i, j = np.argwhere(table < 0)[0].tolist()
+            raise PreconditionError(f"{which} of ({i},{j}) does not exist")
+        return table
+
+    @cached_property
+    def distributive(self) -> bool:
+        """Whether every j in J is join-prime (lemma of ``lattice``): j <= a
+        join b implies j <= a or j <= b, for all a and b, exactly when
+        J ∩ ↓(a join b) = (J ∩ ↓a) | (J ∩ ↓b), one test over the word rows
+        of ``down_keys``.  Needs the join table, not the meet table."""
+        keys, join = self.down_keys, self.total("join")
+        return all(np.array_equal(keys[join[rows]], keys[rows, None, :] | keys[None, :, :])
+                   for rows in row_blocks(self.n, self.n * keys.shape[1]))
+
     def _profile(self) -> tuple:
         """Iterated degree profile, an isomorphism invariant per element."""
         colors = [(popcount(self.up[i]), popcount(self.down[i])) for i in range(self.n)]
@@ -634,8 +659,9 @@ class InclusionOrder(Poset):
     is intersection) and every set but one has a listed set one point
     smaller, the lower covers of V are the listed sets V minus x, and the
     set without one is the bottom.  Inclusion among distinct sets is a
-    partial order.  Where the premise fails, covers and lattice tables
-    are those of ``Poset``.
+    partial order, and where the premise holds a distributive lattice, as
+    union and intersection distribute over each other.  Where it fails,
+    covers, lattice tables and their premises are those of ``Poset``.
 
     Tables in rank order.  In such an F let p_x, for a point x some set
     holds, be the intersection of the sets holding x: the least set
@@ -714,6 +740,14 @@ class InclusionOrder(Poset):
     @cached_property
     def lattice(self) -> LatticeTables:
         return super().lattice if self._from_sets is None else self._from_sets[1]
+
+    @cached_property
+    def is_lattice(self) -> bool:
+        return self.lattice_from_sets or super().is_lattice
+
+    @cached_property
+    def distributive(self) -> bool:
+        return self.lattice_from_sets or super().distributive
 
 
 def _product_permutations(groups):

@@ -296,10 +296,8 @@ def max_proper_qra_subreduct(struct: AtomStructure4):
                 break
     if chosen is None:
         chosen = negs[0]
+    # dqra_negations has validated base.with_neg(g) for every g it returns
     algebra = base.with_neg(list(chosen), name=base.name)
-    rep = validate_dqra(algebra)
-    if not rep.ok:
-        raise InternalCheckError(f"{struct.name}: subreduct failed validation")
     return SubreductResult(
         index=struct.index,
         algebra=algebra,

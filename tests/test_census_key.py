@@ -21,6 +21,7 @@ from qra import (
 from qra.catalog import build_catalog, match_dinfl, match_dqra
 from qra.enumerate import census_key, posets_with_upset_count
 from qra.errors import InternalCheckError, PreconditionError, SignatureError
+from qra.frame import dual_frame
 from qra.order import bits
 from qra.ra import subalgebra_on
 
@@ -132,6 +133,22 @@ def test_census_key_errors_are_typed():
     tilde = [0, 1, 2, 4, 3]
     with pytest.raises(PreconditionError, match="no census poset"):
         census_key(FinAlgebra(leq, meet, 4, tilde, tilde))
+
+
+def test_census_key_checks_the_cap_on_every_call(monkeypatch):
+    # a key formed under a raised cap leaves the census posets of its size
+    # cached; once the cap is restored the key is refused all the same.  A
+    # fresh cache keeps those posets from reaching any other test
+    enumerate_ = importlib.import_module("qra.enumerate")
+    monkeypatch.setattr(enumerate_, "_census_posets",
+                        lru_cache(maxsize=None)(enumerate_._census_posets.__wrapped__))
+    three = census_algebras(3, "dinfl")[0]
+    alg = direct_product(three, three)
+    with monkeypatch.context() as raised:
+        raised.setattr(enumerate_, "MAX_POSET_SIZE", 8)
+        assert census_key(alg)[0] == dual_frame(alg).poset.canonical_key
+    with pytest.raises(PreconditionError, match="beyond the supported census"):
+        census_key(alg)
 
 
 def test_two_catalog_algebras_of_one_key_raise(monkeypatch):

@@ -229,10 +229,10 @@ def test_distributive_is_read_off_a_ring_of_sets():
     alg = _chain_dq(4)
     poset = alg.order_poset
     assert isinstance(poset, InclusionOrder) and poset.lattice_from_sets
-    assert alg.distributive
+    assert alg.order_poset.distributive
     # answered by the lemma, without the word-row test over the keys
     assert "down_keys" not in poset.__dict__
-    assert fresh_copy(alg).distributive
+    assert fresh_copy(alg).order_poset.distributive
 
 
 def test_distributive_tests_a_family_without_one_point_covers():
@@ -240,5 +240,5 @@ def test_distributive_tests_a_family_without_one_point_covers():
     alg = upset_algebra(frame, ups)
     poset = alg.order_poset
     assert isinstance(poset, InclusionOrder) and not poset.lattice_from_sets
-    assert alg.distributive
+    assert alg.order_poset.distributive
     assert "down_keys" in poset.__dict__

@@ -17,6 +17,7 @@ pair, where ``validate_dqra`` reads them off the cover pairs and J x J.
 Full reports, witnesses in order, are compared with it.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -25,6 +26,7 @@ import pytest
 from qra import FinAlgebra, Poset, RepBase, build_dq, derived_ops, validate_dinfl, validate_dqra
 from qra.algebra import (
     ValidationReport,
+    _adjoint,
     _validate_dinfl,
     _join_prime_failures,
     _mismatches,
@@ -35,7 +37,7 @@ from qra.algebra import (
 )
 from qra.catalog import build_catalog, catalog_lookup
 from qra.errors import InternalCheckError, PreconditionError
-from qra.frame import Frame, complex_algebra
+from qra.frame import Frame, complex_algebra, dual_frame, roundtrip_algebra, validate_frame
 from qra.order import all_posets, bits
 from qra.represent import SearchOptions, iterate_bases
 
@@ -294,6 +296,35 @@ def test_each_part_of_the_adjunction_is_needed(product, tilde, minus):
     assert_matches_reference(alg)
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+def test_each_product_gather_is_needed_without_counits(transpose):
+    # on the 2x2 lattice tilde = minus = (3, 1, 2, 0) are anti-isomorphisms,
+    # so by lemma 5 of qra.algebra no counit is checked.  The product that
+    # is 0 but for row 2 = (0, 0, 1, 1) passes both units at J and is
+    # monotone in its first argument, not its second; its transpose the
+    # other way round.  Neither is residuated
+    product = np.zeros((4, 4), dtype=int)
+    product[2] = (0, 0, 1, 1)
+    square = Poset.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    alg = FinAlgebra(square, product.T if transpose else product, 0, [3, 1, 2, 0], [3, 1, 2, 0],
+                     name="2x2")
+    assert reference_laws(alg) >= {"residuation_right", "residuation_left"}
+    assert_matches_reference(alg)
+
+
+def test_adjoint_reads_no_counit_on_every_product_of_the_three_chain():
+    # lemma 5 of qra.algebra: tilde = minus = the reversal are
+    # anti-isomorphisms, so the counits follow from the units
+    chain = Poset.chain(3)
+    residuated = 0
+    for cells in itertools.product(range(3), repeat=9):
+        alg = FinAlgebra(chain, np.reshape(cells, (3, 3)), 0, [2, 1, 0], [2, 1, 0])
+        want = reference_adjoint(alg, *_residuals(alg))
+        assert _adjoint(alg, True) == want, cells
+        residuated += want
+    assert residuated == 5
+
+
 def test_monotonicity_failure_past_the_first_block_of_covers():
     # 2^6 x B, with 2^6 the Boolean algebra (product meet, tilde = minus =
     # complement) and B the 3-chain whose product fails monotonicity and
@@ -430,3 +461,27 @@ def test_semiring_law_scanned_when_a_unit_law_fails():
                                    "semiring_reformulation"]
     assert [w for law, w in rep.failures if law == "semiring_reformulation"] == [(1, 0), (1, 0)]
     assert_report_matches_loops(alg)
+
+
+def test_algebra_validates_iff_its_dual_frame_does_and_round_trips():
+    # the duality as a cross-check between the two law checkers: a
+    # catalogue algebra or a table mutant of one validates exactly when its
+    # dual frame builds, validates as a frame and gives the algebra back.
+    # On an invalid algebra the dual frame may raise one of two typed errors
+    rng = random.Random(12)
+    outcomes = {}
+    for entry in build_catalog():
+        for alg in [entry.base] + [v.algebra for v in entry.variants]:
+            cases = [alg] + list(mutants(alg, rng, ("cell", "cells", "tilde", "order"))
+                                 if alg.size > 1 else [])
+            for case in cases:
+                ok = (validate_dqra(case) if case.neg is not None else validate_dinfl(case)).ok
+                try:
+                    dual, error = (validate_frame(dual_frame(case)).ok
+                                   and bool(roundtrip_algebra(case))), None
+                except (InternalCheckError, PreconditionError) as exc:
+                    dual, error = False, type(exc).__name__
+                assert ok == dual, (case.name, error)
+                outcomes[ok, error] = outcomes.get((ok, error), 0) + 1
+    assert outcomes == {(True, None): 174, (False, None): 197,
+                        (False, "InternalCheckError"): 192, (False, "PreconditionError"): 109}
