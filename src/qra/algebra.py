@@ -12,8 +12,8 @@ report has no failure for it, and each failure carries a witness tuple.
 One code path serves every carrier size.  The order premises (partial
 order, lattice, distributive) are decided once per order, by ``Poset``.
 Most laws are decided through the irreducibles, or through the cover
-pairs, by the first three lemmas below; the last two make laws follow
-from others.
+pairs, by the first three lemmas below and the last; lemmas 4 and 5
+make laws follow from others.
 
 1. Let J be the elements that are not the least upper bound of the
    elements strictly below them (in a lattice, the join-irreducibles),
@@ -26,8 +26,9 @@ from others.
    one included, so (ab)c and a(bc) preserve joins in each argument
    separately, and by lemma 1 they agree everywhere iff they agree on
    J x J x J.  Residuation itself is a Galois connection: monotonicity
-   on the cover pairs, and then, by lemma 1 and its dual, the units at J
-   and the counits at the meet-irreducibles, or by lemma 5 no counit.
+   on the cover pairs, or by lemma 6 on n rows and n columns, and then,
+   by lemma 1 and its dual, the units at J and the counits at the
+   meet-irreducibles, or by lemma 5 no counit.
 3. A permutation f of a finite poset that reverses every cover pair
    reverses the order, and then maps the related pairs injectively,
    so onto, themselves: a <= b iff f(b) <= f(a), an anti-isomorphism,
@@ -58,6 +59,22 @@ from others.
    anti-isomorphism f has x <= c iff f(c) <= f(x).  As c ranges over the
    carrier so do ~c and -c, so the counits hold wherever the units
    b <= a\\ab and a <= ab/b do.
+6. Let the order be a finite distributive lattice with least element 0,
+   and for each a other than 0 fix a lower cover a0 of a
+   (``Poset.join_steps``).  By lemma 1 key[a0] is a proper subset of
+   key[a]; let j be in key[a] and not in key[a0].  Then a0 < a0 join j
+   <= a, so a = a0 join j, and j is the only such element: another j'
+   would give a = a0 join j', and j and j' are join-prime, so j <= j'
+   and j' <= j.  Suppose a.b = (a0.b) join (j.b) for every a but 0 and
+   every b.  By induction on the height of a, a.b is 0.b joined with
+   j'.b over every j' in J ∩ ↓a, so the product is monotone in its
+   first argument; if also 0.b = 0, it preserves every join, as
+   key[a join c] = key[a] | key[c].  The second argument is the same.
+   Conversely, a residuated product preserves every join, so it meets
+   both identities.  So when ~ and - are anti-isomorphisms, the
+   identities on n rows and n columns, the units at J (lemma 2) and
+   lemma 5 decide residuation without the cover pairs.  0.b = 0 is not
+   tested: residuation implies it.
 
 Only when one of these tests or a premise fails are the join-irreducibles
 (or their rows, or the whole table) scanned, for witnesses in the order
@@ -309,7 +326,9 @@ def _adjoint(alg: FinAlgebra, anti: bool) -> bool:
     ``x -> x.b`` and ``c -> c/b`` (and ``x -> a.x``, ``c -> a\\c``) form a
     Galois connection exactly when both maps are monotone and the unit and
     counit inequalities hold.  Monotonicity is checked on the cover pairs
-    ``(a0, a)``, whose transitive closure is the order.  Given it, the
+    ``(a0, a)``, whose transitive closure is the order; on a distributive
+    lattice with ``anti``, by the n rows and n columns of lemma 6 of the
+    module docstring instead (``_joins_extend``).  Given it, the
     units need checking only at the elements J of ``Poset.join_irreducibles``
     and the counits only at M: every a is the least upper bound of J ∩ ↓a,
     and j <= g(f(j)) <= g(f(a)) for each j there, so a <= g(f(a)); dually
@@ -338,6 +357,8 @@ def _adjoint(alg: FinAlgebra, anti: bool) -> bool:
         if not (leq(prod[rres, rows], m[:, None])  # (m/b)b <= m
                 and leq(prod[rows, lres], m[:, None])):  # a(a\m) <= m
             return False
+    if anti and poset.is_lattice and poset.distributive:
+        return _joins_extend(alg)
     covers = poset.cover_pairs
     for block in row_blocks(len(covers), n):
         lo, hi = covers[block].T
@@ -345,6 +366,27 @@ def _adjoint(alg: FinAlgebra, anti: bool) -> bool:
         if not anti:
             pairs += zip(_residuals(alg, lo), _residuals(alg, hi))
         if not all(leq(x, y) for x, y in pairs):
+            return False
+    return True
+
+
+def _joins_extend(alg: FinAlgebra) -> bool:
+    """Whether a.b = a0.b join j.b and b.a = b.a0 join b.j for every b and
+    every step (a, a0, j) of ``Poset.join_steps``: on a distributive
+    lattice, lemma 6 of the module docstring.  Joins are read off the flat
+    join table a block of rows at a time; the second half reads each row
+    b at a, a0 and j, so no column of the product is gathered."""
+    n, prod, join = alg.size, alg.product, alg.join_table.ravel()
+    steps = alg.order_poset.join_steps
+
+    def extends(x, x0, xj):
+        return np.array_equal(x, join[x0.astype(np.intp) * n + xj])
+
+    if not all(extends(*prod[steps[:, rows]]) for rows in row_blocks(steps.shape[1], n)):
+        return False
+    for rows in row_blocks(n, n):
+        at = prod[rows][:, steps]
+        if not extends(at[:, 0], at[:, 1], at[:, 2]):
             return False
     return True
 

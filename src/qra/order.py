@@ -218,9 +218,9 @@ def _point_words(width: int) -> np.ndarray:
 
 def _read_sets(sets: np.ndarray, removable: np.ndarray, index: RowIndex):
     """Join and meet tables of an ``InclusionOrder`` read off its sets (see
-    its docstring), the least set, and the pairs (lo, hi) of a set hi and
-    a listed set lo one point smaller, in increasing hi; None where the
-    lemma's premise fails."""
+    its docstring), the least set, the pairs (lo, hi) of a set hi and a
+    listed set lo one point smaller, in increasing hi, and its
+    ``join_steps``; None where the lemma's premise fails."""
     count, width = sets.shape
     member = words_to_bools(sets, 64 * width)
     # points past the last one any set holds are left out
@@ -230,7 +230,8 @@ def _read_sets(sets: np.ndarray, removable: np.ndarray, index: RowIndex):
     # first set where none does
     size = member.sum(axis=1)
     order = np.argsort(size, kind="stable")
-    least_with = sets[order[member[order].argmax(axis=0)]]
+    least_at = order[member[order].argmax(axis=0)]
+    least_with = sets[least_at]
     # per set V: V ∪ p_x for each point x, V itself, then V minus each
     # removable point, all looked up at once
     found = np.empty((count, points + 1 + removable.shape[1]), dtype=np.int32)
@@ -275,7 +276,9 @@ def _read_sets(sets: np.ndarray, removable: np.ndarray, index: RowIndex):
     join.setflags(write=False)
     meet.setflags(write=False)
     hi, k = np.nonzero(has_lower)
-    return join, meet, int(least[0]), below[hi, k], hi
+    steps = np.array([order, lower_set, least_at[point]], dtype=np.intp)
+    steps.setflags(write=False)
+    return join, meet, int(least[0]), below[hi, k], hi, steps
 
 
 class _PathFacts(NamedTuple):
@@ -540,6 +543,21 @@ class Poset:
         return all(np.array_equal(keys[join[rows]], keys[rows, None, :] | keys[None, :, :])
                    for rows in row_blocks(self.n, self.n * keys.shape[1]))
 
+    @cached_property
+    def join_steps(self) -> np.ndarray:
+        """The rows a, a0, j of a read-only array: every element a with a
+        lower cover, one lower cover a0 of it, and an element j of
+        ``join_irreducibles`` below a and not below a0, which lemma 1 of
+        :mod:`qra.algebra` gives.  On a distributive lattice j is the only
+        one and a = a0 join j (lemma 6 there)."""
+        jirr, down = mask_of(self.join_irreducibles), self.down
+        steps = [(a, a0, (down[a] & ~down[a0] & jirr).bit_length() - 1)
+                 for a, low in enumerate(self.lower_covers) if low
+                 for a0 in (low.bit_length() - 1,)]
+        steps = np.array(steps, dtype=np.intp).reshape(-1, 3).T
+        steps.setflags(write=False)
+        return steps
+
     def _profile(self) -> tuple:
         """Iterated degree profile, an isomorphism invariant per element."""
         colors = [(popcount(self.up[i]), popcount(self.down[i])) for i in range(self.n)]
@@ -703,9 +721,9 @@ class InclusionOrder(Poset):
         self.sets, self.removable, self.index = sets, removable, RowIndex(sets)
 
     @cached_property
-    def _from_sets(self) -> tuple[_PathFacts, LatticeTables] | None:
-        """Covers and lattice tables read off the sets, or None where the
-        lemma's premise fails."""
+    def _from_sets(self) -> tuple[_PathFacts, LatticeTables, np.ndarray] | None:
+        """Covers, lattice tables and join steps read off the sets, or None
+        where the lemma's premise fails."""
         count = len(self.sets)
         check_memory(8 * count * count, f"the join and meet tables of {count} elements")
         # the lookups are made and dropped in one call, so that the covers
@@ -713,7 +731,7 @@ class InclusionOrder(Poset):
         read = _read_sets(self.sets, self.removable, self.index)
         if read is None:
             return None
-        join, meet, least, lo, hi = read
+        join, meet, least, lo, hi, steps = read
         # the pairs come in increasing hi, so a stable sort by lo orders them
         by_lo = lo.argsort(kind="stable")
         pairs = np.empty((len(lo), 2), dtype=np.intp)
@@ -725,7 +743,7 @@ class InclusionOrder(Poset):
         top = covers.index(0)
         facts = _PathFacts(tuple(covers), tuple(lower), pairs, True,
                            np.empty((0, 2), dtype=np.intp))
-        return facts, LatticeTables(join, meet, least, top)
+        return facts, LatticeTables(join, meet, least, top), steps
 
     @property
     def lattice_from_sets(self) -> bool:
@@ -748,6 +766,13 @@ class InclusionOrder(Poset):
     @cached_property
     def distributive(self) -> bool:
         return self.lattice_from_sets or super().distributive
+
+    @cached_property
+    def join_steps(self) -> np.ndarray:
+        """Where the lemma's premise holds, each set V but the least, the
+        listed set V minus x and p_x, the least set holding x: by the
+        docstring, V = (V minus x) ∪ p_x."""
+        return super().join_steps if self._from_sets is None else self._from_sets[2]
 
 
 def _product_permutations(groups):
@@ -821,7 +846,7 @@ def all_posets(max_size: int) -> list[Poset]:
     picked among existing downsets the labels follow a linear extension, so
     every isomorphism class is reached; duplicates fall to canonical keys.
     """
-    return list(_grow_posets(max_size))
+    return [p for layer in _poset_layers(max_size) for p in layer]
 
 
 def posets_with_at_most_upsets(cap: int) -> list[Poset]:
@@ -833,20 +858,20 @@ def posets_with_at_most_upsets(cap: int) -> list[Poset]:
     dropped together with everything that would grow from it.  A poset on
     k points has at least k + 1 upsets, which bounds the growth.
     """
-    return list(_grow_posets(cap - 1, cap))
+    return [p for layer in _poset_layers(cap - 1, cap) for p in layer]
 
 
-def _grow_posets(max_size: int, cap: int | None = None):
+def _poset_layers(max_size: int, cap: int | None = None):
     """The posets of ``all_posets(max_size)`` (with at most ``cap`` upsets),
-    in its order and named, each size grown only once the smaller ones
-    have all been taken."""
+    in its order and named, one list per size; each size is grown only
+    when the one before it has been taken."""
     layer = [Poset.chain(1)]
     for n in range(1, max_size + 1):
         if n > 1:
             layer = _grow_layer(layer, n, cap)
         for p in layer:
             p.name = poset_display_name(p)
-        yield from layer
+        yield layer
 
 
 def _grow_layer(smaller_posets: list[Poset], n: int, cap: int | None) -> list[Poset]:

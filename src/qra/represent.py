@@ -12,7 +12,10 @@ algebra of a frame on the pairs of E (``dq_frame``), built by the same
 upset-algebra construction as every other complex algebra.  Embedding
 an abstract algebra into such a relation algebra is what representability
 means here; the search walks bases smallest first and emits
-self-contained certificates.  The verifier re-checks a certificate from
+self-contained certificates.  It keeps, across calls, the bases it lists
+for each point count and each base's Dq(E), in one memo bounded by
+``BLOCK_CELLS`` cells: a base costs one cell and a Dq(E) the square of its
+carrier size.  The verifier re-checks a certificate from
 scratch without building Dq(E): it reads each embedded element's relation
 on E and checks the operations as union, intersection, composition and
 the negations on relations, and it checks the laws of Dq(E) on its frame
@@ -26,13 +29,14 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .algebra import FinAlgebra
 from .errors import BudgetExhausted, PreconditionError, SignatureError, StructuralError
 from .frame import Frame, upset_algebra, validate_frame
 from .iso import set_image
 from .morphism import _hom_search
-from .order import BLOCK_CELLS, Poset, _grow_posets, bits, mask_of
+from .order import BLOCK_CELLS, Poset, _poset_layers, bits, mask_of
 
 DEFAULT_UPSET_CAP = 1 << 16
 SEARCH_UPSET_CAP = 4096  # the search skips bases whose Dq(E) is larger
@@ -349,36 +353,50 @@ class SearchOptions:
                 f"embed_budget must be at least 1, not {self.embed_budget}")
 
 
+def _poset_bases(poset: Poset, need_beta: bool, options: SearchOptions):
+    """The bases on one poset, in the order of ``iterate_bases``."""
+    if need_beta and not poset.is_self_dual:
+        return
+    equivs = _equivalences_containing(poset)
+    if options.full_e_only:
+        equivs = [tuple([poset.carrier] * poset.n)]
+    for equiv in equivs:
+        alphas = _order_automorphisms(poset, equiv)
+        if options.alpha_id_only:
+            alphas = [tuple(range(poset.n))]
+        for alpha in alphas:
+            if need_beta:
+                for beta in _beta_candidates(poset, equiv, alpha):
+                    yield RepBase(poset, equiv, alpha, beta)
+            else:
+                yield RepBase(poset, equiv, alpha, None)
+
+
 def iterate_bases(max_points: int, need_beta: bool, options: SearchOptions):
     """Bases ordered by point count, then canonical poset order; each base
-    once (``_grow_posets`` lists every poset on 1..max_points points, and
-    grows the posets of a size only when the search reaches it)."""
-    for poset in _grow_posets(max_points):
-        if need_beta and not poset.is_self_dual:
-            continue
-        equivs = _equivalences_containing(poset)
-        if options.full_e_only:
-            equivs = [tuple([poset.carrier] * poset.n)]
-        for equiv in equivs:
-            alphas = _order_automorphisms(poset, equiv)
-            if options.alpha_id_only:
-                alphas = [tuple(range(poset.n))]
-            for alpha in alphas:
-                if need_beta:
-                    for beta in _beta_candidates(poset, equiv, alpha):
-                        yield RepBase(poset, equiv, alpha, beta)
-                else:
-                    yield RepBase(poset, equiv, alpha, None)
+    once (``_poset_layers`` lists every poset on 1..max_points points).
+
+    The bases of each point count are listed once per process and kept in
+    the search memo, ``_MEMO``, for these ``need_beta`` and option flags,
+    within its ``BLOCK_CELLS`` bound at one cell per base; a point count
+    is listed, and its posets grown, only when the walk reaches it, and one
+    whose bases would not fit is listed again on every walk."""
+    return _MEMO.bases(max_points, need_beta, options)
 
 
 class _Memo:
     """What ``representation_search`` keeps across calls: each base's
     Dq(E), or None when it has more than ``SEARCH_UPSET_CAP`` up-sets,
-    least recently used first, at most ``BLOCK_CELLS`` cells in all.  A
-    Dq(E) costs the square of its carrier size in cells, its algebra built
-    or not, and None one cell; one larger than ``BLOCK_CELLS`` is built for
-    the call that asks and not kept.  One lock guards every lookup and
-    fill, so searches in several threads share it safely."""
+    least recently used first, and the bases of each point count that
+    ``iterate_bases`` lists, keyed by the count, ``need_beta`` and the two
+    flags of ``SearchOptions``.  Both share one bound of ``BLOCK_CELLS``
+    cells: a base costs one cell, a Dq(E) the square of its carrier size,
+    its algebra built or not, and None one cell.  A Dq(E), or the bases of
+    a point count, that would not fit beside the kept bases is built for
+    the call that asks and not kept; kept bases stay until ``clear``, and
+    the Dq(E)s that no longer fit beside them are dropped.  One lock guards
+    every lookup and fill, so searches in several threads share it safely;
+    no walk holds it while it hands out a base."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -388,10 +406,17 @@ class _Memo:
         with self.lock:
             self.targets: OrderedDict[RepBase, DqAlgebra | None] = OrderedDict()
             self.cells = 0
+            self.layers: dict[tuple, tuple[RepBase, ...]] = {}
+            self.bases_kept = 0
 
     @staticmethod
     def cost(target: DqAlgebra | None) -> int:
         return 1 if target is None else len(target.relation_masks) ** 2
+
+    def _fit(self):
+        """Drop the least recently used Dq(E)s until all fits the bound."""
+        while self.cells > BLOCK_CELLS - self.bases_kept:
+            self.cells -= self.cost(self.targets.popitem(last=False)[1])
 
     def target(self, base: RepBase) -> DqAlgebra | None:
         with self.lock:
@@ -403,12 +428,38 @@ class _Memo:
             except PreconditionError:
                 found = None
             cells = self.cost(found)
-            if cells <= BLOCK_CELLS:
+            if cells <= BLOCK_CELLS - self.bases_kept:
                 self.targets[base] = found
                 self.cells += cells
-                while self.cells > BLOCK_CELLS:
-                    self.cells -= self.cost(self.targets.popitem(last=False)[1])
+                self._fit()
             return found
+
+    def bases(self, max_points: int, need_beta: bool, options: SearchOptions):
+        """The walk of ``iterate_bases``: each point count from its kept
+        bases, or listed whole under the lock, and kept if it fits, when the
+        walk first reaches it.  The posets are grown here, once per walk,
+        only as far as the first point count that is not kept needs."""
+        flags = (need_beta, options.full_e_only, options.alpha_id_only)
+        posets, grown = _poset_layers(max_points), 0
+        for points in range(1, max_points + 1):
+            rest = ()
+            with self.lock:
+                layer = self.layers.get((points, *flags))
+                if layer is None:
+                    while grown < points:
+                        layer_posets, grown = next(posets), grown + 1
+                    listing = (base for poset in layer_posets
+                               for base in _poset_bases(poset, need_beta, options))
+                    room = BLOCK_CELLS - self.bases_kept
+                    layer = tuple(islice(listing, room + 1))
+                    if len(layer) <= room:
+                        self.layers[(points, *flags)] = layer
+                        self.bases_kept += len(layer)
+                        self._fit()
+                    else:
+                        rest = listing
+            yield from layer
+            yield from rest
 
 
 _MEMO = _Memo()
@@ -422,10 +473,12 @@ def representation_search(alg: FinAlgebra, max_points: int,
     no-finite-representation filter short-circuits the search when an
     obstruction element exists.  A base whose embedding search runs out of
     ``options.embed_budget`` is counted as undecided and the search moves
-    on to the next base.  The bases are walked lazily by ``iterate_bases``;
-    each base's up-sets (up to ``SEARCH_UPSET_CAP``) and Dq(E) are built
-    once, shared across calls, bounded by ``BLOCK_CELLS`` cells.  Raises
-    ``PreconditionError`` when ``max_points`` is below 1.
+    on to the next base.  The bases are walked lazily by ``iterate_bases``,
+    one point count at a time; the bases of each point count, and each
+    base's up-sets (up to ``SEARCH_UPSET_CAP``) and Dq(E), are built once
+    and shared across calls, together bounded by ``BLOCK_CELLS`` cells at
+    one cell per base and the square of its carrier size per Dq(E).
+    Raises ``PreconditionError`` when ``max_points`` is below 1.
     """
     if max_points < 1:
         raise PreconditionError(f"max_points must be at least 1, not {max_points}")

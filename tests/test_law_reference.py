@@ -15,6 +15,12 @@ element of the associativity domain and the adjunction over every pair.
 It also scans the negation laws, the De Morgan ones included, over every
 pair, where ``validate_dqra`` reads them off the cover pairs and J x J.
 Full reports, witnesses in order, are compared with it.
+
+A third keeps the adjunction check as it was before lemma 6 of
+``qra.algebra``, with monotonicity on every cover pair.  On a distributive
+lattice with anti-isomorphic linear negations ``_adjoint`` now tests the
+join extension of the lemma instead, and full reports under the two are
+compared on the catalogue, its seeded mutants and every small Dq(E).
 """
 
 import itertools
@@ -23,12 +29,14 @@ import random
 import numpy as np
 import pytest
 
+import qra.algebra
 from qra import FinAlgebra, Poset, RepBase, build_dq, derived_ops, validate_dinfl, validate_dqra
 from qra.algebra import (
     ValidationReport,
     _adjoint,
     _validate_dinfl,
     _join_prime_failures,
+    _joins_extend,
     _mismatches,
     _residuals,
     _residuation_witnesses,
@@ -38,8 +46,8 @@ from qra.algebra import (
 from qra.catalog import build_catalog, catalog_lookup
 from qra.errors import InternalCheckError, PreconditionError
 from qra.frame import Frame, complex_algebra, dual_frame, roundtrip_algebra, validate_frame
-from qra.order import all_posets, bits
-from qra.represent import SearchOptions, iterate_bases
+from qra.order import all_posets, bits, row_blocks
+from qra.represent import SEARCH_UPSET_CAP, DqAlgebra, SearchOptions, iterate_bases
 
 COVERED = {
     "order_transitive", "lattice_distributive", "monoid_associative",
@@ -485,3 +493,149 @@ def test_algebra_validates_iff_its_dual_frame_does_and_round_trips():
                 outcomes[ok, error] = outcomes.get((ok, error), 0) + 1
     assert outcomes == {(True, None): 174, (False, None): 197,
                         (False, "InternalCheckError"): 192, (False, "PreconditionError"): 109}
+
+
+def cover_pair_adjoint(alg: FinAlgebra, anti: bool) -> bool:
+    """``qra.algebra._adjoint`` before lemma 6: the units at J, the counits
+    at M unless ``anti``, and monotonicity on every cover pair, of the
+    product and, unless ``anti``, of both residuals."""
+    n, prod, poset = alg.size, alg.product, alg.order_poset
+    tilde, minus = alg.tilde, alg.minus
+    below = alg.leq.ravel()
+
+    def leq(x, y):
+        return below[x.astype(np.intp) * n + y].all()
+
+    rows = np.arange(n)
+    j = np.array(poset.join_irreducibles, dtype=np.intp)
+    if not (leq(j[:, None], minus[prod[rows, tilde[prod[j]]]])
+            and leq(j, tilde[prod[minus[prod[:, j]], rows[:, None]]])):
+        return False
+    if not anti:
+        m = np.array(poset.meet_irreducibles, dtype=np.intp)
+        rres, lres = _residuals(alg, m)
+        if not (leq(prod[rres, rows], m[:, None]) and leq(prod[rows, lres], m[:, None])):
+            return False
+    covers = poset.cover_pairs
+    for block in row_blocks(len(covers), n):
+        lo, hi = covers[block].T
+        pairs = [(prod[lo], prod[hi]), (prod[:, lo], prod[:, hi])]
+        if not anti:
+            pairs += zip(_residuals(alg, lo), _residuals(alg, hi))
+        if not all(leq(x, y) for x, y in pairs):
+            return False
+    return True
+
+
+class _JoinExtensionCalls:
+    """``algebra._joins_extend`` with a tally of its verdicts."""
+
+    def __init__(self):
+        self.verdicts = []
+
+    def __call__(self, alg):
+        self.verdicts.append(_joins_extend(alg))
+        return self.verdicts[-1]
+
+
+def assert_reports_match_the_cover_pair_scan(alg: FinAlgebra, monkeypatch):
+    checks = [validate_dinfl] + ([validate_dqra] if alg.neg is not None else [])
+    reports = []
+    for adjoint in (qra.algebra._adjoint, cover_pair_adjoint):
+        with monkeypatch.context() as patched:
+            patched.setattr(qra.algebra, "_adjoint", adjoint)
+            reports.append([(r.ok, r.laws_violated(), r.failures)
+                            for r in (check(fresh(alg)) for check in checks)])
+    assert reports[0] == reports[1], alg.name
+
+
+def _steps_broken(alg: FinAlgebra):
+    """The cells (a, b) with a.b other than a0.b join j.b, and those with
+    b.a other than b.a0 join b.j, over the steps (a, a0, j)."""
+    prod, join = alg.product, alg.join_table
+    first, second = set(), set()
+    for a, a0, j in alg.order_poset.join_steps.T.tolist():
+        for b in range(alg.size):
+            if prod[a, b] != join[prod[a0, b], prod[j, b]]:
+                first.add((a, b))
+            if prod[b, a] != join[prod[b, a0], prod[b, j]]:
+                second.add((b, a))
+    return first, second
+
+
+def test_join_extension_matches_the_cover_pairs_on_the_catalogue_and_mutants(monkeypatch):
+    # every catalogue base and variant, and four seeded mutants of each one
+    # with more than one element: product cells, a tilde swap, an order flip
+    calls = _JoinExtensionCalls()
+    monkeypatch.setattr(qra.algebra, "_joins_extend", calls)
+    rng = random.Random(30)
+    algebras = [a for entry in build_catalog() for a in [entry.base]
+                + [v.algebra for v in entry.variants]]
+    cases = algebras + [m for a in algebras if a.size > 1
+                        for m in mutants(a, rng, ("cell", "cells", "tilde", "order"))]
+    assert len(cases) == 136 + 536
+    for alg in cases:
+        assert_reports_match_the_cover_pair_scan(alg, monkeypatch)
+    # lemma 6 decides residuation both ways on many of them
+    assert calls.verdicts.count(True) > 50 and calls.verdicts.count(False) > 50
+
+
+@pytest.mark.parametrize("need_beta", [True, False])
+def test_join_extension_matches_the_cover_pairs_on_every_small_dq(need_beta, monkeypatch):
+    # the Dq(E) of every base on at most 3 points, each within the cap of
+    # the search
+    calls = _JoinExtensionCalls()
+    monkeypatch.setattr(qra.algebra, "_joins_extend", calls)
+    bases = list(iterate_bases(3, need_beta, SearchOptions()))
+    assert len(bases) == {True: 39, False: 25}[need_beta]
+    for base in bases:
+        assert_reports_match_the_cover_pair_scan(DqAlgebra(base, SEARCH_UPSET_CAP).algebra,
+                                                 monkeypatch)
+    assert calls.verdicts == [True] * len(bases) * (2 if need_beta else 1)
+
+
+def test_a_product_that_fails_lemma_6_only_at_the_empty_join():
+    # the 3-chain with 0.1 = 0.2 = 1: every a.b is a0.b join j.b in both
+    # arguments, but 0.b is not 0.  The product is monotone, so the units
+    # catch it, as lemma 6 says; 0.b = 0 needs no test of its own
+    leq = [[i <= j for j in range(3)] for i in range(3)]
+    alg = FinAlgebra(leq, [[0, 1, 1], [0, 1, 2], [0, 2, 2]], 1, [2, 1, 0], [2, 1, 0],
+                     neg=[2, 1, 0], name="S3~0.b=1")
+    assert _steps_broken(alg) == (set(), set())
+    assert list(alg.product[0]) != [0, 0, 0]
+    assert not _adjoint(alg, True) and not cover_pair_adjoint(alg, True)
+    assert reference_laws(alg) >= {"residuation_right", "residuation_left"}
+    assert_report_matches_loops(alg)
+
+
+def test_a_product_that_fails_lemma_6_in_one_cell():
+    # D4_2_2 on the 2x2 lattice with top.top = 0: a.b = a0.b join j.b
+    # fails at the one cell (3, 3), in each argument; the units at J hold,
+    # so the join extension is what finds residuation broken
+    base = catalog_lookup("D4_2_2").base
+    prod = base.product.copy()
+    prod[3, 3] = 0
+    alg = FinAlgebra(base.order_poset, prod, base.one, base.tilde, base.minus,
+                     name="D4_2_2~3.3=0")
+    assert _steps_broken(alg) == ({(3, 3)}, {(3, 3)})
+    verdicts = _JoinExtensionCalls()
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(qra.algebra, "_joins_extend", verdicts)
+        assert not _adjoint(alg, True)
+    assert verdicts.verdicts == [False] and not cover_pair_adjoint(alg, True)
+    assert reference_laws(alg) >= {"residuation_right", "residuation_left"}
+    assert_report_matches_loops(alg)
+
+
+def test_the_join_extension_is_not_taken_off_a_distributive_lattice():
+    # M3, with 4 = 3 join 2 its step: on a lattice that is not
+    # distributive the identities of lemma 6 and the units at J can hold
+    # although the product is not monotone (1.1 = 4, but 4.1 = 0)
+    m3 = Poset.from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    product = np.zeros((5, 5), dtype=int)
+    product[1, 1] = 4
+    alg = FinAlgebra(m3, product, 0, [4, 3, 1, 2, 0], [4, 2, 3, 1, 0], name="M3")
+    assert not m3.distributive and _joins_extend(alg)
+    assert not _adjoint(alg, True) and not cover_pair_adjoint(alg, True)
+    assert reference_laws(alg) >= {"residuation_right", "residuation_left"}
+    assert_report_matches_loops(alg)

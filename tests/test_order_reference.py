@@ -19,7 +19,9 @@ pair by pair.  It reads the masks literally, so it also pins the tables of
 relations that are not partial orders.
 """
 
+import functools
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -188,6 +190,15 @@ def check_order_layer(leq, lattice_expected=None, poset=None):
     is_lattice = all(x >= 0 for row in join + meet for x in row)
     if lattice_expected is not None:
         assert is_lattice == lattice_expected
+    if is_order:
+        # each element with a lower cover once, with one of them and an
+        # element of J below it and not below that cover
+        steps = poset.join_steps
+        assert not steps.flags.writeable
+        assert sorted(steps[0].tolist()) == [a for a in range(len(leq)) if lower[a]]
+        for a, a0, j in steps.T.tolist():
+            assert lower[a] >> a0 & 1 and j in poset.join_irreducibles
+            assert leq[j][a] and not leq[j][a0]
     alg = order_algebra(poset if given else np.array(leq, dtype=bool))
     assert (alg.order_poset.up, alg.order_poset.down) == (poset.up, poset.down)
     for what, table, want in (("join_table", lat.join, join), ("meet_table", lat.meet, meet),
@@ -251,6 +262,7 @@ def check_upset_family(order: Poset, from_sets: bool):
     check_order_layer(order.relation.tolist(), lattice_expected=True, poset=order)
     if from_sets:
         assert order._paths is order._from_sets[0] and order.lattice is order._from_sets[1]
+        assert order.join_steps is order._from_sets[2]
     else:
         assert order._from_sets is None
 
@@ -318,6 +330,11 @@ def check_rank_order_tables(order: InclusionOrder):
     assert all(x >= 0 for row in join + meet for x in row)
     assert order._from_sets is not None
     assert order.lattice.join.tolist() == join and order.lattice.meet.tolist() == meet
+    # the join steps are V, V minus x and the least set holding x
+    for a, a0, j in order.join_steps.T.tolist():
+        x = sets[a] & ~sets[a0]
+        assert x & (x - 1) == 0 and sets[a0] | x == sets[a]
+        assert sets[j] == functools.reduce(operator.and_, (s for s in sets if s & x))
     perm = list(range(len(sets)))
     random.Random(len(sets)).shuffle(perm)
     shuffled = InclusionOrder(order.sets[perm], order.removable[perm])

@@ -315,7 +315,7 @@ def test_representation_search_needs_a_point(bool2, max_points):
         representation_search(bool2, max_points)
 
 
-def test_a_search_certifying_at_one_point_grows_no_larger_poset(monkeypatch):
+def test_a_search_certifying_at_one_point_grows_no_larger_poset(cold_memo, monkeypatch):
     grown = []
     grow_layer = qra.order._grow_layer
 
@@ -453,6 +453,73 @@ def test_threads_share_the_memo(cold_memo, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert found == [cold] * workers
     assert cold_memo.cells == sum(map(cold_memo.cost, cold_memo.targets.values())) <= 300
+
+
+@pytest.mark.parametrize("options", [SearchOptions(full_e_only=True, embed_budget=100_000),
+                                     SearchOptions(alpha_id_only=True, embed_budget=100_000)])
+def test_memo_gives_the_results_of_a_cold_search_under_each_flag(cold_memo, options):
+    # the smaller budget leaves D6_4_2 undecided on some 3-point bases
+    searches = _searches()
+    cold = [_cold(cold_memo, alg, points, options) for alg, points in searches]
+    cold_memo.clear()
+    for _ in range(2):
+        assert [repr(representation_search(alg, points, options))
+                for alg, points in searches] == cold
+
+
+def _walk(max_points, need_beta, options):
+    return [(b.poset.up, b.equiv, b.alpha, b.beta)
+            for b in iterate_bases(max_points, need_beta, options)]
+
+
+def test_kept_bases_are_listed_as_a_cold_walk_lists_them(cold_memo):
+    flags = [SearchOptions(full_e_only=e, alpha_id_only=a)
+             for e in (False, True) for a in (False, True)]
+    for need_beta in (True, False):
+        for options in flags:
+            cold_memo.clear()
+            cold = _walk(3, need_beta, options)
+            # a warm walk, one that stops short of the kept point counts and
+            # one that goes past them
+            assert _walk(3, need_beta, options) == cold
+            assert _walk(2, need_beta, options) == [k for k in cold if len(k[0]) <= 2]
+            cold_memo.clear()
+            _walk(2, need_beta, options)
+            assert _walk(3, need_beta, options) == cold
+            key = (3, need_beta, options.full_e_only, options.alpha_id_only)
+            assert len(cold_memo.layers[key]) == sum(len(k[0]) == 3 for k in cold)
+    # each point count of each of the eight walks is kept apart
+    for need_beta in (True, False):
+        for options in flags:
+            _walk(3, need_beta, options)
+    assert len(cold_memo.layers) == 8 * 3
+    assert cold_memo.bases_kept == sum(map(len, cold_memo.layers.values()))
+    # the walks share the bases they keep
+    walked = list(iterate_bases(3, True, SearchOptions()))
+    assert all(a is b for a, b in zip(walked, iterate_bases(3, True, SearchOptions())))
+
+
+@pytest.mark.parametrize("cells, points_kept", [(30, [1, 2]), (60, [1, 2, 3])])
+def test_memo_keeps_bases_within_its_bound(cold_memo, monkeypatch, cells, points_kept):
+    # 7 bases on at most 2 points and 32 on 3, with beta, and Dq(E)s of
+    # 2, 4 and 6 elements (4, 16 and 36 cells) among them: at 30 cells the
+    # 3-point bases are listed on every search, and at 60 all three
+    # Dq(E)s do not fit beside the kept bases
+    algebras = _catalog_algebras()
+    searches = [(algebras[name], points) for name, points in (
+        ("D2_1_1", 2), ("D4_1_3", 2), ("D4_2_3", 3), ("D6_4_2", 3), ("D4_2_3", 2))]
+    cold = [_cold(cold_memo, alg, points) for alg, points in searches]
+    monkeypatch.setattr(qra.represent, "BLOCK_CELLS", cells)
+    cold_memo.clear()
+    for _ in range(2):
+        for (alg, points), want in zip(searches, cold):
+            assert repr(representation_search(alg, points)) == want
+            assert cold_memo.cells == sum(map(cold_memo.cost, cold_memo.targets.values()))
+            assert cold_memo.bases_kept == sum(map(len, cold_memo.layers.values()))
+            assert cold_memo.cells + cold_memo.bases_kept <= cells
+    assert sorted(cold_memo.layers) == [(k, True, False, False) for k in points_kept]
+    cold_memo.clear()
+    assert (cold_memo.layers, cold_memo.bases_kept, cold_memo.cells) == ({}, 0, 0)
 
 
 def test_a_one_point_certificate_memoises_no_larger_base(cold_memo):
@@ -687,9 +754,10 @@ def test_seven_chain_dq_validates():
 @pytest.mark.stretch
 def test_eight_chain_dq_validates():
     # 12,870 elements, 64 join-irreducibles; covers and lattice tables are
-    # read off the up-sets, the tables in rank order.  About 16 s to build
-    # and 28 s to validate (2-3 s of it the join and meet tables), at 2.6 GB
-    # peak RSS, on a 2-vCPU x86_64 host with 8 GB of memory
+    # read off the up-sets, the tables in rank order, and residuation is
+    # decided by the join extension of lemma 6.  About 11 s to build and
+    # 4 s to validate, at 2.2 GB peak RSS, on a 2-vCPU x86_64 host with
+    # 8 GB of memory
     k = 8
     chain = Poset.chain(k)
     base = RepBase(chain, tuple([chain.carrier] * k), tuple(range(k)), tuple(reversed(range(k))))
