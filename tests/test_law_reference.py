@@ -639,3 +639,23 @@ def test_the_join_extension_is_not_taken_off_a_distributive_lattice():
     assert not _adjoint(alg, True) and not cover_pair_adjoint(alg, True)
     assert reference_laws(alg) >= {"residuation_right", "residuation_left"}
     assert_report_matches_loops(alg)
+
+
+def test_the_adjunction_mutants_keep_their_reports(monkeypatch):
+    # the five 3-chain structures that each break one part of the
+    # adjunction, and the two 2x2 products monotone in one argument only
+    chain = [[i <= j for j in range(3)] for i in range(3)]
+    cases = [FinAlgebra(chain, product, 0, tilde, minus, name="3-chain")
+             for product, tilde, minus in (
+                 ([[0, 0, 0]] * 3, [2, 0, 1], [0, 1, 2]),
+                 ([[0, 0, 0]] * 3, [0, 1, 2], [2, 0, 1]),
+                 ([[0, 1, 2], [1, 1, 2], [2, 2, 2]], [0, 1, 2], [0, 1, 2]),
+                 ([[2, 0, 2], [0, 0, 0], [2, 0, 2]], [2, 0, 1], [2, 0, 1]),
+                 ([[0, 0, 0], [0, 1, 1], [0, 1, 1]], [2, 0, 1], [2, 0, 1]))]
+    product = np.zeros((4, 4), dtype=int)
+    product[2] = (0, 0, 1, 1)
+    square = Poset.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    cases += [FinAlgebra(square, p, 0, [3, 1, 2, 0], [3, 1, 2, 0], name="2x2")
+              for p in (product, product.T)]
+    for alg in cases:
+        assert_reports_match_the_cover_pair_scan(alg, monkeypatch)

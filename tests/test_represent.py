@@ -503,8 +503,8 @@ def test_kept_bases_are_listed_as_a_cold_walk_lists_them(cold_memo):
 def test_memo_keeps_bases_within_its_bound(cold_memo, monkeypatch, cells, points_kept):
     # 7 bases on at most 2 points and 32 on 3, with beta, and Dq(E)s of
     # 2, 4 and 6 elements (4, 16 and 36 cells) among them: at 30 cells the
-    # 3-point bases are listed on every search, and at 60 all three
-    # Dq(E)s do not fit beside the kept bases
+    # 3-point bases are listed on every search, and at 60 they are kept and
+    # the three Dq(E)s no longer fit beside them
     algebras = _catalog_algebras()
     searches = [(algebras[name], points) for name, points in (
         ("D2_1_1", 2), ("D4_1_3", 2), ("D4_2_3", 3), ("D6_4_2", 3), ("D4_2_3", 2))]
