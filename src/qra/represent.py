@@ -13,9 +13,10 @@ upset-algebra construction as every other complex algebra.  Embedding
 an abstract algebra into such a relation algebra is what representability
 means here; the search walks bases smallest first and emits
 self-contained certificates.  It keeps, across calls, the bases it lists
-for each point count and each base's Dq(E), in one memo bounded by
-``BLOCK_CELLS`` cells: a base costs one cell and a Dq(E) the square of its
-carrier size.  The verifier re-checks a certificate from
+for each point count and each base's Dq(E) in one least-recently-used
+memo bounded by ``BLOCK_CELLS`` cells: a base costs one cell and a Dq(E)
+the square of its carrier size.  The search flags filter that one walk
+of the bases.  The verifier re-checks a certificate from
 scratch without building Dq(E): it reads each embedded element's relation
 on E and checks the operations as union, intersection, composition and
 the negations on relations, and it checks the laws of Dq(E) on its frame
@@ -353,18 +354,12 @@ class SearchOptions:
                 f"embed_budget must be at least 1, not {self.embed_budget}")
 
 
-def _poset_bases(poset: Poset, need_beta: bool, options: SearchOptions):
+def _poset_bases(poset: Poset, need_beta: bool):
     """The bases on one poset, in the order of ``iterate_bases``."""
     if need_beta and not poset.is_self_dual:
         return
-    equivs = _equivalences_containing(poset)
-    if options.full_e_only:
-        equivs = [tuple([poset.carrier] * poset.n)]
-    for equiv in equivs:
-        alphas = _order_automorphisms(poset, equiv)
-        if options.alpha_id_only:
-            alphas = [tuple(range(poset.n))]
-        for alpha in alphas:
+    for equiv in _equivalences_containing(poset):
+        for alpha in _order_automorphisms(poset, equiv):
             if need_beta:
                 for beta in _beta_candidates(poset, equiv, alpha):
                     yield RepBase(poset, equiv, alpha, beta)
@@ -376,27 +371,31 @@ def iterate_bases(max_points: int, need_beta: bool, options: SearchOptions):
     """Bases ordered by point count, then canonical poset order; each base
     once (``_poset_layers`` lists every poset on 1..max_points points).
 
-    The bases of each point count are listed once per process and kept in
-    the search memo, ``_MEMO``, for these ``need_beta`` and option flags,
-    within its ``BLOCK_CELLS`` bound at one cell per base; a point count
-    is listed, and its posets grown, only when the walk reaches it, and one
-    whose bases would not fit is listed again on every walk."""
-    return _MEMO.bases(max_points, need_beta, options)
+    One walk serves every option: ``full_e_only`` keeps the bases whose E
+    is the full relation and ``alpha_id_only`` those whose alpha is the
+    identity, in the walk's order.  The bases of each point count are
+    listed when a walk reaches them and finds them not kept, and kept in
+    the search memo, ``_MEMO``, under its one rule."""
+    bases = _MEMO.bases(max_points, need_beta)
+    if options.full_e_only:
+        bases = (b for b in bases if b.equiv == (b.poset.carrier,) * b.points)
+    if options.alpha_id_only:
+        bases = (b for b in bases if b.alpha == tuple(range(b.points)))
+    return bases
 
 
 class _Memo:
-    """What ``representation_search`` keeps across calls: each base's
-    Dq(E), or None when it has more than ``SEARCH_UPSET_CAP`` up-sets,
-    least recently used first, and the bases of each point count that
-    ``iterate_bases`` lists, keyed by the count, ``need_beta`` and the two
-    flags of ``SearchOptions``.  Both share one bound of ``BLOCK_CELLS``
-    cells: a base costs one cell, a Dq(E) the square of its carrier size,
-    its algebra built or not, and None one cell.  A Dq(E), or the bases of
-    a point count, that would not fit beside the kept bases is built for
-    the call that asks and not kept; kept bases stay until ``clear``, and
-    the Dq(E)s that no longer fit beside them are dropped.  One lock guards
-    every lookup and fill, so searches in several threads share it safely;
-    no walk holds it while it hands out a base."""
+    """What ``representation_search`` keeps across calls, in one store
+    ordered least recently used first: each base's Dq(E), or None when it
+    has more than ``SEARCH_UPSET_CAP`` up-sets, and the bases that
+    ``iterate_bases`` lists for each point count, keyed by the count and
+    ``need_beta``.  An entry costs cells: a Dq(E) the square of its carrier
+    size, its algebra built or not, None one cell, and a point count's
+    bases one cell each.  An entry that costs more than ``BLOCK_CELLS`` is
+    built for the call that asks and not kept; a new entry pushes out the
+    least recently used ones until the store fits in ``BLOCK_CELLS``.  One
+    lock guards every lookup and fill, so searches in several threads
+    share it safely; no walk holds it while it hands out a base."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -404,60 +403,56 @@ class _Memo:
 
     def clear(self):
         with self.lock:
-            self.targets: OrderedDict[RepBase, DqAlgebra | None] = OrderedDict()
+            self.entries: OrderedDict[RepBase | tuple, object] = OrderedDict()
             self.cells = 0
-            self.layers: dict[tuple, tuple[RepBase, ...]] = {}
-            self.bases_kept = 0
 
     @staticmethod
-    def cost(target: DqAlgebra | None) -> int:
-        return 1 if target is None else len(target.relation_masks) ** 2
+    def cost(entry) -> int:
+        if isinstance(entry, tuple):
+            return len(entry)
+        return 1 if entry is None else len(entry.relation_masks) ** 2
 
-    def _fit(self):
-        """Drop the least recently used Dq(E)s until all fits the bound."""
-        while self.cells > BLOCK_CELLS - self.bases_kept:
-            self.cells -= self.cost(self.targets.popitem(last=False)[1])
+    def _keep(self, key, entry):
+        """Keep a new entry as the most recently used, if it fits the bound,
+        and drop the least recently used ones until the store fits."""
+        cells = self.cost(entry)
+        if cells <= BLOCK_CELLS:
+            self.entries[key] = entry
+            self.cells += cells
+            while self.cells > BLOCK_CELLS:
+                self.cells -= self.cost(self.entries.popitem(last=False)[1])
+        return entry
 
     def target(self, base: RepBase) -> DqAlgebra | None:
         with self.lock:
-            if base in self.targets:
-                self.targets.move_to_end(base)
-                return self.targets[base]
+            if base in self.entries:
+                self.entries.move_to_end(base)
+                return self.entries[base]
             try:
                 found = DqAlgebra(base, SEARCH_UPSET_CAP)
             except PreconditionError:
                 found = None
-            cells = self.cost(found)
-            if cells <= BLOCK_CELLS - self.bases_kept:
-                self.targets[base] = found
-                self.cells += cells
-                self._fit()
-            return found
+            return self._keep(base, found)
 
-    def bases(self, max_points: int, need_beta: bool, options: SearchOptions):
+    def bases(self, max_points: int, need_beta: bool):
         """The walk of ``iterate_bases``: each point count from its kept
-        bases, or listed whole under the lock, and kept if it fits, when the
-        walk first reaches it.  The posets are grown here, once per walk,
-        only as far as the first point count that is not kept needs."""
-        flags = (need_beta, options.full_e_only, options.alpha_id_only)
+        bases, or listed under the lock when they are not kept; one
+        with more than ``BLOCK_CELLS`` bases is streamed past the first
+        ``BLOCK_CELLS + 1``.  The posets are grown here, once per walk, only
+        as far as the first point count that is not kept needs."""
         posets, grown = _poset_layers(max_points), 0
         for points in range(1, max_points + 1):
-            rest = ()
+            key, rest = (points, need_beta), ()
             with self.lock:
-                layer = self.layers.get((points, *flags))
-                if layer is None:
+                if key in self.entries:
+                    self.entries.move_to_end(key)
+                    layer = self.entries[key]
+                else:
                     while grown < points:
                         layer_posets, grown = next(posets), grown + 1
-                    listing = (base for poset in layer_posets
-                               for base in _poset_bases(poset, need_beta, options))
-                    room = BLOCK_CELLS - self.bases_kept
-                    layer = tuple(islice(listing, room + 1))
-                    if len(layer) <= room:
-                        self.layers[(points, *flags)] = layer
-                        self.bases_kept += len(layer)
-                        self._fit()
-                    else:
-                        rest = listing
+                    rest = (base for poset in layer_posets
+                            for base in _poset_bases(poset, need_beta))
+                    layer = self._keep(key, tuple(islice(rest, BLOCK_CELLS + 1)))
             yield from layer
             yield from rest
 
@@ -474,10 +469,11 @@ def representation_search(alg: FinAlgebra, max_points: int,
     obstruction element exists.  A base whose embedding search runs out of
     ``options.embed_budget`` is counted as undecided and the search moves
     on to the next base.  The bases are walked lazily by ``iterate_bases``,
-    one point count at a time; the bases of each point count, and each
-    base's up-sets (up to ``SEARCH_UPSET_CAP``) and Dq(E), are built once
-    and shared across calls, together bounded by ``BLOCK_CELLS`` cells at
-    one cell per base and the square of its carrier size per Dq(E).
+    one point count at a time, and the flags of ``options`` filter that
+    walk; the bases of each point count, and each base's up-sets (up to
+    ``SEARCH_UPSET_CAP``) and Dq(E), are built once and shared across
+    calls in one least-recently-used memo of ``BLOCK_CELLS`` cells, at one
+    cell per base and the square of its carrier size per Dq(E).
     Raises ``PreconditionError`` when ``max_points`` is below 1.
     """
     if max_points < 1:

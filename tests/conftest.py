@@ -26,8 +26,9 @@ def fresh_copy(alg: FinAlgebra) -> FinAlgebra:
 
 @pytest.fixture
 def cold_memo():
-    """The memo that representation searches share, empty when the test
-    starts and emptied again when it ends."""
+    """The memo that representation searches share, one least-recently-used
+    store of Dq(E)s and base lists, empty when the test starts and emptied
+    again when it ends."""
     _MEMO.clear()
     yield _MEMO
     _MEMO.clear()

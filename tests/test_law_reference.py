@@ -45,9 +45,17 @@ from qra.algebra import (
 )
 from qra.catalog import build_catalog, catalog_lookup
 from qra.errors import InternalCheckError, PreconditionError
-from qra.frame import Frame, complex_algebra, dual_frame, roundtrip_algebra, validate_frame
-from qra.order import all_posets, bits, row_blocks
+from qra.frame import (
+    Frame,
+    complex_algebra,
+    dual_frame,
+    frame_iso,
+    roundtrip_algebra,
+    validate_frame,
+)
+from qra.order import CENSUS_ORDER, NAMED_POSETS, all_posets, bits, row_blocks
 from qra.represent import SEARCH_UPSET_CAP, DqAlgebra, SearchOptions, iterate_bases
+from qra.search import enumerate_frames
 
 COVERED = {
     "order_transitive", "lattice_distributive", "monoid_associative",
@@ -493,6 +501,38 @@ def test_algebra_validates_iff_its_dual_frame_does_and_round_trips():
                 outcomes[ok, error] = outcomes.get((ok, error), 0) + 1
     assert outcomes == {(True, None): 174, (False, None): 197,
                         (False, "InternalCheckError"): 192, (False, "PreconditionError"): 109}
+
+
+def _flipped_cell(frame: Frame, rng: random.Random) -> Frame:
+    """The frame with one bit of one composition cell flipped and that cell
+    closed upward, so that its complex algebra is defined."""
+    n = frame.size
+    x, y, w = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    comp = [list(row) for row in frame.comp]
+    comp[x][y] = frame.poset.upset_closure(comp[x][y] ^ (1 << w))
+    return Frame(frame.poset, frame.identity, comp, frame.tilde, frame.minus, neg=frame.neg)
+
+
+def test_frame_validates_iff_its_complex_algebra_does_and_it_is_the_dual():
+    # the duality on the frame side: a census frame on at most 4 points, or
+    # a mutant of one, is valid exactly when its complex algebra validates
+    # and the dual frame of that algebra is isomorphic to it
+    rng = random.Random(12)
+    frames = [frame for poset in [Poset(())] + [NAMED_POSETS[name] for name in CENSUS_ORDER]
+              if poset.n <= 4 for signature in ("dinfl", "dqra")
+              for frame in enumerate_frames(poset, signature).frames]
+    assert len(frames) == 275
+    pointed = [frame for frame in frames if frame.size]
+    cases = frames + [_flipped_cell(rng.choice(pointed), rng) for _ in range(3000)]
+    outcomes = {}
+    for frame in cases:
+        cm = complex_algebra(frame)
+        algebra_ok = (validate_dqra(cm) if cm.neg is not None else validate_dinfl(cm)).ok
+        dual = algebra_ok and frame_iso(frame, dual_frame(cm)) is not None
+        frame_ok = validate_frame(frame).ok
+        assert frame_ok == dual
+        outcomes[frame_ok, algebra_ok] = outcomes.get((frame_ok, algebra_ok), 0) + 1
+    assert outcomes == {(True, True): 872, (False, True): 203, (False, False): 2200}
 
 
 def cover_pair_adjoint(alg: FinAlgebra, anti: bool) -> bool:

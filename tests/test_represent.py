@@ -177,6 +177,52 @@ def test_equivalences_containing_lists_every_equivalence_over_the_order():
         assert qra.represent._equivalences_containing(poset) == want, poset
 
 
+def _bases_by_definition(poset, need_beta):
+    """Every base on the poset, as (up, equiv, alpha, beta), by brute force:
+    the set partitions whose classes are unions of comparability components,
+    the order automorphisms that keep each point in its E-class, and the
+    self-inverse dual order automorphisms that do too and equal their
+    alpha-conjugate."""
+    n, leq = poset.n, poset.leq
+    pairs = list(itertools.product(range(n), repeat=2))
+    found = set()
+    for labels in itertools.product(range(n), repeat=n):
+        eq = tuple(mask_of(j for j in range(n) if labels[j] == labels[i]) for i in range(n))
+        if any(poset.up[i] & ~eq[i] for i in range(n)):
+            continue
+        inside = [g for g in itertools.permutations(range(n))
+                  if all((eq[i] >> g[i]) & 1 for i in range(n))]
+        for alpha in inside:
+            if any(leq(i, j) != leq(alpha[i], alpha[j]) for i, j in pairs):
+                continue
+            betas = [g for g in inside
+                     if all(g[g[i]] == i and alpha[g[alpha[i]]] == g[i] for i in range(n))
+                     and all(leq(i, j) == leq(g[j], g[i]) for i, j in pairs)]
+            for beta in betas if need_beta else [None]:
+                found.add((poset.up, eq, alpha, beta))
+    return found
+
+
+@pytest.mark.parametrize("need_beta, count", [(True, 304), (False, 144)])
+def test_the_flags_filter_the_one_walk_of_every_base(need_beta, count):
+    # the walk lists every base on at most 4 points, and each flag keeps, in
+    # the walk's order, exactly the bases that meet its predicate
+    every = set().union(*(_bases_by_definition(poset, need_beta)
+                          for poset in qra.order.all_posets(4)))
+    walk = _walk(4, need_beta, SearchOptions())
+    assert len(walk) == len(set(walk)) == count and set(walk) == every
+
+    def meets(key, e, a):
+        full_e = key[1] == ((1 << len(key[0])) - 1,) * len(key[0])
+        alpha_id = key[2] == tuple(range(len(key[0])))
+        return (full_e or not e) and (alpha_id or not a)
+
+    for e, a in [(True, False), (False, True), (True, True)]:
+        flagged = _walk(4, need_beta, SearchOptions(full_e_only=e, alpha_id_only=a))
+        assert set(flagged) == {key for key in every if meets(key, e, a)}
+        assert flagged == [key for key in walk if meets(key, e, a)]
+
+
 def test_build_dq_matches_the_definitions_on_all_small_bases():
     # both sides of the duality on every base the search lists at 3 points:
     # the frame laws of dq_frame, which is all verify_certificate checks of
@@ -350,6 +396,16 @@ def _cold(memo, alg, points, options=None):
     return repr(representation_search(alg, points, options))
 
 
+def _kept(memo):
+    """The memo's Dq(E)s by base, and its base lists by (points, need_beta)."""
+    targets = {k: v for k, v in memo.entries.items() if isinstance(k, RepBase)}
+    return targets, {k: v for k, v in memo.entries.items() if k not in targets}
+
+
+def _assert_within(memo, cells):
+    assert memo.cells == sum(map(memo.cost, memo.entries.values())) <= cells
+
+
 def test_memo_gives_the_results_of_a_cold_search(cold_memo):
     searches = _searches()
     assert len(searches) == 74
@@ -392,13 +448,14 @@ def test_memo_holds_at_most_block_cells(cold_memo, monkeypatch):
     monkeypatch.setattr(qra.represent, "upset_algebra", spy)
     result = representation_search(_catalog_algebras()["D4_2_3"], 3)
     assert isinstance(result, RepresentationCertificate) and result.base.points == 3
-    held = [t for t in cold_memo.targets.values() if t and "algebra" in t.__dict__]
+    targets, _ = _kept(cold_memo)
+    held = [t for t in targets.values() if t and "algebra" in t.__dict__]
     assert sum(t.algebra.size ** 2 for t in held) <= cold_memo.cells <= BLOCK_CELLS
     # the 3-antichain with one E-class: 9 pairs, every set of them an up-set
     assert 512 in built
-    assert all(t is None or len(t.relation_masks) < 512 for t in cold_memo.targets.values())
+    assert all(t is None or len(t.relation_masks) < 512 for t in targets.values())
     antichain = Poset.antichain(3)
-    assert any(base.poset == antichain for base in cold_memo.targets)
+    assert any(base.poset == antichain for base in targets)
 
 
 def test_memo_evicts_the_least_recently_used_target(cold_memo, monkeypatch):
@@ -409,20 +466,31 @@ def test_memo_evicts_the_least_recently_used_target(cold_memo, monkeypatch):
     for _ in range(2):
         for (alg, points), want in zip(searches, cold):
             assert repr(representation_search(alg, points)) == want
-            assert cold_memo.cells == sum(map(cold_memo.cost, cold_memo.targets.values())) <= 300
+            _assert_within(cold_memo, 300)
     # a lookup makes its target the most recently used; a new target
     # pushes out the least recently used ones until the cells fit
-    cold_memo.clear()
     two_point = [b for b in iterate_bases(2, True, SearchOptions()) if b.points == 2]
     first, second, third = two_point[:3]
+    cold_memo.clear()
     cells = [cold_memo.cost(qra.represent.DqAlgebra(b)) for b in (first, second, third)]
     monkeypatch.setattr(qra.represent, "BLOCK_CELLS", sum(cells) - 1)
     kept = cold_memo.target(first)
     cold_memo.target(second)
     assert cold_memo.target(first) is kept
     cold_memo.target(third)
-    assert len(cold_memo.targets) == 2 and cold_memo.cells == cells[0] + cells[2]
+    assert list(cold_memo.entries) == [first, third]
+    assert cold_memo.cells == cells[0] + cells[2]
     assert cold_memo.target(first) is kept
+    # base lists take their turn in the same order: the 1-point list, walked
+    # last, outlives the 2-point list when a Dq(E) needs room
+    cold_memo.clear()
+    list(iterate_bases(2, True, SearchOptions()))
+    list(iterate_bases(1, True, SearchOptions()))
+    assert list(cold_memo.entries) == [(2, True), (1, True)] and cold_memo.cells == 7
+    monkeypatch.setattr(qra.represent, "BLOCK_CELLS", 7 + cells[0] - 1)
+    cold_memo.target(first)
+    assert list(cold_memo.entries) == [(1, True), first]
+    _assert_within(cold_memo, 7 + cells[0] - 1)
 
 
 def test_threads_share_the_memo(cold_memo, monkeypatch):
@@ -452,7 +520,7 @@ def test_threads_share_the_memo(cold_memo, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert found == [cold] * workers
-    assert cold_memo.cells == sum(map(cold_memo.cost, cold_memo.targets.values())) <= 300
+    _assert_within(cold_memo, 300)
 
 
 @pytest.mark.parametrize("options", [SearchOptions(full_e_only=True, embed_budget=100_000),
@@ -486,47 +554,64 @@ def test_kept_bases_are_listed_as_a_cold_walk_lists_them(cold_memo):
             cold_memo.clear()
             _walk(2, need_beta, options)
             assert _walk(3, need_beta, options) == cold
-            key = (3, need_beta, options.full_e_only, options.alpha_id_only)
-            assert len(cold_memo.layers[key]) == sum(len(k[0]) == 3 for k in cold)
-    # each point count of each of the eight walks is kept apart
+            # the flags filter the bases of the one walk, which are kept whole
+            unfiltered = _walk(3, need_beta, SearchOptions())
+            assert len(cold_memo.entries[(3, need_beta)]) == sum(
+                len(k[0]) == 3 for k in unfiltered)
+    # the eight walks share the lists of the two without flags
     for need_beta in (True, False):
         for options in flags:
             _walk(3, need_beta, options)
-    assert len(cold_memo.layers) == 8 * 3
-    assert cold_memo.bases_kept == sum(map(len, cold_memo.layers.values()))
-    # the walks share the bases they keep
+    assert sorted(_kept(cold_memo)[1]) == [(k, b) for k in (1, 2, 3) for b in (False, True)]
+    _assert_within(cold_memo, BLOCK_CELLS)
+    # and hand out the bases they keep
     walked = list(iterate_bases(3, True, SearchOptions()))
     assert all(a is b for a, b in zip(walked, iterate_bases(3, True, SearchOptions())))
+    handed_out = {id(b) for b in walked}
+    for options in flags:
+        assert all(id(b) in handed_out for b in iterate_bases(3, True, options))
 
 
-@pytest.mark.parametrize("cells, points_kept", [(30, [1, 2]), (60, [1, 2, 3])])
+@pytest.mark.parametrize("cells, points_kept", [(30, [1, 2]), (60, [2]), (300, [])])
 def test_memo_keeps_bases_within_its_bound(cold_memo, monkeypatch, cells, points_kept):
-    # 7 bases on at most 2 points and 32 on 3, with beta, and Dq(E)s of
-    # 2, 4 and 6 elements (4, 16 and 36 cells) among them: at 30 cells the
-    # 3-point bases are listed on every search, and at 60 they are kept and
-    # the three Dq(E)s no longer fit beside them
+    # 1 base on 1 point, 6 on 2 and 32 on 3, with beta, and Dq(E)s of 2, 4,
+    # 6, 8 and 16 elements (4 to 256 cells) among them: at 30 cells the
+    # 3-point bases never fit and are listed on every search that reaches
+    # them; at 60 and 300 the Dq(E)s push the base lists out in their turn
     algebras = _catalog_algebras()
     searches = [(algebras[name], points) for name, points in (
         ("D2_1_1", 2), ("D4_1_3", 2), ("D4_2_3", 3), ("D6_4_2", 3), ("D4_2_3", 2))]
     cold = [_cold(cold_memo, alg, points) for alg, points in searches]
+    listed = []
+    poset_bases = qra.represent._poset_bases
+
+    def spy(poset, need_beta):
+        listed.append(poset.n)
+        return poset_bases(poset, need_beta)
+
+    monkeypatch.setattr(qra.represent, "_poset_bases", spy)
     monkeypatch.setattr(qra.represent, "BLOCK_CELLS", cells)
     cold_memo.clear()
+    three_point_listings = []
     for _ in range(2):
         for (alg, points), want in zip(searches, cold):
             assert repr(representation_search(alg, points)) == want
-            assert cold_memo.cells == sum(map(cold_memo.cost, cold_memo.targets.values()))
-            assert cold_memo.bases_kept == sum(map(len, cold_memo.layers.values()))
-            assert cold_memo.cells + cold_memo.bases_kept <= cells
-    assert sorted(cold_memo.layers) == [(k, True, False, False) for k in points_kept]
+            _assert_within(cold_memo, cells)
+            assert cells > 30 or (3, True) not in cold_memo.entries
+        three_point_listings.append(listed.count(3))
+    assert sorted(_kept(cold_memo)[1]) == [(k, True) for k in points_kept]
+    if cells == 30:  # a list over the bound is streamed, and listed again
+        assert three_point_listings[1] == 2 * three_point_listings[0] > 0
     cold_memo.clear()
-    assert (cold_memo.layers, cold_memo.bases_kept, cold_memo.cells) == ({}, 0, 0)
+    assert (cold_memo.entries, cold_memo.cells) == ({}, 0)
 
 
 def test_a_one_point_certificate_memoises_no_larger_base(cold_memo):
     alg = _catalog_algebras()["D2_1_1"]
     result = representation_search(alg, 8)
     assert isinstance(result, RepresentationCertificate) and result.base.points == 1
-    assert all(base.points == 1 for base in cold_memo.targets)
+    targets, layers = _kept(cold_memo)
+    assert all(base.points == 1 for base in targets) and list(layers) == [(1, True)]
 
 
 def _refuse(what):
