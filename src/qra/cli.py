@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 validation failure (a law is violated and the
-report says which), 2 structural or format error, 3 search budget
+report says which), 2 structural, format or OS error, 3 search budget
 exhausted (the search can be resumed with a bigger budget).
 """
 
@@ -87,7 +87,7 @@ def cmd_check(args) -> int:
             for kind, alg in _named_algebras(thing)
         ]
     elif isinstance(thing, (FrameMap, AlgHom)):
-        return cmd_morphism_check(args)
+        return _check_morphism(thing)
     elif isinstance(thing, RepBase):
         # the constructor has already run RepBase.check()
         print(f"{type(thing).__name__}: structurally well-formed")
@@ -177,7 +177,10 @@ def cmd_iso(args) -> int:
 
 
 def cmd_morphism_check(args) -> int:
-    thing = _load_input(args.input)
+    return _check_morphism(_load_input(args.input))
+
+
+def _check_morphism(thing) -> int:
     if isinstance(thing, FrameMap):
         rep = validate_frame_morphism(thing)
         kind = "frame morphism"
@@ -438,10 +441,7 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return BUDGET
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return STRUCTURAL
-    except QraError as exc:
+    except (QraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return STRUCTURAL
 

@@ -13,9 +13,11 @@ that constructively.
 from __future__ import annotations
 
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
+from . import order as qorder
 from .algebra import (
     FinAlgebra,
     ValidationReport,
@@ -286,11 +288,9 @@ def _union_at(table: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _positions(sets, found: np.ndarray, what: str) -> np.ndarray:
-    """The index of each word row of ``found`` among the distinct word rows
-    ``sets`` (or the ``RowIndex`` of them); a row not among them is an
-    internal error."""
-    index = sets if isinstance(sets, RowIndex) else RowIndex(sets)
+def _positions(index: RowIndex, found: np.ndarray, what: str) -> np.ndarray:
+    """The index of each word row of ``found`` in ``index``; a row not
+    among its sets is an internal error."""
     at = index.find(found)
     if (at < 0).any():
         raise InternalCheckError(f"{what} left the upsets of the algebra")
@@ -379,10 +379,17 @@ def upset_algebra(frame: Frame, ups, name: str | None = None) -> FinAlgebra:
 
 
 def complex_algebra(frame: Frame, name: str | None = None) -> FinAlgebra:
-    """The algebra of all upsets of the frame (see ``upset_algebra``)."""
+    """The algebra of all upsets of the frame (see ``upset_algebra``).  The
+    up-sets are listed only up to the most whose product table passes the
+    memory check of ``upset_algebra``; past them that check raises."""
     if name is None and frame.name:
         name = f"{frame.name}^+"
-    return upset_algebra(frame, frame.upsets, name)
+    cap = isqrt(qorder._physical_memory() // 5)
+    ups = frame.poset.upsets_within(cap)
+    if ups is None:
+        # 5 (cap + 1)^2 bytes exceed physical memory, so this raises
+        check_memory(5 * (cap + 1) ** 2, f"the product table of more than {cap} upsets")
+    return upset_algebra(frame, ups, name)
 
 
 def dual_frame(alg: FinAlgebra) -> Frame:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import chain, groupby, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -559,10 +559,24 @@ class Poset:
         return steps
 
     def _profile(self) -> tuple:
-        """Iterated degree profile, an isomorphism invariant per element."""
+        """Iterated degree profile, an isomorphism invariant per element:
+        rounds of colour refinement, run until a round splits no class.
+
+        Lemma.  Each round's colour starts with the previous round's code,
+        so each round refines the partition before it.  Codes are ranks in
+        sorted order.  If a round splits no class, sorting by the new colour
+        orders the classes by their old code first, so every code stays the
+        same and every later round returns the same colours.  A partition of
+        n points splits at most n - 1 times, so n rounds always reach this
+        fixed point, and stopping there returns the colours of round n.
+        """
         colors = [(popcount(self.up[i]), popcount(self.down[i])) for i in range(self.n)]
-        for _ in range(self.n):
+        classes = None
+        while True:
             palette = {c: k for k, c in enumerate(sorted(set(colors)))}
+            if len(palette) == classes:
+                return tuple(colors)
+            classes = len(palette)
             coded = [palette[c] for c in colors]
             colors = [
                 (
@@ -572,7 +586,6 @@ class Poset:
                 )
                 for i in range(self.n)
             ]
-        return tuple(colors)
 
     def _relation_key(self, perm) -> int:
         """Encode the relation under the relabeling i -> perm[i]."""
@@ -614,22 +627,14 @@ class Poset:
         if self.n <= 1:
             return (self.n, 0)
         profile = self._profile()
-        order = sorted(range(self.n), key=lambda i: profile[i])
-        best = None
+        order = sorted(range(self.n), key=profile.__getitem__)
         # Only profile-preserving relabelings can reach the minimum.
-        groups = []
-        start = 0
-        for i in range(1, self.n + 1):
-            if i == self.n or profile[order[i]] != profile[order[start]]:
-                groups.append(order[start:i])
-                start = i
-        for pieces in _product_permutations(groups):
-            perm = [0] * self.n
-            pos = 0
-            for g, p in zip(groups, pieces):
-                for src, dst_slot in zip(p, range(pos, pos + len(g))):
-                    perm[src] = dst_slot
-                pos += len(g)
+        groups = [tuple(g) for _, g in groupby(order, key=profile.__getitem__)]
+        best = None
+        perm = [0] * self.n
+        for pieces in product(*map(permutations, groups)):
+            for slot, src in enumerate(chain.from_iterable(pieces)):
+                perm[src] = slot
             key = self._relation_key(perm)
             if best is None or key < best:
                 best = key
@@ -773,16 +778,6 @@ class InclusionOrder(Poset):
         listed set V minus x and p_x, the least set holding x: by the
         docstring, V = (V minus x) ∪ p_x."""
         return super().join_steps if self._from_sets is None else self._from_sets[2]
-
-
-def _product_permutations(groups):
-    if not groups:
-        yield ()
-        return
-    head, rest = groups[0], groups[1:]
-    for p in permutations(head):
-        for tail in _product_permutations(rest):
-            yield (p,) + tail
 
 
 def disjoint_union(*posets: Poset) -> Poset:

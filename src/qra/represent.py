@@ -190,9 +190,8 @@ class DqAlgebra:
     asked for.  More than ``cap`` up-sets raise ``PreconditionError``: the
     growth of the up-sets stops past ``cap``, before any table is built."""
 
-    def __init__(self, base: RepBase, cap: int = DEFAULT_UPSET_CAP, name=None):
+    def __init__(self, base: RepBase, cap: int = DEFAULT_UPSET_CAP):
         self.base = base
-        self.name = name
         self.frame = dq_frame(base)
         ups = self.frame.poset.upsets_within(cap)
         if ups is None:
@@ -207,14 +206,14 @@ class DqAlgebra:
 
     @cached_property
     def algebra(self) -> FinAlgebra:
-        return upset_algebra(self.frame, self.relation_masks, self.name)
+        return upset_algebra(self.frame, self.relation_masks)
 
 
-def build_dq(base: RepBase, cap: int = DEFAULT_UPSET_CAP, name=None) -> DqAlgebra:
+def build_dq(base: RepBase, cap: int = DEFAULT_UPSET_CAP) -> DqAlgebra:
     """The algebra of twisted-order upsets of E under relation composition:
     the complex algebra of ``dq_frame(base)``, built here; more than
     ``cap`` up-sets raise ``PreconditionError``."""
-    dq = DqAlgebra(base, cap, name)
+    dq = DqAlgebra(base, cap)
     dq.algebra  # built here rather than on first use
     return dq
 

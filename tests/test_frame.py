@@ -3,6 +3,7 @@ import pytest
 from conftest import block_family, fresh_copy
 
 import qra.frame
+import qra.order
 from qra import (
     algebra_iso,
     complex_algebra,
@@ -17,9 +18,9 @@ from qra import (
 )
 from qra.bundled import bundled_frame, bundled_frames
 from qra.catalog import build_catalog, match_dqra
-from qra.errors import InternalCheckError, SignatureError, StructuralError
+from qra.errors import InternalCheckError, PreconditionError, SignatureError, StructuralError
 from qra.frame import Frame, _build_dual_frame, _positions, upset_algebra
-from qra.order import InclusionOrder, Poset, mask_of
+from qra.order import InclusionOrder, Poset, RowIndex, mask_of
 from qra.represent import RepBase, build_dq
 
 
@@ -86,6 +87,26 @@ def test_dual_frame_examples(bool2, sugihara3, lukasiewicz3):
 def test_complex_algebra_size_is_upset_count():
     for name, frame in bundled_frames().items():
         assert complex_algebra(frame).size == len(frame.upsets), name
+
+
+def test_complex_algebra_refuses_past_memory_while_listing_upsets(monkeypatch):
+    # a product table of cap^2 five-byte cells fits and one more row does
+    # not; a 20-point antichain has 2^20 up-sets, which are not all listed
+    cap = 1000
+    monkeypatch.setattr(qra.order, "_physical_memory", lambda: 5 * cap * cap)
+    listed, grow = [], Poset._grow_upsets
+
+    def counted(poset, cap=None):
+        found = grow(poset, cap)
+        listed.append(len(found))
+        return found
+
+    monkeypatch.setattr(Poset, "_grow_upsets", counted)
+    n = 20
+    frame = Frame(Poset.antichain(n), 0, [[0] * n] * n, range(n), range(n))
+    with pytest.raises(PreconditionError, match="physical memory"):
+        complex_algebra(frame)
+    assert listed and max(listed) <= 2 * cap + 1
 
 
 def test_roundtrip_algebra_examples(lukasiewicz4):
@@ -171,9 +192,10 @@ def test_word_row_lookup_reports_rows_missing_in_a_later_word():
     # (2, 7) matches (2, 0) in the first word; ranks combined without a
     # check on the second word would land it on (1, 5)
     sets = np.array([[1, 5], [2, 0]], dtype="<u8")
-    assert _positions(sets, sets[::-1], "row").tolist() == [1, 0]
+    index = RowIndex(sets)
+    assert _positions(index, sets[::-1], "row").tolist() == [1, 0]
     with pytest.raises(InternalCheckError, match="row left the upsets"):
-        _positions(sets, np.array([[2, 7]], dtype="<u8"), "row")
+        _positions(index, np.array([[2, 7]], dtype="<u8"), "row")
 
 
 def test_dual_frame_is_built_once_per_algebra(lukasiewicz4):

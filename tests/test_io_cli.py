@@ -14,7 +14,7 @@ from qra.cli import main
 from qra.algebra import validate_dqra
 from qra.errors import StructuralError
 from qra.filters import PointedFrame, priestley_roundtrip
-from qra.frame import frame_iso, roundtrip_algebra
+from qra.frame import Frame, frame_iso, roundtrip_algebra
 from qra.morphism import AlgHom
 from qra.represent import RepBase, SearchOptions
 from qra.order import Poset
@@ -355,6 +355,24 @@ def test_cli_iso_of_algebras(tmp_path, capsys):
     assert run_cli("iso", str(DATA / "d3_1_1.algebra.json"),
                    str(DATA / "d3_1_2.algebra.json")) == 1
     assert capsys.readouterr().out == "not isomorphic\n"
+
+
+def test_cli_os_errors_exit_2_without_traceback(tmp_path, capsys):
+    # --emit names a directory to make, which an existing file cannot be
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, err = _exit_cleanly(capsys, "enumerate", "--poset", "2", "--emit", str(taken))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_cli_complex_refuses_a_frame_past_memory_while_listing_upsets(tmp_path, capsys):
+    # a 40-point antichain has 2^40 up-sets; listing stops past the most
+    # whose product table fits in memory
+    n = 40
+    path = tmp_path / "antichain.frame.json"
+    qio.save(Frame(Poset.antichain(n), 0, [[0] * n] * n, range(n), range(n)), path)
+    code, err = _exit_cleanly(capsys, "complex", str(path))
+    assert code == 2 and "physical memory" in err
 
 
 def test_cli_bad_requests_exit_2_without_traceback(tmp_path, capsys, monkeypatch):

@@ -261,7 +261,7 @@ def test_dq_above_64_elements_and_product_mutants_match_reference():
     k = 4
     chain = Poset.chain(k)
     base = RepBase(chain, tuple([chain.carrier] * k), tuple(range(k)), tuple(reversed(range(k))))
-    alg = build_dq(base, name="chain4").algebra
+    alg = build_dq(base).algebra
     assert alg.size == 70
     assert_matches_reference(alg)
     for mutant in mutants(alg, random.Random(70), ("cell", "cells") * 4):
@@ -406,7 +406,7 @@ def test_reports_match_the_loops_on_dq_above_64_elements_and_its_mutants():
     k = 4
     chain = Poset.chain(k)
     base = RepBase(chain, tuple([chain.carrier] * k), tuple(range(k)), tuple(reversed(range(k))))
-    alg = build_dq(base, name="chain4").algebra
+    alg = build_dq(base).algebra
     assert_report_matches_loops(alg)
     for mutant in mutants(alg, random.Random(71), ("cell", "cells", "tilde", "order") * 2):
         assert_report_matches_loops(mutant)
@@ -447,11 +447,9 @@ def test_de_morgan_laws_on_the_irreducibles_match_the_full_scan():
     # J x J once the premises hold; the reference scans every pair
     rng = random.Random(16)
     chain = Poset.chain(4)
-    dq = build_dq(RepBase(chain, (chain.carrier,) * 4, range(4), range(3, -1, -1)),
-                  name="chain4").algebra
+    dq = build_dq(RepBase(chain, (chain.carrier,) * 4, range(4), range(3, -1, -1))).algebra
     sources = [v.algebra for entry in build_catalog() for v in entry.variants]
-    sources += [build_dq(base, name=f"dq{i}").algebra for i, base in
-                enumerate(iterate_bases(2, True, SearchOptions()))] + [dq]
+    sources += [build_dq(base).algebra for base in iterate_bases(2, True, SearchOptions())] + [dq]
     decided = set()
     for alg in (a for a in sources if a.size > 1):
         for mutant in [alg, *neg_mutants(alg, rng)]:

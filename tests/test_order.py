@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +89,14 @@ def test_automorphisms_and_reversals():
 def test_canonical_key_is_relabelling_invariant(perm):
     poset = NAMED_POSETS["X"]
     assert poset.relabel(perm).canonical_key == poset.canonical_key
+
+
+def test_canonical_key_values_to_seven_points():
+    # census_key and the search checkpoints expose the key values themselves,
+    # so they are pinned together with the labelled representatives
+    pairs = [[p.up, p.canonical_key] for p in all_posets(7)]
+    digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+    assert digest == "b2dfe61f5b19d249a14f9149d229e236f92b0eb5e31023e34c5478a480547740"
 
 
 def test_mask_helpers():
