@@ -96,8 +96,8 @@ def test_complex_algebra_refuses_past_memory_while_listing_upsets(monkeypatch):
     monkeypatch.setattr(qra.order, "_physical_memory", lambda: 5 * cap * cap)
     listed, grow = [], Poset._grow_upsets
 
-    def counted(poset, cap=None):
-        found = grow(poset, cap)
+    def counted(poset, limit=None):
+        found = grow(poset, limit)
         listed.append(len(found))
         return found
 
