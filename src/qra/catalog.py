@@ -31,7 +31,7 @@ from .catalog_data import (
 )
 from .enumerate import census_key
 from .errors import InternalCheckError, SignatureError, StructuralError
-from .iso import isomorphisms
+from .iso import isomorphisms, relabel_map
 from .order import Poset, bits, mask_of
 
 
@@ -187,7 +187,6 @@ def dqra_negations(alg: FinAlgebra) -> list[tuple[int, ...]]:
     """
     base = alg.without_neg() if alg.neg is not None else alg
     plus = plus_table(base)
-    n = base.size
     valid = []
     for g in base.order_poset.order_reversing_involutions:
         garr = np.asarray(g)
@@ -196,11 +195,7 @@ def dqra_negations(alg: FinAlgebra) -> list[tuple[int, ...]]:
     autos = algebra_automorphisms(base)
     reps: list[tuple[int, ...]] = []
     for g in sorted(valid):
-        conj = {
-            tuple(sigma[g[inv[x]]] for x in range(n))
-            for sigma in autos
-            for inv in [tuple(sigma.index(i) for i in range(n))]
-        }
+        conj = {relabel_map(g, sigma) for sigma in autos}
         if not any(r in conj for r in reps):
             reps.append(g)
     for g in reps:

@@ -199,10 +199,13 @@ def cmd_enumerate(args) -> int:
         poset = qio.load_poset(args.poset)
     else:
         raise StructuralError(f"unknown poset {args.poset!r}")
+    label = poset.name or "poset"
+    if args.emit and os.path.basename(label) != label:
+        # the emitted file names start with the label
+        raise StructuralError(f"--emit needs a poset name without a path separator, not {label!r}")
     result = enumerate_frames(
         poset, args.signature, budget=_budget_from_env(), jobs=args.jobs
     )
-    label = poset.name or "poset"
     print(
         f"{label} {args.signature}: {result.count} frames "
         f"(nodes={result.stats.nodes}, wall={result.stats.wall_s:.2f}s)"

@@ -52,8 +52,8 @@ the stabiliser can reject a table, and the orbit check runs over the
 stabiliser alone, from ``neg`` on: ``g neg g^-1`` against ``neg``, then
 the whole table relabelled by g (``iso.relabel_cells``) against the
 table, built on first need and shared by the ``dinfl`` check and every
-``neg``'s.  Skipped branches stay in the branch list, so branch indices
-and checkpoints keep their meaning; they spend no nodes and read no clock.
+``neg``'s.  Skipped branches stay in the walk, so branch indices and
+checkpoints keep their meaning; they spend no nodes and read no clock.
 
 ``SearchStats`` counts nodes, prunes, leaves and calls to the prune with
 the time spent in it, all over the searched branches.  ``labelled`` adds
@@ -78,8 +78,9 @@ negation filter and the orbit check of each extended encoding.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -365,15 +366,10 @@ SIGNATURES = ("dinfl", "dqra")
 
 
 def search_branches(poset: Poset):
-    """All (identity upset, tilde) pairs, in deterministic order."""
-    if poset.n == 0:
-        return []
-    return [
-        (identity, tilde)
-        for identity in poset.upsets
-        if identity
-        for tilde in poset.order_reversing_bijections
-    ]
+    """An iterator over the (identity upset, tilde) pairs, in deterministic
+    order.  ``upsets`` is sorted by size, so the empty set is its first
+    entry and the only empty one."""
+    return itertools.product(poset.upsets[1:], poset.order_reversing_bijections)
 
 
 def run_branch(poset: Poset, signatures, identity: int, tilde,
@@ -408,14 +404,10 @@ def run_branch(poset: Poset, signatures, identity: int, tilde,
 
 
 def _branch_worker(args):
-    """``run_branch`` on one branch with its node quota and the caller's
-    deadline; None in place of the encodings when the budget ran out."""
-    poset, signatures, branch, max_nodes, deadline = args
-    budget = None
-    if max_nodes is not None or deadline is not None:
-        budget = Budget(max_nodes=max_nodes, _deadline=deadline)
+    """``run_branch`` on one branch under its budget; None in place of the
+    encodings when the budget ran out."""
+    poset, signatures, (identity, tilde), budget = args
     stats = SearchStats()
-    identity, tilde = branch
     try:
         found = run_branch(poset, signatures, identity, tilde, stats, budget)
     except BudgetExhausted:
@@ -446,15 +438,18 @@ def search_frames(poset: Poset, signatures=SIGNATURES,
 
     One depth-first search per (identity, tilde) branch serves every
     requested signature; the results share one ``SearchStats``.  ``jobs``
-    must be at least 1.  Sequential and ``jobs > 1`` runs map the same branch worker over the branches and
-    merge in branch order.  A branch gets the node quota the branches
-    merged before it left (the whole quota under ``jobs > 1``, where it
-    starts before any merge) and the caller's deadline.  The merge stops at
-    the first branch that ran out or took the summed node count past the
-    quota, so a budget stops at the same branch for any ``jobs``.  The
-    ``BudgetExhausted`` it raises carries a checkpoint of the completed
+    must be at least 1.  Sequential and ``jobs > 1`` runs map the same
+    branch worker over the branches of ``search_branches`` and merge in
+    branch order.  A branch gets the caller's budget with the node quota
+    the branches merged before it left (the whole quota under ``jobs > 1``,
+    where it starts before any merge) and the caller's deadline.  The merge
+    stops at the first branch that ran out or took the summed node count
+    past the quota, so a budget stops at the same branch for any ``jobs``.
+    The ``BudgetExhausted`` it raises carries a checkpoint of the completed
     branches; it survives a JSON round trip, and ``resume`` accepts it for
-    any subset of its signatures.
+    any subset of its signatures.  A checkpoint of another poset, without
+    a requested signature, or whose ``next_branch`` is not an int from 0
+    to the branch count raises ``ValueError``.
     """
     signatures = tuple(signatures)
     for signature in signatures:
@@ -472,37 +467,37 @@ def search_frames(poset: Poset, signatures=SIGNATURES,
                     poset, signature, [(0, (), (), None if signature == "dinfl" else ())], stats)
                 for signature in signatures}
 
-    branches = search_branches(poset)
+    count = (len(poset.upsets) - 1) * len(poset.order_reversing_bijections)
     encodings = {signature: [] for signature in signatures}
     first_branch = 0
     if resume is not None:
         done = resume.get("encodings", {})
+        first_branch = resume.get("next_branch")
         if (tuple(resume.get("poset_key", ())) != poset.canonical_key
-                or any(signature not in done for signature in signatures)):
+                or any(signature not in done for signature in signatures)
+                or type(first_branch) is not int or not 0 <= first_branch <= count):
             raise ValueError("resume checkpoint does not match this search")
         for signature in signatures:
             encodings[signature] = [_encoding_from_json(e) for e in done[signature]]
-        first_branch = resume["next_branch"]
 
     max_nodes = None if budget is None else budget.max_nodes
-    deadline = None if budget is None else budget._deadline
-    todo = branches[first_branch:]
-    if jobs > 1 and len(todo) > 1:
+    todo = itertools.islice(search_branches(poset), first_branch, None)
+    if jobs > 1 and count - first_branch > 1:
         import concurrent.futures as cf
 
         # computed once here, so the workers receive them with the poset
         poset.automorphisms, poset.order_reversing_involutions
         # every branch starts before any has merged, so each gets the
-        # whole node quota
-        args = [(poset, signatures, branch, max_nodes, deadline) for branch in todo]
+        # caller's budget, the whole node quota
         with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_branch_worker, args))
+            outcomes = list(pool.map(_branch_worker,
+                                     ((poset, signatures, branch, budget) for branch in todo)))
     else:
         # lazy, so a stop skips the remaining branches; each branch gets
         # the node quota the merged branches left
         outcomes = (_branch_worker((poset, signatures, branch,
-                                    None if max_nodes is None else max_nodes - stats.nodes,
-                                    deadline))
+                                    budget if max_nodes is None
+                                    else replace(budget, max_nodes=max_nodes - stats.nodes)))
                     for branch in todo)
     for idx, (found, branch_stats) in enumerate(outcomes, first_branch):
         stats.add(branch_stats)
@@ -514,7 +509,7 @@ def search_frames(poset: Poset, signatures=SIGNATURES,
                 "next_branch": idx,
             }
             raise BudgetExhausted(
-                f"stopped before branch {idx + 1}/{len(branches)}",
+                f"stopped before branch {idx + 1}/{count}",
                 checkpoint=checkpoint,
             )
         for signature, encs in zip(signatures, found):

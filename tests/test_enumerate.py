@@ -136,6 +136,20 @@ def test_budget_checkpoint_and_resume():
     assert resumed.count == 23
 
 
+@pytest.mark.parametrize("next_branch", (-1, 10**6, "0", True))
+def test_resume_rejects_a_branch_outside_the_walk(next_branch):
+    # the 3-chain has three branches, so a resume point runs from 0 to 3;
+    # a slice from -1 would search the last branch alone and one past 3
+    # none, each returned as a complete result
+    chain = Poset.chain(3)
+    with pytest.raises(BudgetExhausted) as excinfo:
+        enumerate_frames(chain, "dqra", budget=Budget(max_nodes=0))
+    checkpoint = excinfo.value.checkpoint
+    assert enumerate_frames(chain, "dqra", resume=checkpoint).count == 4
+    with pytest.raises(ValueError, match="does not match"):
+        enumerate_frames(chain, "dqra", resume=dict(checkpoint, next_branch=next_branch))
+
+
 def test_census_deadline_covers_the_whole_call(monkeypatch):
     # a clock that advances one millisecond at every reading: each poset
     # below finishes within 1,000 readings (d2x2 and the 7-chain take the

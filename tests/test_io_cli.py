@@ -160,6 +160,18 @@ def test_cli_enumerate_emit_names_unnamed_poset_files(tmp_path, capsys):
         "poset_dqra_0.frame.json", "poset_dqra_1.frame.json"]
 
 
+def test_cli_enumerate_emit_refuses_a_poset_name_with_a_path(tmp_path, capsys):
+    # the file names start with the poset name, so "../escaped" would put
+    # the frames of the 2-antichain in the parent of the --emit directory
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"name": "../escaped", "leq": [[1, 0], [0, 1]]}))
+    out_dir = tmp_path / "frames"
+    assert run_cli("enumerate", "--poset", str(path), "--signature", "dqra",
+                   "--emit", str(out_dir)) == 2
+    assert "path separator" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+
 def test_cli_catalog(capsys):
     assert run_cli("catalog", "--max-size", "3") == 0
     out = capsys.readouterr().out

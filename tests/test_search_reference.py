@@ -20,12 +20,15 @@ kernel relabels whole cells; both must give the same verdicts.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
-from qra.order import Poset, bits, posets_with_at_most_upsets
+from qra.errors import BudgetExhausted
+from qra.order import NAMED_POSETS, Poset, bits, posets_with_at_most_upsets
 from qra.search import (
     SIGNATURES,
+    Budget,
     SearchStats,
     _branch_stabiliser,
     _BranchSearch,
@@ -448,6 +451,36 @@ def test_skipped_branches_hold_no_orbit_minimal_encoding():
                 assert run_branch(poset, SIGNATURES, identity, tilde) == (dinfl, dqra)
     # 71 of the 178 branches, holding 206 of the 636 labelled tables
     assert (skipped, solved) == (71, 206)
+
+
+def test_branch_walk_matches_the_branch_list():
+    # the walk yields the pairs of the old branch list in the same order,
+    # and a stop message counts them
+    for poset in [*posets_with_at_most_upsets(8), *NAMED_POSETS.values()]:
+        walk = list(search_branches(poset))
+        assert walk == [(identity, tilde) for identity in poset.upsets if identity
+                        for tilde in poset.order_reversing_bijections], poset.up
+        try:
+            search_frames(poset, budget=Budget(max_nodes=0))
+        except BudgetExhausted as exc:
+            assert str(exc).endswith(f"/{len(walk)}"), poset.up
+        else:  # no branch reached a node
+            assert search_frames(poset)["dinfl"].stats.nodes == 0, poset.up
+
+
+def test_budget_stop_lists_no_branches():
+    # the 7-antichain has 127 * 7! = 640,080 branches, and a stop at the
+    # first must not hold them; the poset's own tables are built first
+    poset = Poset.antichain(7)
+    poset.upsets, poset.automorphisms, poset.order_reversing_bijections
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted, match="branch 1/640080$"):
+            search_frames(poset, budget=Budget(max_nodes=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.stretch
