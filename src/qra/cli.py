@@ -80,12 +80,9 @@ def cmd_check(args) -> int:
         reports = [("doubly-pointed frame", validate_pointed_frame(thing))]
     elif isinstance(thing, FinAlgebra):
         kind = "DqRA" if thing.has_neg() else "DInFL-algebra"
-        reports = [(kind, validate_dqra(thing) if thing.has_neg() else validate_dinfl(thing))]
+        reports = [(kind, _validate_algebra(thing))]
     elif isinstance(thing, (CatalogEntry, AtomStructure4)):
-        reports = [
-            (kind, validate_dqra(alg) if alg.has_neg() else validate_dinfl(alg))
-            for kind, alg in _named_algebras(thing)
-        ]
+        reports = [(kind, _validate_algebra(alg)) for kind, alg in _named_algebras(thing)]
     elif isinstance(thing, (FrameMap, AlgHom)):
         return _check_morphism(thing)
     elif isinstance(thing, RepBase):
@@ -95,6 +92,12 @@ def cmd_check(args) -> int:
     else:
         raise StructuralError(f"check cannot validate a {type(thing).__name__}")
     return _print_reports(reports)
+
+
+def _validate_algebra(alg: FinAlgebra):
+    """The report of the laws of the algebra's signature: DqRA with a
+    negation, DInFL-algebra without."""
+    return validate_dqra(alg) if alg.has_neg() else validate_dinfl(alg)
 
 
 def _named_algebras(thing) -> list[tuple[str, FinAlgebra]]:
@@ -301,6 +304,10 @@ def cmd_represent(args) -> int:
     alg = _load_input(args.input)
     if not isinstance(alg, FinAlgebra):
         raise StructuralError("represent expects an algebra")
+    report = _validate_algebra(alg)
+    if not report.ok:
+        raise StructuralError(
+            f"represent expects a valid algebra; it violates {', '.join(report.laws_violated())}")
     options = SearchOptions(
         full_e_only=args.full_E, alpha_id_only=args.cyclic_only
     )

@@ -27,28 +27,34 @@ def _field(obj, key):
         raise StructuralError(f"missing key {key!r}") from None
 
 
-def _matrix(rows, size, what, upper=None):
+def _is_index(value, size) -> bool:
+    """An int from 0 to size - 1; a JSON boolean is not one."""
+    return type(value) is int and 0 <= value < size
+
+
+def _matrix(rows, size, what, upper=None, bools=False):
+    """A size x size list of lists; with ``upper``, of indices below it, and
+    of JSON booleans as well when ``bools`` is set (the 0/1 cells of an order
+    or an equivalence)."""
     if (not isinstance(rows, list) or len(rows) != size
             or any(not isinstance(r, list) or len(r) != size for r in rows)):
         raise StructuralError(f"{what} must be a {size}x{size} matrix")
     if upper is not None:
         for row in rows:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < upper:
+                if not (_is_index(v, upper) or bools and type(v) is bool):
                     raise StructuralError(f"{what} entry {v!r} out of range")
     return rows
 
 
 def _index_array(values, size, what):
-    if not isinstance(values, list) or any(
-        not isinstance(v, int) or not 0 <= v < size for v in values
-    ):
+    if not isinstance(values, list) or any(not _is_index(v, size) for v in values):
         raise StructuralError(f"{what} must list indices below {size}")
     return values
 
 
 def _index(value, size, what):
-    if not isinstance(value, int) or not 0 <= value < size:
+    if not _is_index(value, size):
         raise StructuralError(f"{what} must be an index below {size}")
     return value
 
@@ -68,9 +74,9 @@ def algebra_to_obj(alg: FinAlgebra) -> dict:
 
 def algebra_from_obj(obj: dict) -> FinAlgebra:
     size = obj.get("size")
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:
         raise StructuralError("size must be a positive integer")
-    leq = _matrix(_field(obj, "leq"), size, "leq", upper=2)
+    leq = _matrix(_field(obj, "leq"), size, "leq", upper=2, bools=True)
     product = _matrix(_field(obj, "product"), size, "product", upper=size)
     one = _index(_field(obj, "one"), size, "one")
     tilde = _index_array(_field(obj, "tilde"), size, "tilde")
@@ -100,12 +106,12 @@ def frame_to_obj(frame: Frame) -> dict:
 
 def frame_from_obj(obj: dict) -> Frame:
     size = obj.get("size")
-    if not isinstance(size, int) or size < 0:
+    if type(size) is not int or size < 0:
         raise StructuralError("size must be a non-negative integer")
     if size == 0:
         frame = empty_frame(name=obj.get("name"))
         return frame.with_neg(()) if obj.get("neg") is not None else frame
-    leq = _matrix(_field(obj, "leq"), size, "leq", upper=2)
+    leq = _matrix(_field(obj, "leq"), size, "leq", upper=2, bools=True)
     poset = Poset.from_matrix(leq)
     identity = mask_of(_index_array(_field(obj, "identity"), size, "identity"))
     comp_rows = _matrix(_field(obj, "comp"), size, "comp")
@@ -148,10 +154,10 @@ def base_to_obj(base: RepBase) -> dict:
 
 def base_from_obj(obj: dict) -> RepBase:
     n = obj.get("points")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise StructuralError("points must be a positive integer")
-    leq = _matrix(_field(obj, "leq"), n, "leq", upper=2)
-    emat = _matrix(_field(obj, "E"), n, "E", upper=2)
+    leq = _matrix(_field(obj, "leq"), n, "leq", upper=2, bools=True)
+    emat = _matrix(_field(obj, "E"), n, "E", upper=2, bools=True)
     equiv = row_masks(np.asarray(emat, dtype=bool))
     alpha = _index_array(_field(obj, "alpha"), n, "alpha")
     beta = obj.get("beta")
@@ -191,7 +197,7 @@ def morphism_from_obj(obj: dict):
     source = _resolve_endpoint(_field(obj, "source"))
     target = _resolve_endpoint(_field(obj, "target"))
     mapping = _field(obj, "map")
-    if not isinstance(mapping, list) or any(not isinstance(v, int) for v in mapping):
+    if not isinstance(mapping, list) or any(type(v) is not int for v in mapping):
         raise StructuralError("map must be an array of indices")
     if isinstance(source, Frame) and isinstance(target, Frame):
         return FrameMap(source=source, target=target, map=tuple(mapping))
@@ -265,4 +271,5 @@ def load_poset(path) -> Poset:
     leq = _field(obj, "leq")
     if not isinstance(leq, list):
         raise StructuralError("leq must be a square matrix")
-    return Poset.from_matrix(_matrix(leq, len(leq), "leq", upper=2), name=obj.get("name"))
+    return Poset.from_matrix(_matrix(leq, len(leq), "leq", upper=2, bools=True),
+                             name=obj.get("name"))

@@ -39,6 +39,26 @@ once per branch.  Only poset automorphisms can witness an isomorphism
 between two frames on the same poset, so a candidate is kept exactly when
 its encoding is minimal in its automorphism orbit.
 
+Lemma (no conflict).  Read a triple (a, b, c) as 'c in a o b' and write
+``rho(a, b, c) = (c-, a, b-)``; rho permutes the n**3 triples, so a set
+closed under rho is closed under rho^-1.  On every state the search hands
+over, ``t`` is up-closed and ``f`` down-closed in the value slot of each
+cell, both are closed under rho, and they are disjoint.  (i) Setting an
+undecided bit p true adds to ``t`` the closure C of p under rho and the
+up-cone of the value slot, the bits ``_propagate`` walks.  Each q in C is
+reached from p by steps up a value slot and through rho, so walking back
+from q to p goes down value slots and through rho^-1, under both of which
+``f`` is closed: were q in ``f``, p would be too, and p is undecided.
+Setting p false is dual, with the tables and the cones swapped, and the
+root's blocking masks are laid while ``t`` is empty.  So a propagation
+never meets the other table, and the grown table is again closed and
+disjoint from it: the setting holds on the next state.  (ii) The witness
+pass sets bits true only, each an open bit of an unsatisfied clause and so
+undecided.  It never grows ``f``, so no clause loses an open bit during
+the pass: a clause with no open bit had none when the pass began, and
+each clause it passes over stays satisfied or keeps two open bits.  The
+first pass therefore reaches the fixpoint.
+
 Lemma (one branch per orbit).  An encoding is compared with its
 relabellings component by component: the identity set first, then
 ``tilde[0..n-1]``, then ``neg`` and the cells.  An automorphism g sends the
@@ -174,12 +194,14 @@ class _BranchSearch:
 
     # -- propagation ---------------------------------------------------
 
-    def _propagate(self, x, y, mask, value) -> bool:
+    def _propagate(self, x, y, mask, value) -> None:
         """OR a cone-closed mask (an up-set of true bits, a down-set of
         false ones) into cell x o y and close under rotation: every new bit
-        w of a cell a o b sends the cone of ``b-`` to cell ``w- o a``."""
+        w of a cell a o b sends the cone of ``b-`` to cell ``w- o a``.  It
+        reads and writes only the table it extends; by lemma (no conflict)
+        the other table never meets what it adds."""
         n, minus = self.n, self.minus
-        table, other = (self.t, self.f) if value else (self.f, self.t)
+        table = self.t if value else self.f
         cone = self.up if value else self.down
         stack = [(x, y, mask)]
         while stack:
@@ -188,8 +210,6 @@ class _BranchSearch:
             new = mask & ~(table >> shift)
             if not new:
                 continue
-            if new & (other >> shift):
-                return False
             table |= new << shift
             rotated = cone[minus[b]]
             while new:
@@ -200,30 +220,25 @@ class _BranchSearch:
             self.t = table
         else:
             self.f = table
-        return True
 
-    def _assign(self, x, y, z, value) -> bool:
+    def _assign(self, x, y, z, value) -> None:
         """Set bit z of cell x o y: its up-set when true, its down-set when false."""
-        return self._propagate(x, y, (self.up if value else self.down)[z], value)
+        self._propagate(x, y, (self.up if value else self.down)[z], value)
 
     def _force_identity_witnesses(self) -> bool:
         """Unit-propagate 'x lies in i o x for some identity point i'; the
-        rotation law carries the clause of x onto 'x- in x- o i'."""
+        rotation law carries the clause of x onto 'x- in x- o i'.  False
+        when a clause has no open bit.  One pass reaches the fixpoint, by
+        lemma (no conflict)."""
         cell_bits = self.n * self.n
-        changed = True
-        while changed:
-            changed = False
-            for x, clause in enumerate(self.witnesses):
-                if self.t & clause:
-                    continue
-                open_ = clause & ~self.f
-                if not open_:
-                    return False
-                if not open_ & (open_ - 1):
-                    i = (open_.bit_length() - 1) // cell_bits
-                    if not self._assign(i, x, x, True):
-                        return False
-                    changed = True
+        for x, clause in enumerate(self.witnesses):
+            if self.t & clause:
+                continue
+            open_ = clause & ~self.f
+            if not open_:
+                return False
+            if not open_ & (open_ - 1):
+                self._assign((open_.bit_length() - 1) // cell_bits, x, x, True)
         return True
 
     def _associativity_cut(self) -> bool:
@@ -270,9 +285,10 @@ class _BranchSearch:
             return []
         # i o x lies in the principal upset of x; the rotation law carries
         # the blocked cells onto x o i
-        ok = all(self._propagate(i, x, self.carrier & ~self.up[x], False)
-                 for i in self.identity_points for x in range(self.n))
-        if ok and self._force_identity_witnesses() and self._associativity_cut():
+        for i in self.identity_points:
+            for x in range(self.n):
+                self._propagate(i, x, self.carrier & ~self.up[x], False)
+        if self._force_identity_witnesses() and self._associativity_cut():
             self._dfs()
         return self.solutions
 
@@ -291,11 +307,8 @@ class _BranchSearch:
         x, y, z = pick
         t, f = self.t, self.f
         for value in (True, False):
-            if (
-                self._assign(x, y, z, value)
-                and self._force_identity_witnesses()
-                and self._associativity_cut()
-            ):
+            self._assign(x, y, z, value)
+            if self._force_identity_witnesses() and self._associativity_cut():
                 self._dfs()
             else:
                 self.stats.prunes += 1

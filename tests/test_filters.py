@@ -15,9 +15,10 @@ from qra import (
     space_algebra,
     validate_pointed_frame,
 )
+from qra.bundled import bundled_frames
 from qra.catalog import build_catalog
 from qra.enumerate import enumerate_algebras
-from qra.filters import _build_filter_frame, is_gen_prime_filter
+from qra.filters import PointedFrame, _build_filter_frame, is_gen_prime_filter
 from qra.frame import Frame, _build_dual_frame
 from qra.order import Poset, bits, mask_of
 from qra.ra import builtin_atom_structures, ra_from_atoms
@@ -120,6 +121,24 @@ def test_filter_frame_shapes(bool2):
     assert validate_pointed_frame(pf2).ok
     rep = validate_pointed_frame(pf2)
     assert any("discrete topology" in note for note in rep.notes)
+
+
+def test_pointed_frame_laws_are_each_reported():
+    frames = bundled_frames()
+    chain = frames["W4_1_4"]  # the 3-chain 0 < 1 < 2 with identity {2}
+    assert validate_pointed_frame(PointedFrame(chain, 0, 2)).ok
+    no_identity = Frame(chain.poset, 0, chain.comp, chain.tilde, chain.minus, chain.neg)
+    for pf, laws in (
+        (PointedFrame(chain, 1, 2), ["bounded_bottom"]),
+        (PointedFrame(chain, 0, 1), ["bounded_top"]),
+        # a shared bound on two or more points is never both least and greatest
+        (PointedFrame(chain, 0, 0), ["bounded_top", "bounds_distinct"]),
+        (PointedFrame(frames["W4_1_1"], 0, 2), ["identity_proper"]),  # identity {0, 1, 2}
+    ):
+        assert validate_pointed_frame(pf).laws_violated() == laws
+    # with no identity point the frame's own unit laws fail as well
+    assert "identity_nonempty" in validate_pointed_frame(
+        PointedFrame(no_identity, 0, 2)).laws_violated()
 
 
 def test_space_algebra_roundtrip_examples(bool2, sugihara3):

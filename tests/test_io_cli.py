@@ -14,7 +14,7 @@ from qra.cli import main
 from qra.algebra import validate_dqra
 from qra.errors import StructuralError
 from qra.filters import PointedFrame, priestley_roundtrip
-from qra.frame import Frame, frame_iso, roundtrip_algebra
+from qra.frame import Frame, complex_algebra, frame_iso, roundtrip_algebra
 from qra.morphism import AlgHom
 from qra.represent import RepBase, SearchOptions
 from qra.order import Poset
@@ -334,6 +334,18 @@ def test_cli_complex_of_bundled_frame(capsys):
     assert run_cli("complex", "W3_1_2") == 0
     alg = qio.algebra_from_obj(json.loads(capsys.readouterr().out))
     assert alg.size == 3 and validate_dqra(alg).ok
+
+
+def test_cli_complex_of_a_pointed_frame_file_and_not_of_an_algebra(tmp_path, capsys):
+    # a pointed frame's complex algebra is its frame's; an algebra is refused
+    assert run_cli("priestley", str(DATA / "d3_1_2.algebra.json")) == 0
+    path = tmp_path / "filters.json"
+    path.write_text(capsys.readouterr().out)
+    assert run_cli("complex", str(path)) == 0
+    got = capsys.readouterr().out
+    assert got == qio.canonical_dumps(qio.to_obj(complex_algebra(qio.load(path).frame)))
+    code, err = _exit_cleanly(capsys, "complex", str(DATA / "d3_1_2.algebra.json"))
+    assert code == 2 and err == "error: complex expects a frame\n"
 
 
 def test_cli_priestley_output_reads_back(tmp_path, capsys):

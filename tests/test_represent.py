@@ -52,6 +52,23 @@ def test_base_validation_rejects_bad_data():
         RepBase(Poset.chain(2), (0b11, 0b11), (0, 1), (0, 1))  # beta not antitone
 
 
+@pytest.mark.parametrize("poset, equiv, alpha, beta, message", [
+    (Poset.antichain(2), (0b11,), (0, 1), None, "equivalence table has wrong length"),
+    (Poset.antichain(2), (0b10, 0b10), (0, 1), None, "equivalence not reflexive"),
+    (Poset.antichain(2), (0b01, 0b11), (0, 1), None, "equivalence classes inconsistent"),
+    (Poset.antichain(2), (0b11, 0b11), (0, 0), None, "alpha is not a permutation"),
+    (Poset.antichain(2), (0b01, 0b10), (1, 0), None, "alpha leaves an equivalence class"),
+    (Poset.antichain(2), (0b11, 0b11), (0, 1), (0, 0), "beta is not a permutation"),
+    (Poset.antichain(3), (0b111,) * 3, (0, 1, 2), (1, 2, 0), "beta is not self-inverse"),
+    (Poset.antichain(2), (0b01, 0b10), (0, 1), (1, 0), "beta leaves an equivalence class"),
+    (Poset.antichain(3), (0b111,) * 3, (1, 0, 2), (0, 2, 1),
+     "beta does not equal its alpha conjugate"),
+])
+def test_base_check_names_its_one_defect(poset, equiv, alpha, beta, message):
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        RepBase(poset, equiv, alpha, beta)
+
+
 def test_twist_order_examples():
     pairs, tw = twist_order(one_point_base())
     assert pairs == [(0, 0)] and tw.n == 1

@@ -2,14 +2,17 @@
 
 ``reference_cut`` is the interval test written as loops over (x, y, z):
 a node is cut when some value is forced into (x o y) o z that x o (y o z)
-can no longer take, or the other way round.  ``reference_propagate`` closes
-under the rotation law, monotonicity in all three slots and both sides of
-the identity law.  The kernel keeps one half of the cut, monotonicity in
-the value slot and one side of the identity law, which the rotation law
-makes equivalent on the rotation-closed states it works on.  It must give
-the same verdicts and fixpoints as the references on every state the DFS
-hands it and on random rotation-closed states, and the census search must
-visit the recorded number of nodes.
+can no longer take, or the other way round.  ``reference_assign`` closes
+under the rotation law and monotonicity in all three slots, and
+``reference_witnesses`` under both sides of the identity law.  The kernel
+keeps one half of the cut, monotonicity in the value slot and one side of
+the identity law, which the rotation law makes equivalent on the
+rotation-closed states it works on.  It must give the same verdicts and
+fixpoints as the references on every state the DFS hands it and on random
+rotation-closed states, and the census search must visit the recorded
+number of nodes.  By lemma (no conflict) of ``qra.search`` no assignment
+the kernel makes conflicts, which ``reference_assign`` must confirm on
+every one.
 
 ``reference_orbit_minimal`` compares a whole relabelled encoding with its
 own under every poset automorphism, where the search skips the branches
@@ -212,11 +215,6 @@ def reference_witnesses(poset, identity, minus, t, f) -> bool:
     return True
 
 
-def reference_propagate(poset, identity, minus, t, f, x, y, z, value) -> bool:
-    return (reference_assign(poset, minus, t, f, x, y, z, value)
-            and reference_witnesses(poset, identity, minus, t, f))
-
-
 def reference_root(poset, identity, minus):
     """The tables once the cells i o x and x o i outside the principal
     upset of x are false and the witnesses propagated; None on a conflict."""
@@ -267,10 +265,12 @@ def test_propagation_matches_reference_on_random_walks():
                     x, y, z = rng.choice(cells)
                     value = rng.random() < 0.5
                     ref_t, ref_f = [row[:] for row in t], [row[:] for row in f]
-                    ok = reference_propagate(poset, identity, minus, ref_t, ref_f, x, y, z, value)
+                    # lemma (no conflict): an undecided bit never conflicts
+                    assert reference_assign(poset, minus, ref_t, ref_f, x, y, z, value)
+                    ok = reference_witnesses(poset, identity, minus, ref_t, ref_f)
                     searcher.t, searcher.f = to_bits(t, n), to_bits(f, n)
-                    assert ok == (searcher._assign(x, y, z, value)
-                                  and searcher._force_identity_witnesses())
+                    searcher._assign(x, y, z, value)
+                    assert ok == searcher._force_identity_witnesses()
                     verdicts.add(ok)
                     if ok:
                         assert searcher.t == to_bits(ref_t, n) and searcher.f == to_bits(ref_f, n)
@@ -296,6 +296,27 @@ def test_kernel_matches_reference_on_every_search_state(monkeypatch):
         cuts += search_frames(poset)["dinfl"].stats.cuts
     assert cuts == len(verdicts)
     assert True in verdicts and False in verdicts
+
+
+def test_no_assignment_of_the_search_conflicts(monkeypatch):
+    # lemma (no conflict) of qra.search, on every decision and witness
+    # assignment the DFS makes: closing the state under the rotation law
+    # and monotonicity in all three slots never meets the other table
+    kernel = _BranchSearch._assign
+    assigned = []
+
+    def checked(searcher, x, y, z, value):
+        n = searcher.n
+        t, f = to_cells(searcher.t, n), to_cells(searcher.f, n)
+        assert reference_assign(searcher.poset, searcher.minus, t, f, x, y, z, value), (
+            searcher.poset.up, searcher.identity, searcher.tilde, (x, y, z, value))
+        assigned.append(value)
+        kernel(searcher, x, y, z, value)
+
+    monkeypatch.setattr(_BranchSearch, "_assign", checked)
+    for poset in posets_with_at_most_upsets(8):
+        search_frames(poset)
+    assert True in assigned and False in assigned
 
 
 def test_kernel_matches_reference_on_random_states():
