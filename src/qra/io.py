@@ -2,7 +2,8 @@
 
 All formats are JSON with a fixed key order and sorted index arrays, so
 parsing and re-serialising a canonical file is byte identical.  Parsers
-reject ragged matrices and out-of-range indices with a structural error.
+reject ragged matrices, out-of-range indices and JSON booleans where an
+index or a size is expected with a structural error.
 """
 
 from __future__ import annotations
